@@ -9,7 +9,6 @@ Exit codes: 0 ok, 1 config error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -24,9 +23,10 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .cluster import AdaptTrainer, cluster_purity
 from .config import ConfigError, RunConfig
 from .distill import Pretrainer
-from .finetune import (FinetuneTrainer, dump_embeddings, extract_embeddings,
-                       fused_dim, load_embeddings)
+from .finetune import (FUSION_STRATEGIES, FinetuneTrainer, dump_embeddings,
+                       extract_embeddings, fused_dim, load_embeddings)
 from .multicrop import views_per_area
+from .tensor import ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +87,20 @@ def _network_state(prefix, params):
     return {prefix + "." + k: v for k, v in params.state().items()}
 
 
-def _load_network(cfg, ckpt, prefix):
-    params = vit.NetworkParams.init(cfg.backbone, np.random.default_rng(0),
-                                    requires_grad=True)
+def _load_network(cfg, ckpt, prefix, params=None):
+    """The checkpoint's ``prefix`` network, into ``params`` or a fresh one."""
+    if params is None:
+        params = vit.NetworkParams.init(cfg.backbone, np.random.default_rng(0),
+                                        requires_grad=True)
     state = {k[len(prefix) + 1:]: v for k, v in ckpt.tensors.items()
              if k.startswith(prefix + ".")}
     if not state:
         raise CheckpointError("checkpoint has no %r network" % prefix)
-    params.load_state(state)
+    try:
+        params.load_state(state)
+    except (KeyError, ShapeError) as exc:  # e.g. written with other head names
+        raise CheckpointError("checkpoint %r network does not fit this backbone: %s"
+                              % (prefix, exc.args[0])) from None
     return params
 
 
@@ -129,10 +135,8 @@ def run_pretrain(cfg, out):
         ckpt = load_checkpoint(cfg.resume)
         _check_ckpt_config(cfg, ckpt)
         _require_stage(ckpt, "pretrain", "pretrain resume")
-        trainer.student.load_state({k[8:]: v for k, v in ckpt.tensors.items()
-                                    if k.startswith("student.")})
-        trainer.teacher.load_state({k[8:]: v for k, v in ckpt.tensors.items()
-                                    if k.startswith("teacher.")})
+        _load_network(cfg, ckpt, "student", trainer.student)
+        _load_network(cfg, ckpt, "teacher", trainer.teacher)
         trainer.center.load({r: ckpt.tensors["center." + r] for r in trainer.center.centers})
         trainer.step_count = int(ckpt.extra.get("step", 0))
     trainer.run()
@@ -304,7 +308,6 @@ def run_ablate(cfg, out):
     if cfg.ablation.axis == "areas":
         header = ("L", "J", "mAP", "rank1")
         for L in (2, 3, 4, 5):
-            sub = dataclasses.replace(cfg)
             sub = cfgmod.parse_text(cfgmod.to_text(cfg))  # deep copy via round trip
             sub.backbone.num_parts = L
             sub.crops.num_areas = L
@@ -324,7 +327,7 @@ def run_ablate(cfg, out):
         sub.mode = "pretrain"
         sub.out_dir = os.path.join(out, "pretrain")
         pre = run_pretrain(sub, _prepare_out(sub))
-        for strategy in ("concat_all", "mean_all", "concat_cls_meanpart"):
+        for strategy in FUSION_STRATEGIES:
             sub2 = cfgmod.parse_text(cfgmod.to_text(cfg))
             sub2.mode = "finetune"
             sub2.finetune.fusion = strategy

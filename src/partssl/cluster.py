@@ -10,15 +10,18 @@ import json
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from . import vit
-from .finetune import forward_embeddings
+from .evaluate import pairwise_dist
+from .finetune import extract_embeddings, forward_embeddings, pk_batch
 from .optim import SGD, AdamW, clip_grad_norm
 from .tensor import Tensor
+
+
+OPTIMIZERS = ("sgd", "adamw")
 
 
 class ClusterError(ValueError):
@@ -47,8 +50,7 @@ def dbscan(features, eps, min_points):
     """Plain O(n^2) density clustering with Euclidean distances."""
     x = np.asarray(features, dtype=np.float64)
     n = len(x)
-    d = np.sqrt(np.maximum(
-        (x * x).sum(1)[:, None] + (x * x).sum(1)[None, :] - 2 * x @ x.T, 0.0))
+    d = pairwise_dist(x, x)
     neighbors = [np.where(d[i] <= eps)[0] for i in range(n)]
     core = np.array([len(nb) >= min_points for nb in neighbors])
     labels = np.full(n, -1, dtype=np.int64)
@@ -68,38 +70,11 @@ def dbscan(features, eps, min_points):
     return PseudoLabeling(assignments=labels, num_clusters=cluster)
 
 
-def kmeans(features, k, rng, iters=50):
-    """Small deterministic k-means fallback for tiny feature sets."""
-    x = np.asarray(features, dtype=np.float64)
-    if k > len(x):
-        raise ClusterError("k=%d exceeds %d points" % (k, len(x)))
-    centers = x[rng.choice(len(x), size=k, replace=False)].copy()
-    labels = np.zeros(len(x), dtype=np.int64)
-    for _ in range(iters):
-        d = ((x[:, None, :] - centers[None]) ** 2).sum(-1)
-        new = d.argmin(axis=1)
-        if (new == labels).all() and _ > 0:
-            break
-        labels = new
-        for c in range(k):
-            members = x[labels == c]
-            if len(members):
-                centers[c] = members.mean(axis=0)
-    return PseudoLabeling(assignments=labels, num_clusters=k)
-
-
-def cluster(features, eps=0.5, min_points=4, kmeans_k=0, rng=None):
-    """L2-normalize then density-cluster; points in no cluster are outliers.
-
-    ``kmeans_k`` switches to the k-means fallback for tiny datasets where
-    density estimation is meaningless.
-    """
+def cluster(features, eps=0.5, min_points=4):
+    """L2-normalize then density-cluster; points in no cluster are outliers."""
     if len(features) < 2:
         raise ClusterError("need at least 2 feature vectors")
-    normed = _l2n(features)
-    if kmeans_k:
-        return kmeans(normed, kmeans_k, rng or np.random.default_rng(0))
-    labeling = dbscan(normed, eps, min_points)
+    labeling = dbscan(_l2n(features), eps, min_points)
     if labeling.num_clusters == 0:
         raise ClusterError(
             "all %d points are outliers at eps=%.3f; increase eps" % (len(features), eps))
@@ -159,21 +134,7 @@ def prototype_contrastive_loss(features, labels, bank, temperature=0.05):
 
 def extract_all_features(params, images, fusion="mean_all", batch_size=32, workers=0):
     """One fused embedding per image, eval mode (no head, raw fusion)."""
-    images = np.asarray(images, dtype=np.float64)
-    chunks = [images[i:i + batch_size] for i in range(0, len(images), batch_size)]
-
-    def one(chunk):
-        with T.no_grad():
-            return forward_embeddings(params, chunk, fusion).data
-
-    workers = workers or int(os.environ.get("PARTSSL_WORKERS", "1"))
-    if workers > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(one, chunks))
-    else:
-        outs = [one(c) for c in chunks]
-    return np.concatenate(outs, axis=0)
+    return extract_embeddings(params, None, images, fusion, batch_size, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +146,6 @@ class ClusterConfig:
     epochs: int = 3
     eps: float = 0.5
     min_points: int = 4
-    kmeans_k: int = 0
     temperature: float = 0.05
     proto_momentum: float = 0.2
     fusion: str = "mean_all"
@@ -219,8 +179,11 @@ class AdaptTrainer:
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC105]))
         if cl_cfg.optimizer == "sgd":
             self.optimizer = SGD(params.items(), lr=cl_cfg.lr, momentum=cl_cfg.momentum)
-        else:
+        elif cl_cfg.optimizer == "adamw":
             self.optimizer = AdamW(params.items(), lr=cl_cfg.lr)
+        else:
+            raise ClusterError("optimizer: expected one of %s, got %r"
+                               % (", ".join(OPTIMIZERS), cl_cfg.optimizer))
         self.out_dir = out_dir
         self.history = []
 
@@ -231,8 +194,7 @@ class AdaptTrainer:
     def run_epoch(self, epoch):
         cl = self.cl
         feats = extract_all_features(self.params, self.images, fusion=cl.fusion)
-        labeling = cluster(feats, eps=cl.eps, min_points=cl.min_points,
-                           kmeans_k=cl.kmeans_k, rng=self.rng)
+        labeling = cluster(feats, eps=cl.eps, min_points=cl.min_points)
         bank = build_prototypes(feats, labeling, momentum=cl.proto_momentum)
         if self.out_dir:
             snap = os.path.join(self.out_dir, "pseudo_labels_epoch%d.jsonl" % epoch)
@@ -241,24 +203,14 @@ class AdaptTrainer:
                     fh.write(json.dumps({"image_id": n, "cluster": int(c)}) + "\n")
 
         clustered = np.where(labeling.assignments >= 0)[0]
-        by_cluster = {c: clustered[labeling.assignments[clustered] == c]
-                      for c in range(labeling.num_clusters)}
+        pools = [clustered[labeling.assignments[clustered] == c]
+                 for c in range(labeling.num_clusters)]
         batch = cl.ids_per_batch * cl.samples_per_id
         steps = cl.steps_per_epoch or max(1, len(clustered) // batch)
         self.optimizer.lr = self._epoch_lr(epoch)
         losses = []
         for _ in range(steps):
-            picked = self.rng.choice(labeling.num_clusters,
-                                     size=min(cl.ids_per_batch, labeling.num_clusters),
-                                     replace=False)
-            rows, labs = [], []
-            for c in picked:
-                pool = by_cluster[c]
-                take = self.rng.choice(pool, size=cl.samples_per_id,
-                                       replace=len(pool) < cl.samples_per_id)
-                rows.extend(int(r) for r in take)
-                labs.extend([c] * cl.samples_per_id)
-            rows, labs = np.array(rows), np.array(labs)
+            rows, labs = pk_batch(self.rng, pools, cl.ids_per_batch, cl.samples_per_id)
             feats_t = forward_embeddings(self.params, self.images[rows], cl.fusion)
             loss = prototype_contrastive_loss(feats_t, labs, bank, cl.temperature)
             loss_val = loss.item()

@@ -11,10 +11,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field, fields
 
-from .cluster import ClusterConfig
+from .cluster import OPTIMIZERS, ClusterConfig
 from .distill import PretrainConfig, Temperatures
-from .finetune import FinetuneConfig
-from .multicrop import MulticropConfig
+from .finetune import FUSION_STRATEGIES, FinetuneConfig
+from .multicrop import POS_MODES, MulticropConfig
 from .vit import BackboneConfig
 
 
@@ -85,8 +85,13 @@ class RunConfig:
             raise ConfigError(
                 "crops.views_per_area is derived from the area count; "
                 "set allow_j_override = true to force a value")
-        if self.finetune.fusion not in ("concat_all", "mean_all", "concat_cls_meanpart"):
-            raise ConfigError("finetune.fusion: unknown strategy %r" % self.finetune.fusion)
+        for key, value, choices in (("finetune.fusion", self.finetune.fusion, FUSION_STRATEGIES),
+                                    ("cluster.fusion", self.cluster.fusion, FUSION_STRATEGIES),
+                                    ("cluster.optimizer", self.cluster.optimizer, OPTIMIZERS),
+                                    ("crops.pos_mode", self.crops.pos_mode, POS_MODES)):
+            if value not in choices:
+                raise ConfigError("%s: expected one of %s, got %r"
+                                  % (key, " | ".join(choices), value))
         if self.data.kind not in ("synthetic", "dir"):
             raise ConfigError("data.kind: expected synthetic or dir, got %r" % self.data.kind)
         t = self.distill.temperatures
@@ -122,7 +127,10 @@ _COMMENTS = {
     "distill.raw_sums": "true = literal summed objective, false = per-term normalized",
     "finetune.margin": "triplet loss margin",
     "finetune.lr": "0 = rule 0.0004 * batch / 64",
-    "finetune.fusion": "concat_all | mean_all | concat_cls_meanpart",
+    "finetune.fusion": " | ".join(FUSION_STRATEGIES),
+    "cluster.fusion": " | ".join(FUSION_STRATEGIES),
+    "cluster.optimizer": " | ".join(OPTIMIZERS),
+    "crops.pos_mode": " | ".join(POS_MODES),
     "cluster.eps": "density clustering neighborhood radius on unit-norm features",
     "backbone.num_parts": "learnable part tokens, one per local area",
 }

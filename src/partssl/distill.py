@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +73,7 @@ class CenterState:
     def update(self, role, teacher_logits):
         logits = np.asarray(teacher_logits, dtype=np.float64).reshape(-1, self.centers[role].shape[0])
         if logits.shape[0] == 0:
-            raise DistillError("update_center: empty batch")
+            raise DistillError("CenterState.update: empty batch")
         m = self.momentum
         self.centers[role] = m * self.centers[role] + (1.0 - m) * logits.mean(axis=0)
 
@@ -87,11 +86,6 @@ class CenterState:
     def load(self, state):
         for r in self.centers:
             self.centers[r] = np.asarray(state[r], dtype=np.float64).copy()
-
-
-def update_center(state, teacher_logits_batch, role="cls"):
-    state.update(role, teacher_logits_batch)
-    return state
 
 
 def sharpen(logits, tau, center=None):
@@ -304,15 +298,13 @@ class PretrainConfig:
     centering: bool = True
     ema_start: float = 0.996
     ema_end: float = 1.0
-    ema_per_epoch: bool = False   # apply the EMA only at epoch boundaries
-    epoch_len: int = 0            # steps per epoch when ema_per_epoch
     raw_sums: bool = False
     part_weight: float = 1.0     # scales the part component against [CLS]
 
 
 def center_roles(cfg):
-    # one center per part token even when the physical head is shared: a
-    # constant per-part output offset would survive a single shared center,
+    # one center per part token although the head is shared: a constant
+    # per-part output offset would survive a single shared center,
     # which reopens the collapse door that centering exists to close
     return ["cls"] + ["part%d" % i for i in range(1, cfg.num_parts + 1)]
 
@@ -387,16 +379,10 @@ class Pretrainer:
 
     def _project_specials(self, params, cls_out, part_out, b, m):
         """Head logits for global views: cls (B*M, K), parts (L, B*M, K)."""
-        cfg = self.cfg
+        L = self.cfg.num_parts
         cls_logits = vit.project(cls_out, params, "head_cls")
-        if cfg.separate_part_heads:
-            part_logits = [vit.project(part_out[:, i, :], params, vit.part_head_name(cfg, i + 1))
-                           for i in range(cfg.num_parts)]
-            part_logits = T.stack(part_logits, axis=0)
-        else:
-            flat = T.reshape(T.transpose(part_out, (1, 0, 2)), (cfg.num_parts * b * m, -1))
-            part_logits = T.reshape(vit.project(flat, params, "head_part"),
-                                    (cfg.num_parts, b * m, -1))
+        flat = T.reshape(T.transpose(part_out, (1, 0, 2)), (L * b * m, -1))
+        part_logits = T.reshape(vit.project(flat, params, "head_part"), (L, b * m, -1))
         return cls_logits, part_logits
 
     def _student_forward(self, globs, locs, loc_part, b, j, rects):
@@ -406,27 +392,19 @@ class Pretrainer:
         tau_s = self.pre_cfg.temperatures.tau_s
         g_rects, g_flips, l_rects, l_flips = rects
         # globals
-        cls_out, part_out = vit.forward_tokens(globs, vit.global_layout(L), self.student,
-                                               rects=g_rects, mirrors=g_flips)
+        cls_out, part_out = vit.forward_tokens(globs, vit.all_parts(len(globs), L),
+                                               self.student, rects=g_rects, mirrors=g_flips)
         cls_logits, part_logits = self._project_specials(self.student, cls_out, part_out, b, m)
         s_cls_g = T.reshape(T.log_softmax(cls_logits * (1.0 / tau_s)), (b, m, -1))
         s_part_g = T.transpose(T.reshape(T.log_softmax(part_logits * (1.0 / tau_s)),
                                          (L, b, m, -1)), (1, 0, 2, 3))
         # locals, area-major so each area's chunk is contiguous
-        patches = vit.patchify(locs, cfg, self.student, rects=l_rects, mirrors=l_flips)
-        seq = vit.assemble_per_view(patches, loc_part, self.student)
-        out = vit.encode(seq, self.student)
-        cls_l = vit.project(out[:, 0, :], self.student, "head_cls")
+        cls_out, part_out = vit.forward_tokens(locs, loc_part[:, None], self.student,
+                                               rects=l_rects, mirrors=l_flips)
+        cls_l = vit.project(cls_out, self.student, "head_cls")
         s_cls_l = T.transpose(T.reshape(T.log_softmax(cls_l * (1.0 / tau_s)), (L, b, j, -1)),
                               (1, 0, 2, 3))
-        part_tok = out[:, 1, :]
-        if cfg.separate_part_heads:
-            chunks = [vit.project(part_tok[area * b * j:(area + 1) * b * j, :],
-                                  self.student, vit.part_head_name(cfg, area + 1))
-                      for area in range(L)]
-            part_l = T.concatenate(chunks, axis=0)
-        else:
-            part_l = vit.project(part_tok, self.student, "head_part")
+        part_l = vit.project(T.reshape(part_out, (len(locs), -1)), self.student, "head_part")
         s_part_l = T.transpose(T.reshape(T.log_softmax(part_l * (1.0 / tau_s)), (L, b, j, -1)),
                                (1, 0, 2, 3))
         return s_cls_g, s_cls_l, s_part_g, s_part_l
@@ -437,8 +415,8 @@ class Pretrainer:
         m = self.crop_cfg.num_globals
         g_rects, g_flips = rects
         with T.no_grad():
-            cls_out, part_out = vit.forward_tokens(globs, vit.global_layout(L), self.teacher,
-                                                   rects=g_rects, mirrors=g_flips)
+            cls_out, part_out = vit.forward_tokens(globs, vit.all_parts(len(globs), L),
+                                                   self.teacher, rects=g_rects, mirrors=g_flips)
             cls_logits, part_logits = self._project_specials(self.teacher, cls_out, part_out, b, m)
         cls_np = cls_logits.data
         part_np = part_logits.data  # (L, B*M, K)
@@ -488,11 +466,7 @@ class Pretrainer:
         finally:
             T.clear_tape()
 
-        if pc.ema_per_epoch:
-            if pc.epoch_len and (step + 1) % pc.epoch_len == 0:
-                ema_update(self.student, self.teacher, lam)
-        else:
-            ema_update(self.student, self.teacher, lam)
+        ema_update(self.student, self.teacher, lam)
 
         self.center.update("cls", cls_logits_np)
         for i in range(self.cfg.num_parts):

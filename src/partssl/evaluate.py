@@ -8,7 +8,6 @@ reproducibility.
 
 from __future__ import annotations
 
-import html
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,29 +126,13 @@ def ranking_list(index, query_index, top_k):
     return entries
 
 
-def render_ranking_report(index, query_indices, top_k, fmt="text"):
-    """Plain-text or HTML table of ranking lists for the given queries."""
+def render_ranking_report(index, query_indices, top_k):
+    """Plain-text ranking lists for the given queries."""
     lines = []
-    if fmt == "html":
-        lines.append("<html><body><h1>Ranking lists</h1>")
     for qi in query_indices:
-        entries = ranking_list(index, qi, top_k)
-        if fmt == "html":
-            lines.append("<h2>query %d (id %d, cam %d)</h2><table border='1'>"
-                         "<tr><th>rank</th><th>gallery</th><th>id</th><th>dist</th><th>match</th></tr>"
-                         % (qi, index.q_ids[qi], index.q_cams[qi]))
-            for r, e in enumerate(entries, 1):
-                lines.append("<tr><td>%d</td><td>%d</td><td>%s</td><td>%.4f</td><td>%s<"
-                             "/td></tr>" % (r, e.gallery_index,
-                                            html.escape(str(index.g_ids[e.gallery_index])),
-                                            e.distance, "Y" if e.match else "n"))
-            lines.append("</table>")
-        else:
-            lines.append("query %d (id %d, cam %d)" % (qi, index.q_ids[qi], index.q_cams[qi]))
-            for r, e in enumerate(entries, 1):
-                lines.append("  rank %2d: gallery %3d id %3d dist %.4f %s"
-                             % (r, e.gallery_index, index.g_ids[e.gallery_index],
-                                e.distance, "MATCH" if e.match else ""))
-    if fmt == "html":
-        lines.append("</body></html>")
+        lines.append("query %d (id %d, cam %d)" % (qi, index.q_ids[qi], index.q_cams[qi]))
+        for r, e in enumerate(ranking_list(index, qi, top_k), 1):
+            lines.append("  rank %2d: gallery %3d id %3d dist %.4f %s"
+                         % (r, e.gallery_index, index.g_ids[e.gallery_index],
+                            e.distance, "MATCH" if e.match else ""))
     return "\n".join(lines)

@@ -12,7 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,23 +131,6 @@ def _pairwise_dist_t(emb, eps=1e-12):
     return T.sqrt(d2 + eps)
 
 
-def hardest_distances(embeddings, labels):
-    """(d_pos, d_neg) per anchor: farthest positive and nearest negative."""
-    emb = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = len(labels)
-    d = np.sqrt(np.maximum(
-        (emb * emb).sum(1)[:, None] + (emb * emb).sum(1)[None, :] - 2 * emb @ emb.T, 0.0) + 1e-12)
-    same = labels[:, None] == labels[None, :]
-    eye = np.eye(n, dtype=bool)
-    pos_mask = same & ~eye
-    neg_mask = ~same
-    _check_batch(pos_mask, neg_mask, labels)
-    d_pos = np.where(pos_mask, d, -np.inf).max(axis=1)
-    d_neg = np.where(neg_mask, d, np.inf).min(axis=1)
-    return d_pos, d_neg
-
-
 def _check_batch(pos_mask, neg_mask, labels):
     if len(labels) < 2 or len(set(labels.tolist())) < 2:
         raise BatchCompositionError("batch needs at least 2 identities, got %d"
@@ -201,8 +184,21 @@ class FinetuneConfig:
         return 0.0004 * (self.ids_per_batch * self.samples_per_id) / 64.0
 
 
+def pk_batch(rng, pools, ids_per_batch, samples_per_id):
+    """P x K batch: P pools drawn without replacement, K rows from each (with
+    replacement only from a pool smaller than K). Returns the rows and, per
+    row, the index of its pool."""
+    picked = rng.choice(len(pools), size=min(ids_per_batch, len(pools)), replace=False)
+    rows = []
+    for c in picked:
+        pool = pools[c]
+        take = rng.choice(pool, size=samples_per_id, replace=len(pool) < samples_per_id)
+        rows.extend(int(r) for r in take)
+    return np.array(rows), np.repeat(picked, samples_per_id)
+
+
 def forward_embeddings(params, images, fusion, flip_mask=None):
-    """Backbone forward with the full token layout, then feature fusion."""
+    """Backbone forward with [CLS] and every part token, then feature fusion."""
     cfg = params.cfg
     images = np.asarray(images, dtype=np.float64)
     if images.shape[1:3] != (cfg.image_h, cfg.image_w):
@@ -210,7 +206,8 @@ def forward_embeddings(params, images, fusion, flip_mask=None):
     if flip_mask is not None:
         images = images.copy()
         images[flip_mask] = images[flip_mask, :, ::-1]
-    cls_out, part_out = vit.forward_tokens(images, vit.global_layout(cfg.num_parts), params)
+    cls_out, part_out = vit.forward_tokens(images, vit.all_parts(len(images), cfg.num_parts),
+                                           params)
     return fuse(cls_out, part_out, fusion)
 
 
@@ -226,11 +223,10 @@ class FinetuneTrainer:
         self.classes = np.unique(self.ids)
         if len(self.classes) < 2:
             raise BatchCompositionError("fine-tuning needs at least 2 identities")
-        self.class_to_row = {c: np.where(self.ids == c)[0] for c in self.classes}
+        self.pools = [np.where(self.ids == c)[0] for c in self.classes]
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF17E]))
         dim = fused_dim(ft_cfg.fusion, self.cfg.num_parts, self.cfg.embed_dim)
         self.head = ReidHead(dim, len(self.classes), rng)
-        self.label_of = {c: i for i, c in enumerate(self.classes)}
         named = list(params.items()) + self.head.named_params()
         self.optimizer = AdamW(named, lr=ft_cfg.resolve_lr(), weight_decay=ft_cfg.weight_decay)
         self.rng = rng
@@ -238,20 +234,10 @@ class FinetuneTrainer:
         self.log = []
         self.log_path = log_path
 
-    def _sample_batch(self):
-        picked = self.rng.choice(self.classes, size=min(self.ft.ids_per_batch, len(self.classes)),
-                                 replace=False)
-        rows, labels = [], []
-        for c in picked:
-            pool = self.class_to_row[c]
-            take = self.rng.choice(pool, size=self.ft.samples_per_id,
-                                   replace=len(pool) < self.ft.samples_per_id)
-            rows.extend(int(r) for r in take)
-            labels.extend([self.label_of[c]] * self.ft.samples_per_id)
-        return np.array(rows), np.array(labels)
-
     def finetune_step(self):
-        rows, labels = self._sample_batch()
+        # labels are positions in the sorted class list: the classifier rows
+        rows, labels = pk_batch(self.rng, self.pools, self.ft.ids_per_batch,
+                                self.ft.samples_per_id)
         flip = self.rng.random(len(rows)) < self.ft.flip_p
         feats = forward_embeddings(self.params, self.images[rows], self.ft.fusion, flip)
         tri = batch_hard_triplet(feats, labels, self.ft.margin)
@@ -289,14 +275,16 @@ class FinetuneTrainer:
 
 
 def extract_embeddings(params, head, images, fusion, batch_size=32, workers=0):
-    """Eval-mode post-batchnorm embeddings; never touches the classifier."""
+    """Eval-mode post-batchnorm embeddings, or the raw fused features when
+    ``head`` is None; never touches the classifier. Chunks of ``batch_size``
+    images run on ``workers`` threads (0 -> ``PARTSSL_WORKERS``, default 1)."""
     images = np.asarray(images, dtype=np.float64)
     chunks = [images[i:i + batch_size] for i in range(0, len(images), batch_size)]
 
     def one(chunk):
         with T.no_grad():
             feats = forward_embeddings(params, chunk, fusion)
-            return head.embed(feats, training=False).data
+            return (feats if head is None else head.embed(feats, training=False)).data
 
     workers = workers or int(os.environ.get("PARTSSL_WORKERS", "1"))
     if workers > 1 and len(chunks) > 1:

@@ -9,13 +9,13 @@ function of the seed, so a view set replays bit-identically.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .vit import TokenLayout, global_layout, local_layout
+
+POS_MODES = ("stretch", "crop")
 
 
 class AreaError(ValueError):
@@ -103,23 +103,11 @@ class CropPlan:
         H, W = self.source_hw
         return (self.top / H, self.left / W, self.height / H, self.width / W)
 
-    def to_record(self):
-        return {
-            "rect": [self.top, self.left, self.height, self.width],
-            "source": list(self.source_hw),
-            "target": list(self.target),
-            "flip": self.flip,
-            "brightness": self.brightness,
-            "contrast": self.contrast,
-            "grayscale": self.grayscale,
-        }
-
 
 @dataclass
 class View:
     image: np.ndarray
     area_index: int          # 0 for global views, 1..L for locals
-    layout: TokenLayout
     plan: CropPlan
 
 
@@ -133,15 +121,6 @@ class ViewSet:
     @property
     def views(self):
         return self.globals + self.locals
-
-    def to_records(self):
-        """One JSON line per view, for debugging replay."""
-        lines = []
-        for v in self.views:
-            rec = {"area": v.area_index, "parts": list(v.layout.part_indices)}
-            rec.update(v.plan.to_record())
-            lines.append(json.dumps(rec, sort_keys=True))
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +194,7 @@ def sample_global(image, rng, cfg):
     left = int(rng.integers(0, W - cw + 1))
     flip, bright, contr, gray = _photometric(cfg, rng)
     plan = CropPlan(top, left, ch, cw, (H, W), cfg.global_size, flip, bright, contr, gray)
-    return View(apply_plan(image, plan), 0, global_layout(cfg.num_areas), plan)
+    return View(apply_plan(image, plan), 0, plan)
 
 
 def sample_local(image, area, area_index, rng, cfg):
@@ -240,11 +219,11 @@ def sample_local(image, area, area_index, rng, cfg):
     left = int(rng.integers(0, W - w + 1))
     flip, bright, contr, gray = _photometric(cfg, rng)
     plan = CropPlan(top, left, h, w, (H, W), cfg.local_size, flip, bright, contr, gray)
-    return View(apply_plan(image, plan), area_index, local_layout(area_index), plan)
+    return View(apply_plan(image, plan), area_index, plan)
 
 
 def build_view_set(image, cfg, seed):
-    """M global + L*J local views with token layouts; replayable from seed."""
+    """M global + L*J local views, each with its crop plan; replayable from seed."""
     image = np.asarray(image, dtype=np.float64)
     rng = np.random.default_rng(seed)
     areas = define_areas(cfg.num_areas)

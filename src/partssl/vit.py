@@ -10,7 +10,7 @@ vector would be redundant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class BackboneConfig:
     mlp_ratio: int = 4
     head_hidden: int = 0      # 0 -> 4 * embed_dim
     head_bottleneck: int = 0  # 0 -> embed_dim
-    separate_part_heads: bool = False
     # special tokens start at unit scale per channel, the scale that each
     # fan-in initialized residual branch adds. A token of norm ~2 (0.3) is
     # swamped by the first block's attention average, which is nearly the
@@ -71,42 +70,6 @@ class BackboneConfig:
     @property
     def bottleneck(self):
         return self.head_bottleneck or self.embed_dim
-
-
-@dataclass(frozen=True)
-class TokenLayout:
-    """Which special tokens a view carries; part indices are 1-based."""
-
-    include_cls: bool = True
-    part_indices: tuple = ()
-
-    def validate(self, num_parts):
-        for i in self.part_indices:
-            if not 1 <= i <= num_parts:
-                raise LayoutError("part index %d outside 1..%d" % (i, num_parts))
-        return self
-
-    @property
-    def num_special(self):
-        return int(self.include_cls) + len(self.part_indices)
-
-
-def global_layout(num_parts):
-    return TokenLayout(include_cls=True, part_indices=tuple(range(1, num_parts + 1)))
-
-
-def local_layout(area_index):
-    return TokenLayout(include_cls=True, part_indices=(area_index,))
-
-
-def head_names(cfg):
-    if cfg.separate_part_heads:
-        return ["head_cls"] + ["head_part%d" % i for i in range(1, cfg.num_parts + 1)]
-    return ["head_cls", "head_part"]
-
-
-def part_head_name(cfg, area_index):
-    return "head_part%d" % area_index if cfg.separate_part_heads else "head_part"
 
 
 class NetworkParams:
@@ -165,7 +128,7 @@ class NetworkParams:
             add(pre + "mlp.b2", np.zeros(C))
         add("final_ln.g", np.ones(C))
         add("final_ln.b", np.zeros(C))
-        for head in head_names(cfg):
+        for head in ("head_cls", "head_part"):
             pre = head + "."
             add(pre + "w1", normal(C, cfg.hidden))
             add(pre + "b1", np.zeros(cfg.hidden))
@@ -310,38 +273,27 @@ def patchify(images, cfg, params, rects=None, mirrors=None):
     return emb + pos
 
 
-def assemble(patches, layout, params):
-    """[CLS]? ++ selected part tokens ++ patch embeddings, for a whole batch."""
-    cfg = params.cfg
-    layout.validate(cfg.num_parts)
-    B = patches.shape[0]
-    rows = []
-    if layout.include_cls:
-        rows.append(params["cls_token"])
-    if layout.part_indices:
-        idx = np.asarray(layout.part_indices) - 1
-        rows.append(T.gather(params["part_tokens"], idx))
-    if not rows:
-        return patches
-    special = T.concatenate(rows, axis=0)
-    special = T.broadcast_to(T.reshape(special, (1,) + special.shape), (B,) + special.shape)
-    return T.concatenate([special, patches], axis=1)
+def all_parts(batch, num_parts):
+    """Part index rows of a global view: every part token, in order."""
+    return np.broadcast_to(np.arange(1, num_parts + 1), (batch, num_parts))
 
 
-def assemble_per_view(patches, part_index_per_view, params, include_cls=True):
-    """Per-view single part token (1-based indices), vectorized over the batch."""
+def assemble(patches, part_index, params):
+    """[CLS] ++ the part tokens of ``part_index`` ++ patch embeddings.
+
+    ``part_index`` is a (B, P) array of 1-based part indices, one row per
+    view: ``all_parts`` for global views, (B, 1) area indices for local ones.
+    """
     cfg = params.cfg
-    idx = np.asarray(part_index_per_view, dtype=np.int64)
+    idx = np.asarray(part_index, dtype=np.int64)
+    B, _, C = patches.shape
+    if idx.ndim != 2 or idx.shape[0] != B:
+        raise T.ShapeError("assemble: need a (%d, P) part index array, got shape %s"
+                           % (B, idx.shape))
     if idx.size and (idx.min() < 1 or idx.max() > cfg.num_parts):
         raise LayoutError("part index outside 1..%d" % cfg.num_parts)
-    B = patches.shape[0]
-    if idx.shape != (B,):
-        raise T.ShapeError("assemble_per_view: need one part index per view")
-    part = T.reshape(T.gather(params["part_tokens"], idx - 1), (B, 1, -1))
-    if include_cls:
-        cls = T.broadcast_to(T.reshape(params["cls_token"], (1, 1, -1)), (B, 1, patches.shape[2]))
-        return T.concatenate([cls, part, patches], axis=1)
-    return T.concatenate([part, patches], axis=1)
+    cls = T.broadcast_to(T.reshape(params["cls_token"], (1, 1, C)), (B, 1, C))
+    return T.concatenate([cls, T.gather(params["part_tokens"], idx - 1), patches], axis=1)
 
 
 def _attention(x, params, pre, cfg, cache):
@@ -391,19 +343,12 @@ def project(x, params, head):
     return hid @ params[pre + "w4"] + params[pre + "b4"]
 
 
-def forward_tokens(images, layout, params, attn_cache=None, rects=None, mirrors=None):
-    """Full encoder pass; returns ([CLS] outputs, part outputs) per view.
-
-    Part outputs are ordered as in ``layout.part_indices``.
-    """
-    cfg = params.cfg
-    patches = patchify(images, cfg, params, rects=rects, mirrors=mirrors)
-    seq = assemble(patches, layout, params)
-    out = encode(seq, params, attn_cache=attn_cache)
-    n_cls = int(layout.include_cls)
-    cls_out = out[:, 0, :] if layout.include_cls else None
-    part_out = out[:, n_cls:n_cls + len(layout.part_indices), :] if layout.part_indices else None
-    return cls_out, part_out
+def forward_tokens(images, part_index, params, attn_cache=None, rects=None, mirrors=None):
+    """Full encoder pass; returns [CLS] outputs (B, C) and part outputs
+    (B, P, C), ordered as in ``part_index``."""
+    patches = patchify(images, params.cfg, params, rects=rects, mirrors=mirrors)
+    out = encode(assemble(patches, part_index, params), params, attn_cache=attn_cache)
+    return out[:, 0, :], out[:, 1:1 + np.shape(part_index)[1], :]
 
 
 @dataclass
@@ -420,7 +365,6 @@ def attention_map(image, token, layer, params):
     cfg = params.cfg
     if not 0 <= layer < cfg.depth:
         raise LayoutError("layer %d outside 0..%d" % (layer, cfg.depth - 1))
-    layout = global_layout(cfg.num_parts)
     if token == "cls":
         row = 0
     else:
@@ -431,7 +375,7 @@ def attention_map(image, token, layer, params):
     cache = []
     with T.no_grad():
         img = np.asarray(image, dtype=T.DTYPE)
-        forward_tokens(img[None], layout, params, attn_cache=cache)
+        forward_tokens(img[None], all_parts(1, cfg.num_parts), params, attn_cache=cache)
     attn = cache[layer][0]  # (heads, S, S)
     weights = attn[:, row, :].mean(axis=0)
     n_special = 1 + cfg.num_parts

@@ -6,7 +6,7 @@ import pytest
 
 from partssl import cli
 from partssl import config as cfgmod
-from partssl.checkpoint import load_checkpoint
+from partssl.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 
 def micro_cfg(tmp_path, mode="pretrain", **overrides):
@@ -34,7 +34,7 @@ def micro_cfg(tmp_path, mode="pretrain", **overrides):
     cfg.finetune.ids_per_batch = 2
     cfg.finetune.samples_per_id = 2
     cfg.cluster.epochs = 1
-    cfg.cluster.kmeans_k = 4
+    cfg.cluster.eps = 2.0  # unit-norm features lie at most 2 apart: one cluster
     cfg.cluster.steps_per_epoch = 2
     cfg.cluster.ids_per_batch = 2
     cfg.cluster.samples_per_id = 2
@@ -102,6 +102,16 @@ class TestFinetuneMode:
         cfg.allow_j_override = False
         with pytest.raises(cfgmod.ConfigError, match="embed_dim"):
             cli.run(cfg)
+
+    def test_network_missing_a_parameter_refused(self, pipeline, tmp_path):
+        ckpt = load_checkpoint(pipeline["pre"]["checkpoint"])
+        tensors = {k: v for k, v in ckpt.tensors.items() if k != "teacher.head_part.w1"}
+        path = str(tmp_path / "partial.bin")
+        save_checkpoint(path, tensors, config=ckpt.config, extra=ckpt.extra)
+        for cfg in (micro_cfg(tmp_path, "finetune", init_checkpoint=path),
+                    micro_cfg(tmp_path, "pretrain", resume=path)):
+            with pytest.raises(CheckpointError, match="head_part.w1"):  # exit 1 in cli.main
+                cli.run(cfg)
 
     def test_wrong_stage_refused(self, pipeline, tmp_path):
         cfg = micro_cfg(tmp_path, "usl", init_checkpoint=pipeline["ft"]["checkpoint"])

@@ -51,13 +51,6 @@ class TestCluster:
         assert labeling.assignments[-1] == -1
         assert labeling.num_outliers == 1
 
-    def test_kmeans_fallback(self):
-        rng = np.random.default_rng(3)
-        pts, truth = blobs(rng, [(3, 0), (0, 3), (-3, -3)], n_per=8)
-        labeling = cl.cluster(pts, kmeans_k=3, rng=np.random.default_rng(0))
-        assert labeling.num_clusters == 3
-        assert cl.cluster_purity(labeling, truth) == 1.0
-
 
 class TestPrototypes:
     def test_identical_vectors_give_normalized_vector(self):
@@ -174,7 +167,8 @@ class TestAdaptTrainer:
         params = vit.NetworkParams.init(cfg, np.random.default_rng(1))
         ds = sd.generate(sd.SyntheticSpec(num_identities=5, images_per_identity=6,
                                           cameras=2, image_h=16, image_w=8), seed=2)
-        cl_cfg = cl.ClusterConfig(epochs=epochs, kmeans_k=5, ids_per_batch=3,
+        # eps 2 spans the unit sphere: one cluster, whatever the features
+        cl_cfg = cl.ClusterConfig(epochs=epochs, eps=2.0, ids_per_batch=3,
                                   samples_per_id=2, optimizer="adamw", lr=1e-3,
                                   steps_per_epoch=4)
         out = str(tmp_path) if tmp_path else None

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from partssl import cli
 from partssl import config as cfgmod
 from partssl.config import ConfigError, RunConfig
 
@@ -86,3 +87,22 @@ class TestValidation:
     def test_garbled_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             cfgmod.parse_text("seed 5")
+
+    @pytest.mark.parametrize("line", ["cluster.optimizer = sdg", "cluster.fusion = mean",
+                                      "crops.pos_mode = crops"])
+    def test_option_typo_rejected_at_load(self, line, tmp_path, capsys):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=key):
+            cfgmod.parse_text(line)
+        path = tmp_path / "typo.cfg"
+        path.write_text(line + "\n")
+        assert cli.main(["usl", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["backbone.separate_part_heads = false",
+                                      "distill.ema_per_epoch = false", "distill.epoch_len = 0",
+                                      "cluster.kmeans_k = 0"])
+    def test_removed_key_is_unknown(self, line):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            cfgmod.parse_text(line)

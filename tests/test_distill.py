@@ -111,17 +111,17 @@ class TestCenter:
     def test_momentum_zero_equals_batch_mean(self):
         c = distill.CenterState(4, ["cls"], momentum=0.0)
         batch = np.arange(12.0).reshape(3, 4)
-        distill.update_center(c, batch)
+        c.update("cls", batch)
         np.testing.assert_allclose(c.get("cls"), batch.mean(axis=0))
 
     def test_momentum_one_keeps_center(self):
         c = distill.CenterState(4, ["cls"], momentum=1.0)
-        distill.update_center(c, np.ones((2, 4)))
+        c.update("cls", np.ones((2, 4)))
         np.testing.assert_array_equal(c.get("cls"), np.zeros(4))
 
     def test_momentum_arithmetic(self):
         c = distill.CenterState(1, ["cls"], momentum=0.9)
-        distill.update_center(c, np.ones((5, 1)))
+        c.update("cls", np.ones((5, 1)))
         np.testing.assert_allclose(c.get("cls"), [0.1])
 
     def test_empty_batch_rejected(self):
@@ -385,13 +385,3 @@ class TestPretrainer:
         crop = mc.MulticropConfig(num_areas=2, global_size=(16, 8), local_size=(8, 4))
         with pytest.raises(distill.DistillError):
             distill.Pretrainer(bb, crop, distill.PretrainConfig(steps=1), np.zeros((2, 16, 8, 3)), 0)
-
-    def test_ema_per_epoch_mode(self):
-        tr = tiny_trainer(steps=4, ema_per_epoch=True, epoch_len=2)
-        t0 = tr.teacher.state()
-        tr.pretrain_step()
-        for name in tr.teacher.names():
-            np.testing.assert_array_equal(tr.teacher[name].data, t0[name])
-        tr.pretrain_step()  # epoch boundary: now the teacher moves
-        moved = sum(np.abs(tr.teacher[n].data - t0[n]).max() for n in tr.teacher.names())
-        assert moved > 0

@@ -99,13 +99,13 @@ class TestIdLoss:
 
 class TestBatchHardTriplet:
     def test_margin_arithmetic_zero_loss_case(self):
-        # anchor 0: d_pos = 0.5, d_neg = 1.0, margin 0.3 -> hinge at 0
+        # hardest (positive, negative) per anchor: 0: (0.5, 1.0) -> hinge at 0;
+        # 1: (0.5, 0.5) -> 0.3; 2: (8.0, 0.5) -> 7.8; 3: (8.0, 8.5) -> 0
         emb = np.array([[0.0], [0.5], [1.0], [9.0]])
         labels = np.array([0, 0, 1, 1])
-        d_pos, d_neg = ft.hardest_distances(emb, labels)
-        assert d_pos[0] == pytest.approx(0.5, abs=1e-6)
-        assert d_neg[0] == pytest.approx(1.0, abs=1e-6)
-        assert max(d_pos[0] - d_neg[0] + 0.3, 0.0) == 0.0
+        got = ft.batch_hard_triplet(T.Tensor(emb), labels, margin=0.3).item()
+        assert got == pytest.approx((0.0 + 0.3 + 7.8 + 0.0) / 4, abs=1e-6)
+        assert got == pytest.approx(brute_force_triplet(emb, labels, 0.3), abs=1e-10)
 
     def test_identical_embeddings_give_margin(self):
         emb = np.ones((6, 3))

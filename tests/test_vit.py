@@ -69,14 +69,16 @@ class TestAssemble:
         cfg = tiny_cfg()
         params = make_params(cfg)
         patches = vit.patchify(np.zeros((16, 8, 3)), cfg, params)
-        seq = vit.assemble(patches, vit.global_layout(3), params)
+        seq = vit.assemble(patches, vit.all_parts(1, 3), params)
         assert seq.shape[1] == 1 + 3 + 8
+        np.testing.assert_array_equal(seq.data[0, 0], params["cls_token"].data[0])
+        np.testing.assert_array_equal(seq.data[0, 1:4], params["part_tokens"].data)
 
     def test_local_layout_uses_requested_part_token(self):
         cfg = tiny_cfg()
         params = make_params(cfg)
         patches = vit.patchify(np.zeros((16, 8, 3)), cfg, params)
-        seq = vit.assemble(patches, vit.local_layout(2), params)
+        seq = vit.assemble(patches, [[2]], params)
         assert seq.shape[1] == 1 + 1 + 8
         np.testing.assert_array_equal(seq.data[0, 1], params["part_tokens"].data[1])
 
@@ -84,8 +86,8 @@ class TestAssemble:
         cfg = tiny_cfg(num_parts=1)
         params = make_params(cfg)
         patches = vit.patchify(np.zeros((16, 8, 3)), cfg, params)
-        g = vit.assemble(patches, vit.global_layout(1), params)
-        l = vit.assemble(patches, vit.local_layout(1), params)
+        g = vit.assemble(patches, vit.all_parts(1, 1), params)
+        l = vit.assemble(patches, [[1]], params)
         np.testing.assert_array_equal(g.data, l.data)
 
     def test_part_index_out_of_range_error(self):
@@ -93,18 +95,49 @@ class TestAssemble:
         params = make_params(cfg)
         patches = vit.patchify(np.zeros((16, 8, 3)), cfg, params)
         with pytest.raises(vit.LayoutError):
-            vit.assemble(patches, vit.TokenLayout(True, (4,)), params)
+            vit.assemble(patches, [[4]], params)
         with pytest.raises(vit.LayoutError):
-            vit.assemble_per_view(patches, np.array([0]), params)
+            vit.assemble(patches, [[0]], params)
+        with pytest.raises(T.ShapeError):
+            vit.assemble(patches, [1], params)  # one row per view is required
 
     def test_per_view_matches_single_layout(self):
         cfg = tiny_cfg()
         params = make_params(cfg)
-        img = np.random.default_rng(1).random((2, 16, 8, 3))
+        img = np.random.default_rng(1).random((3, 16, 8, 3))
         patches = vit.patchify(img, cfg, params)
-        via_single = vit.assemble(patches, vit.local_layout(3), params)
-        via_mixed = vit.assemble_per_view(patches, np.array([3, 3]), params)
-        np.testing.assert_array_equal(via_single.data, via_mixed.data)
+        mixed = vit.assemble(patches, [[3], [1], [2]], params)
+        for b, part in enumerate((3, 1, 2)):
+            single = vit.assemble(patches[b:b + 1], [[part]], params)
+            np.testing.assert_array_equal(mixed.data[b], single.data[0])
+
+    def test_global_gather_matches_shared_broadcast(self):
+        # bit-identical sequence and token gradients to one shared special
+        # block broadcast over the batch
+        cfg = tiny_cfg()
+        params = make_params(cfg, seed=4)
+        img = np.random.default_rng(5).random((12, 16, 8, 3))
+        weight = np.random.default_rng(6).normal(size=(12, 12, cfg.embed_dim))
+
+        def grads(assemble):
+            with T.scoped_tape():
+                patches = vit.patchify(img, cfg, params)
+                seq = assemble(patches)
+                T.sum_(seq * T.Tensor(weight)).backward(params=params.tensors())
+            out = (seq.data, params["cls_token"].grad.copy(), params["part_tokens"].grad.copy())
+            for p in params.tensors():
+                p.zero_grad()
+            return out
+
+        def shared(patches):
+            special = T.concatenate([params["cls_token"], params["part_tokens"]], axis=0)
+            special = T.broadcast_to(T.reshape(special, (1, 4, -1)), (12, 4, cfg.embed_dim))
+            return T.concatenate([special, patches], axis=1)
+
+        want = grads(shared)
+        got = grads(lambda patches: vit.assemble(patches, vit.all_parts(12, 3), params))
+        for w, g in zip(want, got):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestEncode:
@@ -119,9 +152,9 @@ class TestEncode:
         cfg = tiny_cfg(depth=2)
         params = make_params(cfg)
         img = np.random.default_rng(2).random((3, 16, 8, 3))
-        for layout in [vit.global_layout(3), vit.local_layout(1), vit.TokenLayout(True, ())]:
+        for part_index in [vit.all_parts(3, 3), [[1]] * 3, np.zeros((3, 0))]:
             patches = vit.patchify(img, cfg, params)
-            seq = vit.assemble(patches, layout, params)
+            seq = vit.assemble(patches, part_index, params)
             out = vit.encode(seq, params)
             assert out.shape == seq.shape
 
@@ -130,7 +163,7 @@ class TestEncode:
         params = make_params(cfg)
         img = np.random.default_rng(3).random((16, 8, 3))
         patches = vit.patchify(img, cfg, params)
-        seq = vit.assemble(patches, vit.global_layout(3), params).data.copy()
+        seq = vit.assemble(patches, vit.all_parts(1, 3), params).data.copy()
         n_special = 4
         perm = seq.copy()
         perm[0, [n_special, n_special + 3]] = perm[0, [n_special + 3, n_special]]
@@ -188,7 +221,8 @@ def special_token_cosines(params, images):
     plain["final_ln.g"].data = np.ones(cfg.embed_dim)
     plain["final_ln.b"].data = np.zeros(cfg.embed_dim)
     with T.no_grad():
-        seq = vit.assemble(vit.patchify(images, cfg, plain), vit.global_layout(cfg.num_parts), plain)
+        seq = vit.assemble(vit.patchify(images, cfg, plain),
+                           vit.all_parts(len(images), cfg.num_parts), plain)
         out = vit.encode(seq, plain).data[:, :1 + cfg.num_parts]
     out = out / np.linalg.norm(out, axis=-1, keepdims=True)
     cos = np.einsum("bic,bjc->ij", out, out) / len(out)
@@ -296,7 +330,7 @@ class TestGradFlow:
         img = np.random.default_rng(12).random((1, 16, 8, 3))
         with T.scoped_tape():
             patches = vit.patchify(img, cfg, params)
-            seq = vit.assemble_per_view(patches, np.array([2]), params)
+            seq = vit.assemble(patches, [[2]], params)
             out = vit.encode(seq, params)
             loss = T.sum_(out * out)
             loss.backward(params=params.tensors())
