@@ -9,6 +9,7 @@ Exit codes: 0 ok, 1 config error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -105,7 +106,7 @@ def _load_network(cfg, ckpt, prefix, params=None):
 
 
 def _check_ckpt_config(cfg, ckpt):
-    want = cfgmod.backbone_dict(cfg)
+    want = dataclasses.asdict(cfg.backbone)
     have = ckpt.config.get("backbone", {})
     mismatched = [k for k, v in want.items() if k in have and have[k] != v]
     if mismatched:
@@ -124,11 +125,17 @@ def _require_stage(ckpt, want, mode):
 # modes
 
 
+def _fresh_log(out):
+    """The run's step log, emptied: a rerun into one directory starts over."""
+    path = os.path.join(out, "loss_log.jsonl")
+    if os.path.exists(path):
+        os.remove(path)
+    return path
+
+
 def run_pretrain(cfg, out):
     train, _ = build_datasets(cfg)
-    log_path = os.path.join(out, "loss_log.jsonl")
-    if os.path.exists(log_path):
-        os.remove(log_path)
+    log_path = _fresh_log(out)
     trainer = Pretrainer(cfg.backbone, cfg.crops, cfg.distill, train.images,
                          seed=cfg.seed, log_path=log_path)
     if cfg.resume:
@@ -147,8 +154,8 @@ def run_pretrain(cfg, out):
         tensors["center." + role] = vec
     path = os.path.join(out, "checkpoint.bin")
     save_checkpoint(path, tensors,
-                    config={"backbone": cfgmod.backbone_dict(cfg),
-                            "crops": cfgmod.crops_dict(cfg)},
+                    config={"backbone": dataclasses.asdict(cfg.backbone),
+                            "crops": dataclasses.asdict(cfg.crops)},
                     extra={"stage": "pretrain", "step": trainer.step_count,
                            "seed": cfg.seed})
     return {"checkpoint": path, "loss_log": log_path,
@@ -169,7 +176,7 @@ def _finetune_network(cfg):
 def run_finetune(cfg, out):
     train, test = build_datasets(cfg)
     params = _finetune_network(cfg)
-    log_path = os.path.join(out, "loss_log.jsonl")
+    log_path = _fresh_log(out)
     trainer = FinetuneTrainer(params, cfg.finetune, train.images, train.ids,
                               seed=cfg.seed, log_path=log_path)
     trainer.run()
@@ -181,12 +188,12 @@ def run_finetune(cfg, out):
     tensors.update({k: v for k, v in trainer.head.state().items()})
     ckpt_path = os.path.join(out, "checkpoint.bin")
     save_checkpoint(ckpt_path, tensors,
-                    config={"backbone": cfgmod.backbone_dict(cfg),
-                            "crops": cfgmod.crops_dict(cfg),
+                    config={"backbone": dataclasses.asdict(cfg.backbone),
+                            "crops": dataclasses.asdict(cfg.crops),
                             "fusion": cfg.finetune.fusion},
                     extra={"stage": "finetune", "num_ids": len(trainer.classes),
                            "seed": cfg.seed})
-    _write_metrics(os.path.join(out, "metrics.txt"), result, cfg.eval.max_rank)
+    _write_metrics(os.path.join(out, "metrics.txt"), result)
     return {"checkpoint": ckpt_path, "embeddings": dump_path,
             "mAP": result.mean_ap, "rank1": result.rank(1)}
 
@@ -209,7 +216,7 @@ def run_adapt(cfg, out):
     history = trainer.run()
     ckpt_path = os.path.join(out, "checkpoint.bin")
     save_checkpoint(ckpt_path, _network_state("network", params),
-                    config={"backbone": cfgmod.backbone_dict(cfg),
+                    config={"backbone": dataclasses.asdict(cfg.backbone),
                             "fusion": cfg.cluster.fusion},
                     extra={"stage": "adapt", "mode": cfg.mode, "seed": cfg.seed})
     purity = cluster_purity(history[-1].labeling, train.ids)  # external measurement
@@ -230,7 +237,7 @@ def run_eval(cfg, out):
     index = ev.RetrievalIndex(query=emb, q_ids=ids, q_cams=cams,
                               gallery=emb, g_ids=ids, g_cams=cams)
     result = ev.evaluate(index, max_rank=cfg.eval.max_rank)
-    metrics_path = _write_metrics(os.path.join(out, "metrics.txt"), result, cfg.eval.max_rank)
+    metrics_path = _write_metrics(os.path.join(out, "metrics.txt"), result)
     n_q = min(cfg.eval.report_queries, len(emb))
     report = ev.render_ranking_report(index, list(range(n_q)), cfg.eval.report_top_k)
     report_path = os.path.join(out, "ranking_report.txt")
@@ -240,23 +247,21 @@ def run_eval(cfg, out):
             "mAP": result.mean_ap, "rank1": result.rank(1)}
 
 
-def _write_metrics(path, result, max_rank):
+def _write_metrics(path, result):
+    """mAP, then the CMC ranks 1/5/10 that ``evaluate`` computed (it stops at
+    eval.max_rank and at the gallery size)."""
     with open(path, "w") as fh:
         fh.write("mAP = %.17g\n" % result.mean_ap)
         for k in (1, 5, 10):
-            if k <= max_rank:
+            if k <= len(result.cmc):
                 fh.write("rank-%d = %.17g\n" % (k, result.rank(k)))
         fh.write("valid_queries = %d\n" % result.num_valid_queries)
         fh.write("excluded_queries = %d\n" % result.num_excluded_queries)
     return path
 
 
-def _write_pgm_heatmap(path, grid, scale):
-    arr = grid / max(grid.max(), 1e-12)
-    arr = np.repeat(np.repeat(arr, scale, axis=0), scale, axis=1)
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
-        fh.write((arr * 255).astype(np.uint8).tobytes())
+def _upscale(grid, scale):
+    return np.repeat(np.repeat(grid, scale, axis=0), scale, axis=1)
 
 
 _PART_COLORS = [(230, 70, 70), (70, 200, 70), (80, 110, 240), (230, 200, 60), (200, 80, 220)]
@@ -285,7 +290,8 @@ def run_visualize(cfg, out):
         maps[token] = amap.patch_weights
         name = "attn_cls.pgm" if token == "cls" else "attn_part%d.pgm" % token
         path = os.path.join(out, name)
-        _write_pgm_heatmap(path, amap.patch_weights, scale)
+        heat = _upscale(amap.patch_weights / max(amap.patch_weights.max(), 1e-12), scale)
+        sd.write_pnm(path, (heat * 255).astype(np.uint8), 255)
         paths.append(path)
     # winner-take-all part map over patches, rendered as colors
     parts = np.stack([maps[i] for i in tokens[1:]])
@@ -294,11 +300,8 @@ def run_visualize(cfg, out):
     rgb = np.zeros((gh, gw, 3), dtype=np.uint8)
     for i in range(cfg.backbone.num_parts):
         rgb[winner == i] = _PART_COLORS[i % len(_PART_COLORS)]
-    rgb = np.repeat(np.repeat(rgb, scale, axis=0), scale, axis=1)
     argmax_path = os.path.join(out, "part_argmax.ppm")
-    with open(argmax_path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (rgb.shape[1], rgb.shape[0]))
-        fh.write(rgb.tobytes())
+    sd.write_pnm(argmax_path, _upscale(rgb, scale), 255)
     paths.append(argmax_path)
     return {"layer": layer, "maps": paths}
 

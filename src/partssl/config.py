@@ -12,14 +12,11 @@ import dataclasses
 from dataclasses import dataclass, field, fields
 
 from .cluster import OPTIMIZERS, ClusterConfig
-from .distill import PretrainConfig, Temperatures
+from .distill import PretrainConfig
 from .finetune import FUSION_STRATEGIES, FinetuneConfig
 from .multicrop import POS_MODES, MulticropConfig
-from .vit import BackboneConfig
-
-
-class ConfigError(ValueError):
-    pass
+from .synthetic import COLORS_PER_BAND
+from .vit import BackboneConfig, ConfigError
 
 
 @dataclass
@@ -92,29 +89,24 @@ class RunConfig:
             if value not in choices:
                 raise ConfigError("%s: expected one of %s, got %r"
                                   % (key, " | ".join(choices), value))
+        p = self.backbone.patch_size
+        for key in ("global_size", "local_size"):
+            h, w = getattr(self.crops, key)
+            if h % p or w % p:
+                raise ConfigError("crops.%s: %dx%d not divisible by backbone.patch_size %d"
+                                  % (key, h, w, p))
         if self.data.kind not in ("synthetic", "dir"):
             raise ConfigError("data.kind: expected synthetic or dir, got %r" % self.data.kind)
-        t = self.distill.temperatures
-        self.distill.temperatures = Temperatures(  # re-runs the invariant checks
-            tau_s=t.tau_s, tau_t=t.tau_t, tau_t_warmup_start=t.tau_t_warmup_start,
-            warmup_frac=t.warmup_frac)
+        if self.data.kind == "synthetic" and self.data.num_identities > COLORS_PER_BAND ** 3:
+            raise ConfigError("data.num_identities: the synthetic palette pool encodes at most "
+                              "%d identities, got %d"
+                              % (COLORS_PER_BAND ** 3, self.data.num_identities))
+        # re-runs the temperature invariant checks
+        self.distill.temperatures = dataclasses.replace(self.distill.temperatures)
         return self
 
 
 MODES = ("pretrain", "finetune", "uda", "usl", "eval", "visualize", "ablate")
-
-_SECTIONS = [
-    ("", None),
-    ("data", "data"),
-    ("backbone", "backbone"),
-    ("crops", "crops"),
-    ("distill", "distill"),
-    ("finetune", "finetune"),
-    ("cluster", "cluster"),
-    ("eval", "eval"),
-    ("visualize", "visualize"),
-    ("ablation", "ablation"),
-]
 
 # keys that deserve a word of context in emitted files
 _COMMENTS = {
@@ -136,36 +128,19 @@ _COMMENTS = {
 }
 
 
-def _top_level_fields(cfg):
-    return [f for f in fields(cfg) if f.name not in
-            {"data", "backbone", "crops", "distill", "finetune", "cluster",
-             "eval", "visualize", "ablation"}]
+def _iter_keys(obj, prefix=""):
+    """Yield (flat_key, holder_object, attr_name, value) in emission order.
 
-
-def _section_obj(cfg, section):
-    return cfg if section == "" else getattr(cfg, section)
-
-
-def _iter_keys(cfg):
-    """Yield (flat_key, holder_object, attr_name, value) in emission order."""
-    for section, _ in _SECTIONS:
-        obj = _section_obj(cfg, section)
-        if section == "":
-            flds = _top_level_fields(cfg)
-        elif section == "distill":
-            flds = [f for f in fields(obj) if f.name != "temperatures"]
+    A dataclass-valued field of RunConfig is a section; a dataclass-valued
+    field inside a section (``distill.temperatures``) puts its own fields
+    under that section's prefix.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _iter_keys(value, prefix or f.name + ".")
         else:
-            flds = list(fields(obj))
-        for f in flds:
-            key = f.name if section == "" else "%s.%s" % (section, f.name)
-            yield key, obj, f.name, getattr(obj, f.name)
-        if section == "distill":
-            for f in fields(Temperatures):
-                alias = {"tau_s": "tau_s", "tau_t": "tau_t",
-                         "tau_t_warmup_start": "tau_t_warmup_start",
-                         "warmup_frac": "tau_warmup_frac"}[f.name]
-                yield "distill.%s" % alias, obj.temperatures, f.name, \
-                    getattr(obj.temperatures, f.name)
+            yield prefix + f.name, obj, f.name, value
 
 
 def _format_value(v):
@@ -226,9 +201,7 @@ def from_mapping(mapping):
     unknown = [k for k in mapping if k not in index]
     if unknown:
         raise ConfigError("unknown config key(s): %s" % ", ".join(sorted(unknown)))
-    # apply allow_j_override first so validation sees it
-    ordered = sorted(mapping.items(), key=lambda kv: kv[0] != "allow_j_override")
-    for key, raw in ordered:
+    for key, raw in mapping.items():
         obj, name = index[key]
         template = getattr(obj, name)
         setattr(obj, name, _parse_value(raw, template, key))
@@ -258,10 +231,3 @@ def save_config(cfg, path):
         fh.write(to_text(cfg))
     return path
 
-
-def backbone_dict(cfg):
-    return dataclasses.asdict(cfg.backbone)
-
-
-def crops_dict(cfg):
-    return dataclasses.asdict(cfg.crops)

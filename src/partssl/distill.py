@@ -37,7 +37,7 @@ class Temperatures:
     tau_s: float = 0.1
     tau_t: float = 0.04
     tau_t_warmup_start: float = 0.04
-    warmup_frac: float = 0.1
+    tau_warmup_frac: float = 0.1
 
     def __post_init__(self):
         if self.tau_s <= 0 or self.tau_t <= 0:
@@ -46,7 +46,7 @@ class Temperatures:
             raise DistillError("teacher temperature must not exceed student temperature")
 
     def teacher_at(self, step, total_steps):
-        warm = int(self.warmup_frac * total_steps)
+        warm = int(self.tau_warmup_frac * total_steps)
         if warm <= 0 or step >= warm:
             return self.tau_t
         t = step / warm
@@ -223,14 +223,12 @@ def cls_loss(outputs, normalize=True):
     return loss
 
 
-def total_loss(outputs, raw_sums=False, part_weight=1.0):
+def total_loss(outputs, raw_sums=False):
     """Combined objective and its per-component breakdown.
 
     Default mode normalizes each component by its term count and weights the
     part losses by 1/L so [CLS] and part signals have comparable magnitude;
-    ``raw_sums`` restores the literal unnormalized summation. ``part_weight``
-    scales the whole part component relative to [CLS] (1.0 = the normalized
-    default; it also multiplies the raw mode).
+    ``raw_sums`` restores the literal unnormalized summation.
     """
     _, _, l, _ = outputs.dims
     normalize = not raw_sums
@@ -238,16 +236,16 @@ def total_loss(outputs, raw_sums=False, part_weight=1.0):
     parts = [part_loss(outputs, i, normalize=normalize) for i in range(1, l + 1)]
     total = cls_term
     for p in parts:
-        total = total + p * _part_scale(l, raw_sums, part_weight)
+        total = total + p * _part_scale(l, raw_sums)
     breakdown = {"cls": cls_term.item(), "parts": [p.item() for p in parts]}
     return total, breakdown
 
 
-def _part_scale(num_parts, raw_sums, part_weight):
-    return part_weight if raw_sums else part_weight / num_parts
+def _part_scale(num_parts, raw_sums):
+    return 1.0 if raw_sums else 1.0 / num_parts
 
 
-def excess_loss(outputs, breakdown, raw_sums=False, part_weight=1.0):
+def excess_loss(outputs, breakdown, raw_sums=False):
     """``total_loss`` with every term's H(teacher, student) replaced by
     KL(teacher || student): the matching error net of target sharpness.
 
@@ -258,7 +256,7 @@ def excess_loss(outputs, breakdown, raw_sums=False, part_weight=1.0):
     _, m, l, j = outputs.dims
     n_cls = cls_term_count(m, l, j) if raw_sums else 1
     n_part = part_term_count(m, j) if raw_sums else 1
-    scale = _part_scale(l, raw_sums, part_weight)
+    scale = _part_scale(l, raw_sums)
     excess = breakdown["cls"] - n_cls * distribution_entropy(outputs.t_cls)
     for i, p in enumerate(breakdown["parts"]):
         excess += scale * (p - n_part * distribution_entropy(outputs.t_part[:, i]))
@@ -293,13 +291,12 @@ class PretrainConfig:
     warmup_frac: float = 0.1
     weight_decay: float = 0.01
     clip_grad: float = 3.0
-    temperatures: Temperatures = field(default_factory=Temperatures)
     center_momentum: float = 0.9
     centering: bool = True
     ema_start: float = 0.996
     ema_end: float = 1.0
     raw_sums: bool = False
-    part_weight: float = 1.0     # scales the part component against [CLS]
+    temperatures: Temperatures = field(default_factory=Temperatures)
 
 
 def center_roles(cfg):
@@ -446,8 +443,7 @@ class Pretrainer:
             globs, locs, loc_part, b, j, rects)
         outputs = DistillOutputs(t_cls=t_cls, t_part=t_part, s_cls_g=s_cls_g,
                                  s_cls_l=s_cls_l, s_part_g=s_part_g, s_part_l=s_part_l)
-        loss, breakdown = total_loss(outputs, raw_sums=pc.raw_sums,
-                                     part_weight=pc.part_weight)
+        loss, breakdown = total_loss(outputs, raw_sums=pc.raw_sums)
 
         lam = self.ema.value(step)
         loss_val = loss.item()
@@ -487,8 +483,7 @@ class Pretrainer:
             "grad_norm": grad_norm,
             "teacher_entropy": t_cls_ent,
             "teacher_part_entropy": t_part_ent,
-            "excess_loss": excess_loss(outputs, breakdown, raw_sums=pc.raw_sums,
-                                       part_weight=pc.part_weight),
+            "excess_loss": excess_loss(outputs, breakdown, raw_sums=pc.raw_sums),
             "teacher_views": int(globs.shape[0]),
             "student_views": int(globs.shape[0] + locs.shape[0]),
         }

@@ -49,7 +49,6 @@ class MulticropConfig:
     # log K; at +-0.4 its minimum is 50% of log K
     brightness: float = 0.4
     contrast: float = 0.4
-    grayscale_p: float = 0.0
     # "stretch": views are positioned as whole images (standard resolution
     # interpolation); "crop": views keep the positions of their source
     # rectangle, which anchors part tokens at small scale
@@ -57,10 +56,6 @@ class MulticropConfig:
 
     def resolve_j(self):
         return self.views_per_area if self.views_per_area else views_per_area(self.num_areas)
-
-    @property
-    def views_total(self):
-        return self.num_globals + self.num_areas * self.resolve_j()
 
 
 def views_per_area(num_areas):
@@ -95,7 +90,6 @@ class CropPlan:
     flip: bool
     brightness: float
     contrast: float
-    grayscale: bool
 
     @property
     def rect_frac(self):
@@ -115,8 +109,6 @@ class View:
 class ViewSet:
     globals: list
     locals: list
-    rng_seed: int
-    config: MulticropConfig
 
     @property
     def views(self):
@@ -160,8 +152,6 @@ def apply_plan(image, plan):
     if plan.contrast != 1.0:
         m = out.mean()
         out = (out - m) * plan.contrast + m
-    if plan.grayscale:
-        out = np.repeat(out.mean(axis=2, keepdims=True), out.shape[2], axis=2)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -169,8 +159,7 @@ def _photometric(cfg, rng):
     flip = bool(rng.random() < cfg.flip_p)
     brightness = 1.0 + rng.uniform(-cfg.brightness, cfg.brightness) if cfg.brightness else 1.0
     contrast = 1.0 + rng.uniform(-cfg.contrast, cfg.contrast) if cfg.contrast else 1.0
-    grayscale = bool(cfg.grayscale_p and rng.random() < cfg.grayscale_p)
-    return flip, brightness, contrast, grayscale
+    return flip, brightness, contrast
 
 
 def sample_global(image, rng, cfg):
@@ -192,8 +181,7 @@ def sample_global(image, rng, cfg):
             break
     top = int(rng.integers(0, H - ch + 1))
     left = int(rng.integers(0, W - cw + 1))
-    flip, bright, contr, gray = _photometric(cfg, rng)
-    plan = CropPlan(top, left, ch, cw, (H, W), cfg.global_size, flip, bright, contr, gray)
+    plan = CropPlan(top, left, ch, cw, (H, W), cfg.global_size, *_photometric(cfg, rng))
     return View(apply_plan(image, plan), 0, plan)
 
 
@@ -217,8 +205,7 @@ def sample_local(image, area, area_index, rng, cfg):
     w = max(w, 2)
     top = int(rng.integers(row_lo, row_hi - h + 1))
     left = int(rng.integers(0, W - w + 1))
-    flip, bright, contr, gray = _photometric(cfg, rng)
-    plan = CropPlan(top, left, h, w, (H, W), cfg.local_size, flip, bright, contr, gray)
+    plan = CropPlan(top, left, h, w, (H, W), cfg.local_size, *_photometric(cfg, rng))
     return View(apply_plan(image, plan), area_index, plan)
 
 
@@ -233,4 +220,4 @@ def build_view_set(image, cfg, seed):
     for i, area in enumerate(areas, start=1):
         for _ in range(j):
             locs.append(sample_local(image, area, i, rng, cfg))
-    return ViewSet(globals=globs, locals=locs, rng_seed=seed, config=cfg)
+    return ViewSet(globals=globs, locals=locs)

@@ -20,6 +20,14 @@ _CAMERA_TINTS = [
     (0.0, 0.0, 0.0), (0.05, -0.03, 0.0), (-0.04, 0.02, 0.04), (0.0, 0.05, -0.05),
     (-0.05, 0.0, 0.03), (0.03, 0.03, -0.03), (-0.02, -0.04, 0.02), (0.04, 0.0, 0.04),
 ]
+# band colors come from a small shared pool per band position; single bands
+# are then ambiguous across identities (like clothing colors) and only the
+# combination identifies a person, so at most COLORS_PER_BAND**3 identities
+COLORS_PER_BAND = 4
+_MIN_PALETTE_DIST = 0.25      # least RGB distance between two pool colors
+# discrete band-brightness levels (like clothing variants) keep the per-band
+# state space finite and learnable at desk scale
+_JITTER_LEVELS = 3
 
 
 @dataclass
@@ -32,28 +40,20 @@ class SyntheticSpec:
     band_fracs: tuple = (0.30, 0.65)
     noise: float = 0.03
     # structured per-image noise: every image shifts each band's brightness by
-    # an independent draw, so one band's exact appearance is only observable
-    # by looking at that band (identities stay decodable from the base palette)
+    # one of _JITTER_LEVELS independent steps, so one band's exact appearance
+    # is only observable by looking at that band (identities stay decodable
+    # from the base palette)
     band_jitter: float = 0.12
-    # number of discrete jitter levels (like clothing variants); 0 draws the
-    # shift continuously. Discrete levels keep the per-band state space finite
-    # and learnable at desk scale
-    band_jitter_levels: int = 3
-    # band colors come from a small shared pool per band position; single
-    # bands are then ambiguous across identities (like clothing colors) and
-    # only the combination identifies a person. 0 = unique color per identity
-    colors_per_band: int = 4
     occlusion_p: float = 0.0
-    min_palette_dist: float = 0.25
 
     def validate(self):
         if self.num_identities < 1 or self.images_per_identity < 1 or self.cameras < 1:
             raise ValueError("num_identities, images_per_identity and cameras must be >= 1")
         if not 0.0 < self.band_fracs[0] < self.band_fracs[1] < 1.0:
             raise ValueError("band fractions must satisfy 0 < a < b < 1")
-        if self.colors_per_band and self.colors_per_band ** 3 < self.num_identities:
-            raise ValueError("colors_per_band^3 = %d cannot encode %d identities"
-                             % (self.colors_per_band ** 3, self.num_identities))
+        if COLORS_PER_BAND ** 3 < self.num_identities:
+            raise ValueError("COLORS_PER_BAND^3 = %d cannot encode %d identities"
+                             % (COLORS_PER_BAND ** 3, self.num_identities))
         return self
 
 
@@ -78,43 +78,27 @@ def band_bounds(spec):
 def _sample_palettes(spec, rng):
     """One (3 bands x 3 channels) palette per identity.
 
-    Pool mode (colors_per_band > 0): each band position has its own small
-    color pool; identities are distinct pool-index triples, so any single
-    band is shared by several identities. Texture is keyed to the pool index
-    and therefore adds no identity information beyond the color itself.
-    Returns (palettes, textures) with textures (num_identities, 3, 2) holding
-    per-band stripe frequency and phase.
+    Each band position has its own small color pool; identities are distinct
+    pool-index triples, so any single band is shared by several identities.
+    Texture is keyed to the pool index and therefore adds no identity
+    information beyond the color itself. Returns (palettes, textures) with
+    textures (num_identities, 3, 2) holding per-band stripe frequency and
+    phase.
     """
     n = spec.num_identities
-    if not spec.colors_per_band:
-        palettes = []
-        for _ in range(n):
-            for _attempt in range(1000):
-                cand = rng.uniform(0.1, 0.9, size=(3, 3))
-                if all(np.linalg.norm(cand - p) >= spec.min_palette_dist for p in palettes):
-                    palettes.append(cand)
-                    break
-            else:
-                raise RuntimeError("could not draw %d separated palettes; "
-                                   "lower min_palette_dist" % n)
-        textures = np.stack([np.stack([rng.integers(1, 5, size=3),
-                                       rng.uniform(0, 2 * np.pi, size=3)], axis=1)
-                             for _ in range(n)])
-        return np.array(palettes), textures
-
-    p = spec.colors_per_band
+    p = COLORS_PER_BAND
     pools = np.empty((3, p, 3))
     for band in range(3):
         colors = []
         for _ in range(p):
             for _attempt in range(2000):
                 cand = rng.uniform(0.1, 0.9, size=3)
-                if all(np.linalg.norm(cand - c) >= spec.min_palette_dist for c in colors):
+                if all(np.linalg.norm(cand - c) >= _MIN_PALETTE_DIST for c in colors):
                     colors.append(cand)
                     break
             else:
                 raise RuntimeError("pool of %d colors does not fit; lower "
-                                   "min_palette_dist" % p)
+                                   "_MIN_PALETTE_DIST" % p)
         pools[band] = colors
     pool_tex = np.stack([np.stack([rng.integers(1, 5, size=p),
                                    rng.uniform(0, 2 * np.pi, size=p)], axis=1)
@@ -165,12 +149,8 @@ def generate(spec, seed):
             img = base.copy()
             if spec.band_jitter:
                 for band in range(3):
-                    if spec.band_jitter_levels:
-                        n_lv = spec.band_jitter_levels
-                        level = rng.integers(0, n_lv)
-                        shift = spec.band_jitter * (2.0 * level / (n_lv - 1) - 1.0) if n_lv > 1 else 0.0
-                    else:
-                        shift = rng.uniform(-spec.band_jitter, spec.band_jitter, size=3)
+                    level = rng.integers(0, _JITTER_LEVELS)
+                    shift = spec.band_jitter * (2.0 * level / (_JITTER_LEVELS - 1) - 1.0)
                     img[bounds[band]:bounds[band + 1]] += shift
             img = img * gain + tint
             img = img + rng.normal(0.0, spec.noise, size=img.shape)
@@ -217,39 +197,29 @@ def band_intervals(spec):
 
 
 # ---------------------------------------------------------------------------
-# on-disk form: 16-bit binary PPM/PGM rasters plus a JSONL manifest
+# on-disk form: binary PGM/PPM rasters plus a JSONL manifest
 
 
-def _write_ppm16(path, img):
-    arr = np.clip(np.asarray(img) * 65535.0 + 0.5, 0, 65535).astype(">u2")
+def write_pnm(path, ints, maxval):
+    """Binary PGM (2-D array) or PPM (3-D, RGB) of integer samples; samples
+    are 16-bit big-endian when ``maxval`` is above 255, else one byte."""
+    ints = np.asarray(ints)
+    magic = b"P5" if ints.ndim == 2 else b"P6"
     with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n65535\n" % (img.shape[1], img.shape[0]))
-        fh.write(arr.tobytes())
+        fh.write(b"%s\n%d %d\n%d\n" % (magic, ints.shape[1], ints.shape[0], maxval))
+        fh.write(ints.astype(">u2" if maxval > 255 else np.uint8).tobytes())
 
 
-def _read_ppm16(path):
+def read_pnm(path):
+    """(samples, maxval) of a file written by ``write_pnm``."""
     with open(path, "rb") as fh:
-        if fh.readline().strip() != b"P6":
-            raise ValueError("%s: not a binary PPM" % path)
+        magic = fh.readline().strip()
+        if magic not in (b"P5", b"P6"):
+            raise ValueError("%s: not a binary PGM/PPM" % path)
         w, h = map(int, fh.readline().split())
         maxval = int(fh.readline())
-        arr = np.frombuffer(fh.read(), dtype=">u2").reshape(h, w, 3)
-    return arr.astype(np.float64) / maxval
-
-
-def _write_pgm8(path, mask):
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (mask.shape[1], mask.shape[0]))
-        fh.write(np.asarray(mask, dtype=np.uint8).tobytes())
-
-
-def _read_pgm8(path):
-    with open(path, "rb") as fh:
-        if fh.readline().strip() != b"P5":
-            raise ValueError("%s: not a binary PGM" % path)
-        w, h = map(int, fh.readline().split())
-        fh.readline()
-        return np.frombuffer(fh.read(), dtype=np.uint8).reshape(h, w).astype(np.int8)
+        ints = np.frombuffer(fh.read(), dtype=">u2" if maxval > 255 else np.uint8)
+    return ints.reshape((h, w) if magic == b"P5" else (h, w, 3)), maxval
 
 
 def save_dataset(ds, out_dir):
@@ -258,8 +228,9 @@ def save_dataset(ds, out_dir):
     for n in range(len(ds)):
         img_path = "img_%04d.ppm" % n
         mask_path = "mask_%04d.pgm" % n
-        _write_ppm16(os.path.join(out_dir, img_path), ds.images[n])
-        _write_pgm8(os.path.join(out_dir, mask_path), ds.masks[n])
+        write_pnm(os.path.join(out_dir, img_path),
+                  np.clip(ds.images[n] * 65535.0 + 0.5, 0, 65535).astype(np.uint16), 65535)
+        write_pnm(os.path.join(out_dir, mask_path), ds.masks[n], 255)
         records.append({
             "id": int(ds.ids[n]), "camera": int(ds.cams[n]),
             "path": img_path, "mask_path": mask_path,
@@ -275,8 +246,9 @@ def load_dataset(in_dir):
     with open(os.path.join(in_dir, "manifest.jsonl")) as fh:
         for line in fh:
             rec = json.loads(line)
-            images.append(_read_ppm16(os.path.join(in_dir, rec["path"])))
-            masks.append(_read_pgm8(os.path.join(in_dir, rec["mask_path"])))
+            img, maxval = read_pnm(os.path.join(in_dir, rec["path"]))
+            images.append(img.astype(np.float64) / maxval)
+            masks.append(read_pnm(os.path.join(in_dir, rec["mask_path"]))[0].astype(np.int8))
             ids.append(rec["id"])
             cams.append(rec["camera"])
     images = np.array(images)

@@ -55,10 +55,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0]) if self.size == 1 else _fail("item", "tensor is not scalar, shape %s" % (self.shape,))
 
-    def detach(self):
-        """Stop-gradient view: same buffer, no grad participation."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self):
         self.grad = None
 
@@ -352,22 +348,6 @@ def concatenate(tensors, axis=0):
     return _record(out, tuple(ts), bfn)
 
 
-def stack(tensors, axis=0):
-    ts = [_coerce(t) for t in tensors]
-    if not ts:
-        _fail("stack", "empty tensor list")
-    shapes = {t.shape for t in ts}
-    if len(shapes) != 1:
-        _fail("stack", "mismatched shapes %s" % shapes)
-    out = Tensor(np.stack([t.data for t in ts], axis=axis))
-
-    def bfn(g):
-        g = np.moveaxis(g, axis, 0)
-        return tuple(g[i] for i in range(len(ts)))
-
-    return _record(out, tuple(ts), bfn)
-
-
 def getitem(a, key):
     a = _coerce(a)
     out = Tensor(np.array(a.data[key]))
@@ -453,28 +433,10 @@ def min_(a, axis=None, keepdims=False):
 # nonlinearities
 
 
-def log(a):
-    a = _coerce(a)
-    out = Tensor(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
-
-
-def exp(a):
-    a = _coerce(a)
-    out = Tensor(np.exp(a.data))
-    return _record(out, (a,), lambda g: (g * out.data,))
-
-
 def sqrt(a):
     a = _coerce(a)
     out = Tensor(np.sqrt(a.data))
     return _record(out, (a,), lambda g: (g / (2.0 * out.data),))
-
-
-def tanh(a):
-    a = _coerce(a)
-    out = Tensor(np.tanh(a.data))
-    return _record(out, (a,), lambda g: (g * (1.0 - out.data * out.data),))
 
 
 def relu(a):

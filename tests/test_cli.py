@@ -113,6 +113,14 @@ class TestFinetuneMode:
             with pytest.raises(CheckpointError, match="head_part.w1"):  # exit 1 in cli.main
                 cli.run(cfg)
 
+    def test_rerun_into_same_directory_starts_a_fresh_log(self, tmp_path):
+        for _ in range(2):
+            cfg = micro_cfg(tmp_path, "finetune")
+            cfg.finetune.steps = 3
+            cli.run(cfg)
+        with open(os.path.join(cfg.out_dir, "loss_log.jsonl")) as fh:
+            assert len(fh.readlines()) == 3
+
     def test_wrong_stage_refused(self, pipeline, tmp_path):
         cfg = micro_cfg(tmp_path, "usl", init_checkpoint=pipeline["ft"]["checkpoint"])
         with pytest.raises(cfgmod.ConfigError, match="stage"):
@@ -141,6 +149,19 @@ class TestEvalMode:
             text = fh.read()
         assert "mAP = " in text and "rank-1 = " in text
         assert os.path.exists(res["ranking_report"])
+
+    def test_gallery_smaller_than_max_rank(self, tmp_path, capsys):
+        from partssl.finetune import dump_embeddings
+        rng = np.random.default_rng(0)
+        dump = str(tmp_path / "emb.jsonl")
+        dump_embeddings(dump, rng.normal(size=(8, 4)), [0, 0, 1, 1, 2, 2, 3, 3], [0, 1] * 4)
+        cfg_file = tmp_path / "eval.cfg"
+        cfg_file.write_text("eval.embeddings = %s\n" % dump)  # eval.max_rank = 10
+        out = tmp_path / "out"
+        assert cli.main(["eval", "--config", str(cfg_file), "--out", str(out)]) == 0
+        capsys.readouterr()
+        keys = [l.split(" = ")[0] for l in (out / "metrics.txt").read_text().splitlines()]
+        assert keys == ["mAP", "rank-1", "rank-5", "valid_queries", "excluded_queries"]
 
     def test_missing_embeddings_config_error(self, tmp_path):
         cfg = micro_cfg(tmp_path, "eval")

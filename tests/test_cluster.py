@@ -161,14 +161,14 @@ class TestExtractFeatures:
 
 
 class TestAdaptTrainer:
-    def setup_trainer(self, tmp_path=None, epochs=2):
+    def setup_trainer(self, tmp_path=None, epochs=2, eps=2.0):
         cfg = vit.BackboneConfig(image_h=16, image_w=8, patch_size=4, embed_dim=16,
                                  depth=1, heads=2, num_parts=2, proj_dim=16).validate()
         params = vit.NetworkParams.init(cfg, np.random.default_rng(1))
         ds = sd.generate(sd.SyntheticSpec(num_identities=5, images_per_identity=6,
                                           cameras=2, image_h=16, image_w=8), seed=2)
         # eps 2 spans the unit sphere: one cluster, whatever the features
-        cl_cfg = cl.ClusterConfig(epochs=epochs, eps=2.0, ids_per_batch=3,
+        cl_cfg = cl.ClusterConfig(epochs=epochs, eps=eps, ids_per_batch=3,
                                   samples_per_id=2, optimizer="adamw", lr=1e-3,
                                   steps_per_epoch=4)
         out = str(tmp_path) if tmp_path else None
@@ -187,6 +187,17 @@ class TestAdaptTrainer:
         hist = trainer.run()
         for stats in hist:
             assert math.isfinite(stats.mean_loss)
+
+    def test_learns_from_several_pseudo_labels(self):
+        # eps 0.2 splits the same features into several clusters, so the
+        # prototype-contrastive loss and its gradients are non-zero
+        trainer, _ = self.setup_trainer(epochs=2, eps=0.2)
+        before = trainer.params["blocks.0.attn.wq"].data.copy()
+        hist = trainer.run()
+        for stats in hist:
+            assert stats.num_clusters >= 2
+            assert stats.mean_loss > 0.0
+        assert np.abs(trainer.params["blocks.0.attn.wq"].data - before).max() > 1e-4
 
     def test_never_sees_labels(self):
         import inspect

@@ -100,9 +100,27 @@ class TestValidation:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line", ["crops.local_size = 22, 12",
+                                      "crops.global_size = 64, 30",
+                                      "data.num_identities = 80"])
+    def test_unusable_value_rejected_at_load(self, line, tmp_path, capsys):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=key):
+            cfgmod.parse_text(line)
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        assert cli.main(["pretrain", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_many_identities_allowed_from_a_directory(self):
+        cfg = cfgmod.parse_text("data.kind = dir\ndata.num_identities = 80")
+        assert cfg.data.num_identities == 80
+
     @pytest.mark.parametrize("line", ["backbone.separate_part_heads = false",
                                       "distill.ema_per_epoch = false", "distill.epoch_len = 0",
-                                      "cluster.kmeans_k = 0"])
+                                      "cluster.kmeans_k = 0", "crops.grayscale_p = 0.0",
+                                      "distill.part_weight = 1.0"])
     def test_removed_key_is_unknown(self, line):
         with pytest.raises(ConfigError, match="unknown config key"):
             cfgmod.parse_text(line)

@@ -35,7 +35,7 @@ def make_outputs(rng, b, m, l, j, k, uniform=False, grad_leaf=None):
     )
 
 
-def loss_by_manifest(outputs, raw_sums=False, part_weight=1.0, kl=False):
+def loss_by_manifest(outputs, raw_sums=False, kl=False):
     """Independent oracle: walk the enumerated pairings one by one.
 
     ``kl`` scores each pairing by KL(teacher || student) instead of the
@@ -67,10 +67,10 @@ def loss_by_manifest(outputs, raw_sums=False, part_weight=1.0, kl=False):
     n_cls = distill.cls_term_count(m, l, j)
     n_part = distill.part_term_count(m, j)
     if raw_sums:
-        return (per_token["cls"] + part_weight * sum(per_token[i] for i in range(1, l + 1))) / b
+        return (per_token["cls"] + sum(per_token[i] for i in range(1, l + 1))) / b
     total = per_token["cls"] / (b * n_cls)
     for i in range(1, l + 1):
-        total += part_weight * per_token[i] / (b * n_part) / l
+        total += per_token[i] / (b * n_part) / l
     return total
 
 
@@ -170,16 +170,14 @@ class TestLossStructure:
     def test_excess_loss_is_weighted_kl(self):
         rng = np.random.default_rng(8)
         for raw_sums in (False, True):
-            for part_weight in (1.0, 2.5):
-                out = make_outputs(rng, b=2, m=2, l=3, j=3, k=5)
-                total, breakdown = distill.total_loss(out, raw_sums=raw_sums,
-                                                      part_weight=part_weight)
+            for l in (1, 3):
+                out = make_outputs(rng, b=2, m=2, l=l, j=3, k=5)
+                total, breakdown = distill.total_loss(out, raw_sums=raw_sums)
                 assert total.item() == pytest.approx(
-                    loss_by_manifest(out, raw_sums, part_weight), rel=1e-12)
-                excess = distill.excess_loss(out, breakdown, raw_sums=raw_sums,
-                                             part_weight=part_weight)
+                    loss_by_manifest(out, raw_sums), rel=1e-12)
+                excess = distill.excess_loss(out, breakdown, raw_sums=raw_sums)
                 assert excess == pytest.approx(
-                    loss_by_manifest(out, raw_sums, part_weight, kl=True), rel=1e-10)
+                    loss_by_manifest(out, raw_sums, kl=True), rel=1e-10)
 
     def test_one_hot_teacher_gives_neg_log_student(self):
         out = make_outputs(np.random.default_rng(2), b=1, m=1, l=1, j=1, k=4)
@@ -293,7 +291,7 @@ class TestSchedules:
         with pytest.raises(distill.DistillError):
             distill.Temperatures(tau_s=-0.1)
         temps = distill.Temperatures(tau_s=0.1, tau_t=0.06, tau_t_warmup_start=0.02,
-                                     warmup_frac=0.5)
+                                     tau_warmup_frac=0.5)
         assert temps.teacher_at(0, 100) == pytest.approx(0.02)
         assert temps.teacher_at(25, 100) == pytest.approx(0.04)
         assert temps.teacher_at(60, 100) == 0.06
@@ -303,7 +301,7 @@ def tiny_trainer(steps=30, seed=0, centering=True, **pre_kw):
     bb = vit.BackboneConfig(image_h=16, image_w=8, patch_size=4, embed_dim=8, depth=1,
                             heads=2, num_parts=2, proj_dim=8).validate()
     crop = mc.MulticropConfig(num_areas=2, views_per_area=1, global_size=(16, 8),
-                              local_size=(8, 4), grayscale_p=0.0)
+                              local_size=(8, 4))
     pre_kw.setdefault("lr", 5e-3)
     pre = distill.PretrainConfig(steps=steps, batch_size=2, centering=centering, **pre_kw)
     ds = sd.generate(sd.SyntheticSpec(num_identities=4, images_per_identity=4,

@@ -114,3 +114,18 @@ class TestRasterIO:
         np.testing.assert_array_equal(back.cams, ds.cams)
         np.testing.assert_array_equal(back.masks, ds.masks)
         assert np.abs(back.images - ds.images).max() < 1.0 / 65000
+
+    @pytest.mark.parametrize("shape,maxval,magic", [((3, 5), 255, b"P5"), ((3, 5, 3), 255, b"P6"),
+                                                    ((3, 5), 65535, b"P5"),
+                                                    ((3, 5, 3), 65535, b"P6")])
+    def test_pnm_round_trip(self, tmp_path, shape, maxval, magic):
+        ints = np.random.default_rng(0).integers(0, maxval + 1, size=shape)
+        path = tmp_path / "x.pnm"
+        sd.write_pnm(path, ints, maxval)
+        raw = path.read_bytes()
+        header = b"%s\n5 3\n%d\n" % (magic, maxval)
+        assert raw.startswith(header)
+        assert len(raw) == len(header) + ints.size * (2 if maxval > 255 else 1)
+        back, back_max = sd.read_pnm(path)
+        assert back_max == maxval
+        np.testing.assert_array_equal(back, ints)

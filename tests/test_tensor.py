@@ -114,7 +114,7 @@ class TestBackward:
         def f(params):
             p1, p2, p3, p4 = params
             h = T.gelu(x @ p1 + p2)
-            h = T.tanh(h @ p3)
+            h = T.softmax(h @ p3)
             return T.mean(h @ p4)
 
         assert T.finite_diff_check(f, [w1, b1, w2, w3], eps=1e-5) < 1e-4
@@ -124,7 +124,9 @@ class TestBackward:
 
         def f(params):
             (p,) = params
-            return T.sum_(p.detach() * p.detach()) + T.sum_(p * 0.0)
+            with T.no_grad():  # how the teacher pass stops gradients
+                q = p * 1.0
+            return T.sum_(q * q) + T.sum_(p * 0.0)
 
         with T.scoped_tape():
             loss = f([x])
@@ -145,7 +147,7 @@ class TestBackward:
         w = T.Tensor([1.0], requires_grad=True)
 
         def f(params):
-            return T.sum_(T.log(params[0] - 1.0))  # log(0) = -inf
+            return T.sum_(1.0 / (params[0] - 1.0))  # 1/0 = inf
 
         with pytest.raises(T.AutogradError):
             T.finite_diff_check(f, [w])
@@ -166,16 +168,16 @@ class TestOpGradients:
         "layer_norm": lambda p: T.sum_(T.layer_norm(p[0], p[1], p[2]) * T.Tensor(np.arange(5.0))),
         "l2_normalize": lambda p: T.sum_(T.l2_normalize(p[0]) * T.Tensor(np.arange(5.0))),
         "gelu": lambda p: T.sum_(T.gelu(p[0])),
-        "exp_log_sqrt": lambda p: T.sum_(T.log(T.exp(p[0]) + 1.0) + T.sqrt(T.exp(p[0]))),
+        "sqrt": lambda p: T.sum_(T.sqrt(p[0] * p[0] + 1.0)),
         "max": lambda p: T.sum_(T.max_(p[0], axis=-1)),
         "min": lambda p: T.sum_(T.min_(p[0], axis=-1)),
         "reshape_transpose": lambda p: T.sum_(T.transpose(T.reshape(p[0], (5, 1))) * T.Tensor(np.arange(5.0))),
         "getitem": lambda p: T.sum_(p[0][1:4] * 3.0),
-        "concat_stack": lambda p: T.sum_(T.concatenate([p[0], p[0] * 2.0]) * T.Tensor(np.arange(10.0))),
+        "concatenate": lambda p: T.sum_(T.concatenate([p[0], p[0] * 2.0]) * T.Tensor(np.arange(10.0))),
         "broadcast": lambda p: T.sum_(T.broadcast_to(T.reshape(p[0], (1, 5)), (3, 5)) * T.Tensor(np.arange(15.0).reshape(3, 5))),
-        "div": lambda p: T.sum_(p[0] / (T.exp(p[0]) + 2.0)),
+        "div": lambda p: T.sum_(p[0] / (p[0] * p[0] + 2.0)),
         "mean_axis": lambda p: T.sum_(T.mean(T.reshape(p[0], (5, 1)) * T.Tensor(np.ones((5, 3))), axis=0)),
-        "relu_tanh": lambda p: T.sum_(T.relu(p[0]) + T.tanh(p[0])),
+        "relu": lambda p: T.sum_(T.relu(p[0]) * T.Tensor(np.arange(5.0))),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
