@@ -381,6 +381,8 @@ _RUNNERS = {
 def run(cfg):
     """Dispatch one validated RunConfig; returns a result summary dict."""
     cfg.validate()
+    if cfg.data.kind == "dir" and cfg.mode != "eval":
+        sd.manifest_path(cfg.data.path)  # fail before any output is written
     out = _prepare_out(cfg)
     result = _RUNNERS[cfg.mode](cfg, out)
     summary_path = os.path.join(out, "summary.json")

@@ -95,6 +95,8 @@ class RunConfig:
             if h % p or w % p:
                 raise ConfigError("crops.%s: %dx%d not divisible by backbone.patch_size %d"
                                   % (key, h, w, p))
+        if self.eval.max_rank < 1:
+            raise ConfigError("eval.max_rank must be >= 1, got %d" % self.eval.max_rank)
         if self.data.kind not in ("synthetic", "dir"):
             raise ConfigError("data.kind: expected synthetic or dir, got %r" % self.data.kind)
         if self.data.kind == "synthetic" and self.data.num_identities > COLORS_PER_BAND ** 3:

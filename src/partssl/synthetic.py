@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .vit import ConfigError
+
 # gain and RGB tint per camera index (cycled when cameras > 8)
 _CAMERA_GAINS = [1.0, 0.85, 1.15, 0.75, 1.25, 0.9, 1.1, 0.8]
 _CAMERA_TINTS = [
@@ -241,9 +243,17 @@ def save_dataset(ds, out_dir):
     return out_dir
 
 
+def manifest_path(in_dir):
+    """The manifest of a dataset directory; a missing one is a config error."""
+    path = os.path.join(in_dir, "manifest.jsonl")
+    if not os.path.isfile(path):
+        raise ConfigError("data.path: no dataset manifest %s" % path)
+    return path
+
+
 def load_dataset(in_dir):
     images, ids, cams, masks = [], [], [], []
-    with open(os.path.join(in_dir, "manifest.jsonl")) as fh:
+    with open(manifest_path(in_dir)) as fh:
         for line in fh:
             rec = json.loads(line)
             img, maxval = read_pnm(os.path.join(in_dir, rec["path"]))

@@ -298,6 +298,55 @@ def matmul(a, b):
     return _record(out, (a, b), bfn)
 
 
+def linear(x, w, b):
+    """``x @ w + b`` over the last axis of ``x``: one GEMM forward, one each
+    for the input and weight gradients, whatever the leading dims."""
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+        _fail("linear", "shapes %s @ %s + %s do not conform" % (x.shape, w.shape, b.shape))
+    x2 = x.data.reshape(-1, w.shape[0])
+    out = Tensor((x2 @ w.data + b.data).reshape(x.shape[:-1] + (w.shape[1],)))
+
+    def bfn(g):
+        g2 = g.reshape(-1, w.shape[1])
+        return ((g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0))
+
+    return _record(out, (x, w, b), bfn)
+
+
+def attention(q, k, v, heads, probs_out=None):
+    """Multi-head scaled dot-product attention on (B, S, C) inputs as one node.
+
+    Each of the ``heads`` channel groups attends with softmax(q k^T / sqrt(dh));
+    the head outputs are merged back to (B, S, C). If ``probs_out`` is a list,
+    the (B, heads, S, S) attention probabilities are appended to it.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % heads:
+        _fail("attention", "q/k/v shapes %s, %s, %s with %d heads"
+              % (q.shape, k.shape, v.shape, heads))
+    B, S, C = q.shape
+    scale = 1.0 / np.sqrt(C // heads)
+    qh, kh, vh = (t.data.reshape(B, S, heads, -1).transpose(0, 2, 1, 3) for t in (q, k, v))
+    p = qh @ kh.transpose(0, 1, 3, 2)  # scores, then probabilities in place
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    if probs_out is not None:
+        probs_out.append(p)
+    out = Tensor((p @ vh).transpose(0, 2, 1, 3).reshape(B, S, C))
+
+    def bfn(g):
+        gh = g.reshape(B, S, heads, -1).transpose(0, 2, 1, 3)
+        dp = gh @ vh.transpose(0, 1, 3, 2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+        return tuple(d.transpose(0, 2, 1, 3).reshape(B, S, C) for d in
+                     (ds @ kh, ds.transpose(0, 1, 3, 2) @ qh, p.transpose(0, 1, 3, 2) @ gh))
+
+    return _record(out, (q, k, v), bfn)
+
+
 # ---------------------------------------------------------------------------
 # shape ops
 

@@ -209,41 +209,42 @@ def extract_patches(images, patch_size):
     return x.reshape(B, gh * gw, patch_size * patch_size * Ch)
 
 
-def _interp_weights(src, dst, lo_frac=0.0, hi_frac=1.0, mirror=False):
-    """1-D bilinear interpolation matrix (dst, src), pixel-center aligned.
+def _interp_weights(src, dst, lo_frac, hi_frac, mirror):
+    """(V, dst, src) 1-D bilinear interpolation matrices, pixel-center aligned.
 
-    ``lo_frac``/``hi_frac`` restrict the source to a sub-interval (crop-aware
-    positions); ``mirror`` reverses the target traversal (horizontal flip).
+    ``lo_frac``/``hi_frac`` (V,) restrict each view's source to a
+    sub-interval (crop-aware positions); ``mirror`` (V,) reverses a view's
+    target traversal (horizontal flip).
     """
-    m = np.zeros((dst, src))
-    if src == 1:
-        m[:, 0] = 1.0
-        return m
-    span = (hi_frac - lo_frac) * src
-    pos = lo_frac * src + (np.arange(dst) + 0.5) * (span / dst) - 0.5
-    if mirror:
-        pos = pos[::-1]
-    pos = np.clip(pos, 0.0, src - 1.0)
-    lo = np.floor(pos).astype(int)
-    hi = np.minimum(lo + 1, src - 1)
+    lo_frac, hi_frac = lo_frac[:, None], hi_frac[:, None]
+    pos = lo_frac * src + (np.arange(dst) + 0.5) * ((hi_frac - lo_frac) * src / dst) - 0.5
+    pos = np.clip(np.where(mirror[:, None], pos[:, ::-1], pos), 0.0, src - 1.0)[..., None]
+    lo = np.floor(pos)
     w = pos - lo
-    m[np.arange(dst), lo] += 1.0 - w
-    m[np.arange(dst), hi] += w
-    return m
+    cols = np.arange(src)
+    return (1.0 - w) * (cols == lo) + w * (cols == np.minimum(lo + 1, src - 1))
 
 
-def pos_embed_matrix(cfg, view_gh, view_gw, rect=None, mirror=False):
-    """Interpolation from the canonical pos-embed grid to a view grid.
+def pos_embed_matrices(cfg, view_gh, view_gw, rects, mirrors):
+    """(V, view_gh*view_gw, gh*gw) interpolations from the canonical
+    pos-embed grid to each view's grid.
 
-    ``rect`` = (top, left, height, width) fractions of the source image maps
-    the view onto the matching sub-rectangle of the canonical grid instead of
-    stretching it over the whole grid.
+    ``rects`` = per-view (top, left, height, width) fractions of the source
+    image map each view onto the matching sub-rectangle of the canonical grid
+    instead of stretching it over the whole grid. Each matrix is the
+    Kronecker product of the view's row and column interpolations.
     """
     gh, gw = cfg.grid
-    top, left, h, w = rect if rect is not None else (0.0, 0.0, 1.0, 1.0)
-    my = _interp_weights(gh, view_gh, top, top + h)
-    mx = _interp_weights(gw, view_gw, left, left + w, mirror=mirror)
-    return np.kron(my, mx)  # (view_gh*view_gw, gh*gw)
+    top, left, h, w = np.asarray(rects, dtype=T.DTYPE).reshape(-1, 4).T
+    my = _interp_weights(gh, view_gh, top, top + h, np.zeros(len(top), dtype=bool))
+    mx = _interp_weights(gw, view_gw, left, left + w, np.asarray(mirrors, dtype=bool))
+    kron = my[:, :, None, :, None] * mx[:, None, :, None, :]
+    return kron.reshape(len(top), view_gh * view_gw, gh * gw)
+
+
+def pos_embed_matrix(cfg, view_gh, view_gw, rect=(0.0, 0.0, 1.0, 1.0), mirror=False):
+    """One view's (view_gh*view_gw, gh*gw) matrix of ``pos_embed_matrices``."""
+    return pos_embed_matrices(cfg, view_gh, view_gw, [rect], [mirror])[0]
 
 
 def patchify(images, cfg, params, rects=None, mirrors=None):
@@ -260,12 +261,10 @@ def patchify(images, cfg, params, rects=None, mirrors=None):
     B, H, W, _ = images.shape
     vg = patch_grid(H, W, cfg.patch_size)
     patches = Tensor(extract_patches(images, cfg.patch_size))
-    emb = patches @ params["patch_proj.w"] + params["patch_proj.b"]
+    emb = T.linear(patches, params["patch_proj.w"], params["patch_proj.b"])
     if rects is not None:
         mirrors = mirrors if mirrors is not None else [False] * B
-        mats = np.stack([pos_embed_matrix(cfg, *vg, rect=rects[i], mirror=mirrors[i])
-                         for i in range(B)])
-        pos = Tensor(mats) @ params["pos_embed"]
+        pos = Tensor(pos_embed_matrices(cfg, *vg, rects, mirrors)) @ params["pos_embed"]
     elif vg == cfg.grid:
         pos = params["pos_embed"]  # exact identity at canonical resolution
     else:
@@ -296,26 +295,15 @@ def assemble(patches, part_index, params):
     return T.concatenate([cls, T.gather(params["part_tokens"], idx - 1), patches], axis=1)
 
 
-def _attention(x, params, pre, cfg, cache):
-    B, S, C = x.shape
-    h = cfg.heads
-    dh = C // h
-    q = x @ params[pre + "attn.wq"] + params[pre + "attn.bq"]
-    k = x @ params[pre + "attn.wk"] + params[pre + "attn.bk"]
-    v = x @ params[pre + "attn.wv"] + params[pre + "attn.bv"]
-    q = T.transpose(T.reshape(q, (B, S, h, dh)), (0, 2, 1, 3))
-    k = T.transpose(T.reshape(k, (B, S, h, dh)), (0, 2, 1, 3))
-    v = T.transpose(T.reshape(v, (B, S, h, dh)), (0, 2, 1, 3))
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    attn = T.softmax(scores, axis=-1)
-    if cache is not None:
-        cache.append(np.array(attn.data))
-    out = T.matmul(attn, v)
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (B, S, C))
-    return out @ params[pre + "attn.wo"] + params[pre + "attn.bo"]
+def _attention(x, params, pre, cfg, probs_out):
+    q = T.linear(x, params[pre + "attn.wq"], params[pre + "attn.bq"])
+    k = T.linear(x, params[pre + "attn.wk"], params[pre + "attn.bk"])
+    v = T.linear(x, params[pre + "attn.wv"], params[pre + "attn.bv"])
+    out = T.attention(q, k, v, cfg.heads, probs_out)
+    return T.linear(out, params[pre + "attn.wo"], params[pre + "attn.bo"])
 
 
-def encode(x, params, attn_cache=None):
+def encode(x, params, probs_out=None):
     """Pre-norm transformer blocks; preserves sequence length and channels.
 
     depth=0 is the identity (the final norm is skipped too).
@@ -326,28 +314,27 @@ def encode(x, params, attn_cache=None):
     for d in range(cfg.depth):
         pre = "blocks.%d." % d
         hn = T.layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
-        x = x + _attention(hn, params, pre, cfg, attn_cache)
+        x = x + _attention(hn, params, pre, cfg, probs_out)
         hn = T.layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
-        hid = T.gelu(hn @ params[pre + "mlp.w1"] + params[pre + "mlp.b1"])
-        x = x + (hid @ params[pre + "mlp.w2"] + params[pre + "mlp.b2"])
+        hid = T.gelu(T.linear(hn, params[pre + "mlp.w1"], params[pre + "mlp.b1"]))
+        x = x + T.linear(hid, params[pre + "mlp.w2"], params[pre + "mlp.b2"])
     return T.layer_norm(x, params["final_ln.g"], params["final_ln.b"])
 
 
 def project(x, params, head):
     """Projection head: 3-layer MLP, L2 normalization, final linear to K."""
     pre = head + "."
-    hid = T.gelu(x @ params[pre + "w1"] + params[pre + "b1"])
-    hid = T.gelu(hid @ params[pre + "w2"] + params[pre + "b2"])
-    hid = hid @ params[pre + "w3"] + params[pre + "b3"]
-    hid = T.l2_normalize(hid, axis=-1)
-    return hid @ params[pre + "w4"] + params[pre + "b4"]
+    hid = T.gelu(T.linear(x, params[pre + "w1"], params[pre + "b1"]))
+    hid = T.gelu(T.linear(hid, params[pre + "w2"], params[pre + "b2"]))
+    hid = T.l2_normalize(T.linear(hid, params[pre + "w3"], params[pre + "b3"]), axis=-1)
+    return T.linear(hid, params[pre + "w4"], params[pre + "b4"])
 
 
-def forward_tokens(images, part_index, params, attn_cache=None, rects=None, mirrors=None):
+def forward_tokens(images, part_index, params, probs_out=None, rects=None, mirrors=None):
     """Full encoder pass; returns [CLS] outputs (B, C) and part outputs
     (B, P, C), ordered as in ``part_index``."""
     patches = patchify(images, params.cfg, params, rects=rects, mirrors=mirrors)
-    out = encode(assemble(patches, part_index, params), params, attn_cache=attn_cache)
+    out = encode(assemble(patches, part_index, params), params, probs_out=probs_out)
     return out[:, 0, :], out[:, 1:1 + np.shape(part_index)[1], :]
 
 
@@ -375,7 +362,7 @@ def attention_map(image, token, layer, params):
     cache = []
     with T.no_grad():
         img = np.asarray(image, dtype=T.DTYPE)
-        forward_tokens(img[None], all_parts(1, cfg.num_parts), params, attn_cache=cache)
+        forward_tokens(img[None], all_parts(1, cfg.num_parts), params, probs_out=cache)
     attn = cache[layer][0]  # (heads, S, S)
     weights = attn[:, row, :].mean(axis=0)
     n_special = 1 + cfg.num_parts

@@ -4,6 +4,7 @@ import pytest
 
 from partssl import cli
 from partssl import config as cfgmod
+from partssl import synthetic as sd
 from partssl.config import ConfigError, RunConfig
 
 
@@ -102,7 +103,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("line", ["crops.local_size = 22, 12",
                                       "crops.global_size = 64, 30",
-                                      "data.num_identities = 80"])
+                                      "data.num_identities = 80",
+                                      "eval.max_rank = 0"])
     def test_unusable_value_rejected_at_load(self, line, tmp_path, capsys):
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError, match=key):
@@ -116,6 +118,17 @@ class TestValidation:
     def test_many_identities_allowed_from_a_directory(self):
         cfg = cfgmod.parse_text("data.kind = dir\ndata.num_identities = 80")
         assert cfg.data.num_identities == 80
+
+    def test_directory_without_manifest_rejected(self, tmp_path, capsys):
+        empty = tmp_path / "no_dataset"
+        empty.mkdir()
+        with pytest.raises(ConfigError, match="manifest.jsonl"):
+            sd.load_dataset(str(empty))
+        path = tmp_path / "dir.cfg"
+        path.write_text("data.kind = dir\ndata.path = %s\n" % empty)
+        assert cli.main(["pretrain", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "manifest.jsonl" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line", ["backbone.separate_part_heads = false",
                                       "distill.ema_per_epoch = false", "distill.epoch_len = 0",

@@ -377,6 +377,29 @@ class TestPretrainer:
         moved = np.abs(tr.student["part_tokens"].data - before).max(axis=1)
         assert (moved > 0).all()
 
+    def test_tape_size_at_acceptance_toy_config(self, monkeypatch):
+        # every linear and every attention is one tape node: 208 nodes at
+        # this config. A linear split into matmul + bias add, or attention
+        # composed of elementary ops, records 334.
+        bb = vit.BackboneConfig(image_h=32, image_w=16, patch_size=4, embed_dim=48, depth=3,
+                                heads=4, num_parts=3, proj_dim=128).validate()
+        crop = mc.MulticropConfig(num_areas=3, global_size=(32, 16), local_size=(16, 8),
+                                  pos_mode="crop")
+        ds = sd.generate(sd.SyntheticSpec(num_identities=6, images_per_identity=2,
+                                          image_h=32, image_w=16), seed=11)
+        tr = distill.Pretrainer(bb, crop, distill.PretrainConfig(steps=1, batch_size=6),
+                                ds.images, seed=0)
+        sizes = []
+        backward = T.backward
+
+        def counting_backward(loss, params=None):
+            sizes.append(len(T.tape()))
+            backward(loss, params=params)
+
+        monkeypatch.setattr(T, "backward", counting_backward)
+        tr.pretrain_step()
+        assert len(sizes) == 1 and sizes[0] <= 220, sizes
+
     def test_mismatched_part_and_area_counts_rejected(self):
         bb = vit.BackboneConfig(image_h=16, image_w=8, patch_size=4, embed_dim=8, depth=1,
                                 heads=2, num_parts=3, proj_dim=8).validate()

@@ -200,3 +200,83 @@ class TestOpGradients:
 
         g2 = rng(78).normal(size=(2, 3, 5))
         assert T.finite_diff_check(f, [a, b], eps=1e-6) < 1e-6
+
+    def test_linear_grad(self):
+        g = rng(79)
+        x = T.Tensor(g.normal(size=(2, 3, 4)), requires_grad=True)
+        w = T.Tensor(g.normal(size=(4, 5)), requires_grad=True)
+        b = T.Tensor(g.normal(size=(5,)), requires_grad=True)
+        weight = T.Tensor(rng(80).normal(size=(2, 3, 5)))
+        assert T.finite_diff_check(lambda p: T.sum_(T.linear(*p) * weight), [x, w, b],
+                                   eps=1e-6) < 1e-6
+
+    def test_attention_grad(self):
+        g = rng(81)
+        qkv = [T.Tensor(g.normal(size=(2, 5, 4)), requires_grad=True) for _ in range(3)]
+        weight = T.Tensor(rng(82).normal(size=(2, 5, 4)))
+        assert T.finite_diff_check(lambda p: T.sum_(T.attention(*p, heads=2) * weight), qkv,
+                                   eps=1e-6) < 1e-6
+
+
+def unfused_attention(q, k, v, heads):
+    """Multi-head attention composed of elementary ops: the reference."""
+    B, S, C = q.shape
+    dh = C // heads
+
+    def split(t):
+        return T.transpose(T.reshape(t, (B, S, heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = split(q), split(k), split(v)
+    attn = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh)), axis=-1)
+    return T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (B, S, C))
+
+
+class TestFusedOps:
+    """Each fused op against the composition of elementary ops it replaces."""
+
+    @staticmethod
+    def value_and_grads(fn, inputs, weight):
+        for t in inputs:
+            t.zero_grad()
+        with T.scoped_tape():
+            out = fn(*inputs)
+            T.sum_(out * T.Tensor(weight)).backward(params=inputs)
+        return [out.data] + [t.grad for t in inputs]
+
+    def assert_same(self, fused, composed, inputs, weight):
+        want = self.value_and_grads(composed, inputs, weight)
+        got = self.value_and_grads(fused, inputs, weight)
+        for w, g in zip(want, got):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    def test_linear_matches_matmul_add(self):
+        g = rng(90)
+        inputs = [T.Tensor(g.normal(size=s), requires_grad=True)
+                  for s in ((6, 7, 8), (8, 5), (5,))]
+        self.assert_same(T.linear, lambda x, w, b: T.matmul(x, w) + b, inputs,
+                         rng(91).normal(size=(6, 7, 5)))
+
+    def test_attention_matches_composition(self):
+        g = rng(92)
+        inputs = [T.Tensor(g.normal(size=(3, 6, 8)), requires_grad=True) for _ in range(3)]
+        self.assert_same(lambda q, k, v: T.attention(q, k, v, 4),
+                         lambda q, k, v: unfused_attention(q, k, v, 4), inputs,
+                         rng(93).normal(size=(3, 6, 8)))
+
+    def test_attention_probabilities_rows_sum_to_one(self):
+        g = rng(94)
+        q, k, v = (T.Tensor(g.normal(0, 3, size=(2, 5, 6))) for _ in range(3))
+        probs = []
+        T.attention(q, k, v, 3, probs_out=probs)
+        (p,) = probs
+        assert p.shape == (2, 3, 5, 5)
+        assert (p > 0).all()
+        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_shape_errors_name_the_op(self):
+        with pytest.raises(T.ShapeError, match="linear"):
+            T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2))), T.Tensor(np.zeros(2)))
+        with pytest.raises(T.ShapeError, match="attention"):
+            x = T.Tensor(np.zeros((1, 2, 6)))
+            T.attention(x, x, x, 4)

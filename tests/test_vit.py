@@ -64,6 +64,50 @@ class TestPatchify:
         assert (m >= 0).all()
 
 
+def interp_1d(src, dst, lo_frac, hi_frac, mirror):
+    """One view's 1-D interpolation matrix, computed row by row: the reference."""
+    m = np.zeros((dst, src))
+    if src == 1:
+        m[:, 0] = 1.0
+        return m
+    span = (hi_frac - lo_frac) * src
+    pos = lo_frac * src + (np.arange(dst) + 0.5) * (span / dst) - 0.5
+    if mirror:
+        pos = pos[::-1]
+    for i, p in enumerate(np.clip(pos, 0.0, src - 1.0)):
+        lo = int(np.floor(p))
+        m[i, lo] += 1.0 - (p - lo)
+        m[i, min(lo + 1, src - 1)] += p - lo
+    return m
+
+
+class TestPositionMatrices:
+    @pytest.mark.parametrize("width, grid", [(16, (8, 4)), (16, (4, 2)), (16, (1, 3)),
+                                             (4, (4, 2))])  # width 4: one source column
+    def test_batched_matches_kron_per_view(self, width, grid):
+        cfg = tiny_cfg(image_h=32, image_w=width)
+        g = np.random.default_rng(21)
+        size = g.uniform(0.05, 1.0, (40, 2))
+        rects = np.column_stack([g.uniform(0, 1 - size[:, 0]), g.uniform(0, 1 - size[:, 1]),
+                                 size[:, 0], size[:, 1]])
+        rects[0] = (0.0, 0.0, 1.0, 1.0)
+        mirrors = g.random(40) < 0.5
+        mirrors[:2] = (False, True)
+        mats = vit.pos_embed_matrices(cfg, *grid, rects, mirrors)
+        gh, gw = cfg.grid
+        for (top, left, h, w), mirror, got in zip(rects, mirrors, mats):
+            want = np.kron(interp_1d(gh, grid[0], top, top + h, False),
+                           interp_1d(gw, grid[1], left, left + w, mirror))
+            assert np.array_equal(got, want)
+
+    def test_single_view_matrix_is_one_row_of_the_batch(self):
+        cfg = tiny_cfg()
+        rect = (0.25, 0.1, 0.5, 0.8)
+        batch = vit.pos_embed_matrices(cfg, 2, 2, [(0.0, 0.0, 1.0, 1.0), rect], [False, True])
+        assert np.array_equal(vit.pos_embed_matrix(cfg, 2, 2), batch[0])
+        assert np.array_equal(vit.pos_embed_matrix(cfg, 2, 2, rect, mirror=True), batch[1])
+
+
 class TestAssemble:
     def test_global_layout_token_count(self):
         cfg = tiny_cfg()
@@ -315,6 +359,34 @@ class TestAttentionMap:
                                          token, layer, params)
                 assert abs(amap.weights.sum() - 1.0) < 1e-9
                 assert (amap.weights >= 0).all()
+
+    def test_matches_unfused_attention(self, monkeypatch):
+        cfg = tiny_cfg(depth=2)
+        params = make_params(cfg, seed=9)
+        img = np.random.default_rng(3).random((16, 8, 3))
+        fused = [vit.attention_map(img, token, layer, params)
+                 for token in ("cls", 1, 3) for layer in range(2)]
+
+        def linear(x, pre, nm):
+            return x @ params[pre + "attn.w" + nm] + params[pre + "attn.b" + nm]
+
+        def unfused(x, params, pre, cfg, probs_out):
+            B, S, C = x.shape
+            dh = C // cfg.heads
+
+            def split(t):
+                return T.transpose(T.reshape(t, (B, S, cfg.heads, dh)), (0, 2, 1, 3))
+
+            q, k, v = (split(linear(x, pre, nm)) for nm in "qkv")
+            attn = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh)))
+            probs_out.append(attn.data)
+            out = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (B, S, C))
+            return linear(out, pre, "o")
+
+        monkeypatch.setattr(vit, "_attention", unfused)
+        for want in fused:
+            got = vit.attention_map(img, want.token, want.layer, params)
+            np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-12)
 
     def test_layer_out_of_range(self):
         cfg = tiny_cfg(depth=1)
