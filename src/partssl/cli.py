@@ -35,25 +35,18 @@ from .tensor import ShapeError
 
 
 def build_datasets(cfg):
-    """(train, test) synthetic datasets or a manifest-backed split."""
+    """(train, test) split of the synthetic or manifest-backed dataset."""
     d = cfg.data
     if d.kind == "dir":
         ds = sd.load_dataset(d.path)
-        return _split_by_identity(ds, d.test_fraction)
-    h = cfg.backbone.image_h
-    w = cfg.backbone.image_w
-    spec = sd.SyntheticSpec(
-        num_identities=d.num_identities,
-        images_per_identity=d.train_images_per_identity + d.test_images_per_identity,
-        cameras=d.cameras, image_h=h, image_w=w, noise=d.noise,
-        band_jitter=d.band_jitter, occlusion_p=d.occlusion_p)
-    ds = sd.generate(spec, seed=d.seed)
-    n_train = d.train_images_per_identity
-    train_rows, test_rows = [], []
-    for n in range(len(ds)):
-        k = n % spec.images_per_identity
-        (train_rows if k < n_train else test_rows).append(n)
-    return _take(ds, train_rows), _take(ds, test_rows)
+    else:
+        spec = sd.SyntheticSpec(
+            num_identities=d.num_identities,
+            images_per_identity=d.train_images_per_identity + d.test_images_per_identity,
+            cameras=d.cameras, image_h=cfg.backbone.image_h, image_w=cfg.backbone.image_w,
+            noise=d.noise, band_jitter=d.band_jitter, occlusion_p=d.occlusion_p)
+        ds = sd.generate(spec, seed=d.seed)
+    return _split_by_identity(ds, d.test_images_per_identity)
 
 
 def _take(ds, rows):
@@ -63,13 +56,14 @@ def _take(ds, rows):
                                spec=ds.spec, seed=ds.seed)
 
 
-def _split_by_identity(ds, test_fraction):
+def _split_by_identity(ds, n_test):
+    """The last ``n_test`` images of each identity are the test split."""
     train_rows, test_rows = [], []
     for ident in np.unique(ds.ids):
         rows = np.where(ds.ids == ident)[0]
-        n_test = max(1, int(round(len(rows) * test_fraction)))
-        train_rows.extend(rows[:-n_test])
-        test_rows.extend(rows[-n_test:])
+        cut = max(len(rows) - n_test, 0)
+        train_rows.extend(rows[:cut])
+        test_rows.extend(rows[cut:])
     return _take(ds, train_rows), _take(ds, test_rows)
 
 
@@ -238,8 +232,7 @@ def run_eval(cfg, out):
                               gallery=emb, g_ids=ids, g_cams=cams)
     result = ev.evaluate(index, max_rank=cfg.eval.max_rank)
     metrics_path = _write_metrics(os.path.join(out, "metrics.txt"), result)
-    n_q = min(cfg.eval.report_queries, len(emb))
-    report = ev.render_ranking_report(index, list(range(n_q)), cfg.eval.report_top_k)
+    report = ev.render_ranking_report(index, list(range(min(4, len(emb)))), top_k=5)
     report_path = os.path.join(out, "ranking_report.txt")
     with open(report_path, "w") as fh:
         fh.write(report + "\n")

@@ -17,11 +17,8 @@ import numpy as np
 from . import tensor as T
 from .evaluate import pairwise_dist
 from .finetune import extract_embeddings, forward_embeddings, pk_batch
-from .optim import SGD, AdamW, clip_grad_norm
+from .optim import AdamW, clip_grad_norm
 from .tensor import Tensor
-
-
-OPTIMIZERS = ("sgd", "adamw")
 
 
 class ClusterError(ValueError):
@@ -98,7 +95,7 @@ class PrototypeBank:
         self.prototypes[label] = _l2n(mixed)
 
 
-def build_prototypes(features, labeling, momentum=0.2, norm_floor=1e-6):
+def build_prototypes(features, labeling, norm_floor=1e-6):
     """Prototype_c = normalize(mean of member features)."""
     protos = []
     for c in range(labeling.num_clusters):
@@ -110,7 +107,7 @@ def build_prototypes(features, labeling, momentum=0.2, norm_floor=1e-6):
         if norm < norm_floor:
             raise ClusterError("cluster %d mean is degenerate (norm %.2e)" % (c, norm))
         protos.append(mean / norm)
-    return PrototypeBank(np.array(protos), momentum=momentum)
+    return PrototypeBank(np.array(protos))
 
 
 def prototype_contrastive_loss(features, labels, bank, temperature=0.05):
@@ -147,16 +144,11 @@ class ClusterConfig:
     eps: float = 0.5
     min_points: int = 4
     temperature: float = 0.05
-    proto_momentum: float = 0.2
     fusion: str = "mean_all"
     ids_per_batch: int = 4
     samples_per_id: int = 4
     steps_per_epoch: int = 0   # 0 -> one pass over the clustered subset
-    optimizer: str = "sgd"
     lr: float = 3.5e-4
-    lr_decay_every: int = 20   # epochs
-    lr_decay: float = 0.1
-    momentum: float = 0.9
     clip_grad: float = 5.0
 
 
@@ -177,25 +169,15 @@ class AdaptTrainer:
         self.cl = cl_cfg
         self.images = np.asarray(images, dtype=np.float64)
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC105]))
-        if cl_cfg.optimizer == "sgd":
-            self.optimizer = SGD(params.items(), lr=cl_cfg.lr, momentum=cl_cfg.momentum)
-        elif cl_cfg.optimizer == "adamw":
-            self.optimizer = AdamW(params.items(), lr=cl_cfg.lr)
-        else:
-            raise ClusterError("optimizer: expected one of %s, got %r"
-                               % (", ".join(OPTIMIZERS), cl_cfg.optimizer))
+        self.optimizer = AdamW(params.items(), lr=cl_cfg.lr)
         self.out_dir = out_dir
         self.history = []
-
-    def _epoch_lr(self, epoch):
-        decays = epoch // self.cl.lr_decay_every if self.cl.lr_decay_every else 0
-        return self.cl.lr * (self.cl.lr_decay ** decays)
 
     def run_epoch(self, epoch):
         cl = self.cl
         feats = extract_all_features(self.params, self.images, fusion=cl.fusion)
         labeling = cluster(feats, eps=cl.eps, min_points=cl.min_points)
-        bank = build_prototypes(feats, labeling, momentum=cl.proto_momentum)
+        bank = build_prototypes(feats, labeling)
         if self.out_dir:
             snap = os.path.join(self.out_dir, "pseudo_labels_epoch%d.jsonl" % epoch)
             with open(snap, "w") as fh:
@@ -207,7 +189,6 @@ class AdaptTrainer:
                  for c in range(labeling.num_clusters)]
         batch = cl.ids_per_batch * cl.samples_per_id
         steps = cl.steps_per_epoch or max(1, len(clustered) // batch)
-        self.optimizer.lr = self._epoch_lr(epoch)
         losses = []
         for _ in range(steps):
             rows, labs = pk_batch(self.rng, pools, cl.ids_per_batch, cl.samples_per_id)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field, fields
 
-from .cluster import OPTIMIZERS, ClusterConfig
+from .cluster import ClusterConfig
 from .distill import PretrainConfig
 from .finetune import FUSION_STRATEGIES, FinetuneConfig
 from .multicrop import POS_MODES, MulticropConfig
@@ -25,12 +25,11 @@ class DataConfig:
     path: str = ""
     num_identities: int = 20
     train_images_per_identity: int = 8
-    test_images_per_identity: int = 4
+    test_images_per_identity: int = 4  # the last ones of each identity, either kind
     cameras: int = 4
     noise: float = 0.03
     band_jitter: float = 0.12
     occlusion_p: float = 0.0
-    test_fraction: float = 0.33       # used for kind=dir splits
     seed: int = 11
 
 
@@ -38,8 +37,6 @@ class DataConfig:
 class EvalConfig:
     embeddings: str = ""
     max_rank: int = 10
-    report_top_k: int = 5
-    report_queries: int = 4
 
 
 @dataclass
@@ -84,7 +81,6 @@ class RunConfig:
                 "set allow_j_override = true to force a value")
         for key, value, choices in (("finetune.fusion", self.finetune.fusion, FUSION_STRATEGIES),
                                     ("cluster.fusion", self.cluster.fusion, FUSION_STRATEGIES),
-                                    ("cluster.optimizer", self.cluster.optimizer, OPTIMIZERS),
                                     ("crops.pos_mode", self.crops.pos_mode, POS_MODES)):
             if value not in choices:
                 raise ConfigError("%s: expected one of %s, got %r"
@@ -123,7 +119,6 @@ _COMMENTS = {
     "finetune.lr": "0 = rule 0.0004 * batch / 64",
     "finetune.fusion": " | ".join(FUSION_STRATEGIES),
     "cluster.fusion": " | ".join(FUSION_STRATEGIES),
-    "cluster.optimizer": " | ".join(OPTIMIZERS),
     "crops.pos_mode": " | ".join(POS_MODES),
     "cluster.eps": "density clustering neighborhood radius on unit-norm features",
     "backbone.num_parts": "learnable part tokens, one per local area",

@@ -287,7 +287,6 @@ class PretrainConfig:
     steps: int = 2000
     batch_size: int = 6
     lr: float = 1e-3
-    final_lr_frac: float = 0.01
     warmup_frac: float = 0.1
     weight_decay: float = 0.01
     clip_grad: float = 3.0
@@ -456,7 +455,7 @@ class Pretrainer:
             loss.backward(params=self.student.tensors())
             grad_norm = clip_grad_norm(self.student.tensors(), pc.clip_grad)
             self.optimizer.lr = warmup_cosine_lr(
-                step, pc.steps, pc.lr, int(pc.warmup_frac * pc.steps), pc.lr * pc.final_lr_frac)
+                step, pc.steps, pc.lr, int(pc.warmup_frac * pc.steps), pc.lr * 0.01)
             self.optimizer.step()
             self.optimizer.zero_grad()
         finally:

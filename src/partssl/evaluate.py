@@ -50,6 +50,14 @@ def pairwise_dist(queries, gallery):
     return np.sqrt(np.maximum(sq, 0.0))
 
 
+def _ranked_gallery(index, qi, dist_row):
+    """Gallery indices closest first (ties by index), without the entries
+    that share query ``qi``'s (identity, camera)."""
+    order = np.argsort(dist_row, kind="stable")
+    keep = ~((index.g_ids[order] == index.q_ids[qi]) & (index.g_cams[order] == index.q_cams[qi]))
+    return order[keep]
+
+
 @dataclass
 class EvalResult:
     mean_ap: float
@@ -76,10 +84,8 @@ def evaluate(index, max_rank=None):
     cmc_rows = []
     excluded = 0
     for qi in range(dist.shape[0]):
-        order = np.argsort(dist[qi], kind="stable")
-        keep = ~((index.g_ids[order] == index.q_ids[qi])
-                 & (index.g_cams[order] == index.q_cams[qi]))
-        matches = (index.g_ids[order][keep] == index.q_ids[qi]).astype(np.float64)
+        order = _ranked_gallery(index, qi, dist[qi])
+        matches = (index.g_ids[order] == index.q_ids[qi]).astype(np.float64)
         if not matches.any():
             excluded += 1
             continue
@@ -112,10 +118,7 @@ def ranking_list(index, query_index, top_k):
     if not 0 <= query_index < len(index.query):
         raise EvalError("query index %d out of range" % query_index)
     dist = pairwise_dist(index.query[query_index:query_index + 1], index.gallery)[0]
-    order = np.argsort(dist, kind="stable")
-    keep = ~((index.g_ids[order] == index.q_ids[query_index])
-             & (index.g_cams[order] == index.q_cams[query_index]))
-    order = order[keep]
+    order = _ranked_gallery(index, query_index, dist)
     entries = []
     for gi in order[:top_k]:
         entries.append(RankEntry(

@@ -82,10 +82,9 @@ class ReidHead:
         """BN neck; batch statistics while training, running ones at eval."""
         if training:
             mu = T.mean(features, axis=0)
-            centered = features - T.broadcast_to(T.reshape(mu, (1, self.dim)), features.shape)
+            centered = features - mu
             var = T.mean(centered * centered, axis=0)
-            xhat = centered / T.broadcast_to(
-                T.reshape(T.sqrt(var + self.eps), (1, self.dim)), features.shape)
+            xhat = centered / T.sqrt(var + self.eps)
             m = self.bn_momentum
             self.running_mean = (1 - m) * self.running_mean + m * mu.data
             self.running_var = (1 - m) * self.running_var + m * var.data

@@ -41,7 +41,6 @@ class MulticropConfig:
     local_size: tuple = (24, 12)
     global_scale: tuple = (0.4, 1.0)
     local_scale: tuple = (0.05, 0.40)
-    aspect_jitter: tuple = (0.75, 4.0 / 3.0)
     flip_p: float = 0.5
     # DINO's colour-jitter strengths. Views of one image that differ more in
     # level and contrast keep the teacher from sharpening on one batch: with
@@ -172,7 +171,7 @@ def sample_global(image, rng, cfg):
     ch, cw = H, W
     for _ in range(10):
         frac = rng.uniform(lo, hi)
-        aspect = base_aspect * rng.uniform(*cfg.aspect_jitter)
+        aspect = base_aspect * rng.uniform(0.75, 4.0 / 3.0)
         area = frac * H * W
         h = int(round(math.sqrt(area * aspect)))
         w = int(round(math.sqrt(area / aspect)))

@@ -49,31 +49,6 @@ class AdamW:
             p.grad = None
 
 
-class SGD:
-    def __init__(self, named_params, lr=1e-3, momentum=0.9, weight_decay=0.0):
-        self.params = list(named_params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._buf = {n: np.zeros_like(p.data) for n, p in self.params}
-
-    def step(self):
-        for name, p in self.params:
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay and not _no_decay(name, p):
-                g = g + self.weight_decay * p.data
-            buf = self._buf[name]
-            buf *= self.momentum
-            buf += g
-            p.data = p.data - self.lr * buf
-
-    def zero_grad(self):
-        for _, p in self.params:
-            p.grad = None
-
-
 def clip_grad_norm(params, max_norm):
     """Scale all grads so their global L2 norm is at most max_norm."""
     total = 0.0

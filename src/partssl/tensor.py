@@ -451,7 +451,7 @@ def mean(a, axis=None, keepdims=False):
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
 
 
-def _extreme(a, axis, keepdims, op_name, np_fn, np_arg_fn):
+def _extreme(a, axis, keepdims, np_fn, np_arg_fn):
     a = _coerce(a)
     data = np_fn(a.data, axis=axis, keepdims=keepdims)
     out = Tensor(data)
@@ -471,11 +471,11 @@ def _extreme(a, axis, keepdims, op_name, np_fn, np_arg_fn):
 
 def max_(a, axis=None, keepdims=False):
     """Max reduction; gradient flows to the first argmax position."""
-    return _extreme(a, axis, keepdims, "max", np.max, np.argmax)
+    return _extreme(a, axis, keepdims, np.max, np.argmax)
 
 
 def min_(a, axis=None, keepdims=False):
-    return _extreme(a, axis, keepdims, "min", np.min, np.argmin)
+    return _extreme(a, axis, keepdims, np.min, np.argmin)
 
 
 # ---------------------------------------------------------------------------

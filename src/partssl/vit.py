@@ -36,15 +36,8 @@ class BackboneConfig:
     heads: int = 4
     num_parts: int = 3
     proj_dim: int = 256
-    mlp_ratio: int = 4
     head_hidden: int = 0      # 0 -> 4 * embed_dim
     head_bottleneck: int = 0  # 0 -> embed_dim
-    # special tokens start at unit scale per channel, the scale that each
-    # fan-in initialized residual branch adds. A token of norm ~2 (0.3) is
-    # swamped by the first block's attention average, which is nearly the
-    # same for every special token (norm 5-12): all of them then leave the
-    # encoder pointing one way, issue the same queries and cannot specialize
-    token_init: float = 1.0
 
     def validate(self):
         if self.image_h % self.patch_size or self.image_w % self.patch_size:
@@ -110,8 +103,13 @@ class NetworkParams:
         # contrast, which is what identities and parts differ in.
         add("patch_proj.b", -0.5 * patch_w.sum(axis=0))
         add("pos_embed", token(gh * gw, C))
-        add("cls_token", cfg.token_init * rng.normal(0.0, 1.0, (1, C)))
-        add("part_tokens", cfg.token_init * rng.normal(0.0, 1.0, (L, C)))
+        # special tokens start at unit scale per channel, the scale that each
+        # fan-in initialized residual branch adds. A token of norm ~2 (0.3) is
+        # swamped by the first block's attention average, which is nearly the
+        # same for every special token (norm 5-12): all of them then leave the
+        # encoder pointing one way, issue the same queries and cannot specialize
+        add("cls_token", rng.normal(0.0, 1.0, (1, C)))
+        add("part_tokens", rng.normal(0.0, 1.0, (L, C)))
         for d in range(cfg.depth):
             pre = "blocks.%d." % d
             add(pre + "ln1.g", np.ones(C))
@@ -122,9 +120,9 @@ class NetworkParams:
                 add(pre + "attn." + nm, np.zeros(C))
             add(pre + "ln2.g", np.ones(C))
             add(pre + "ln2.b", np.zeros(C))
-            add(pre + "mlp.w1", normal(C, cfg.mlp_ratio * C))
-            add(pre + "mlp.b1", np.zeros(cfg.mlp_ratio * C))
-            add(pre + "mlp.w2", normal(cfg.mlp_ratio * C, C))
+            add(pre + "mlp.w1", normal(C, 4 * C))
+            add(pre + "mlp.b1", np.zeros(4 * C))
+            add(pre + "mlp.w2", normal(4 * C, C))
             add(pre + "mlp.b2", np.zeros(C))
         add("final_ln.g", np.ones(C))
         add("final_ln.b", np.zeros(C))
@@ -150,9 +148,6 @@ class NetworkParams:
 
     def __getitem__(self, name):
         return self._p[name]
-
-    def __contains__(self, name):
-        return name in self._p
 
     def names(self):
         return list(self._p)

@@ -480,8 +480,7 @@ class TestCriterion10UslLoop:
 
         map_before = test_map()
         cfg = cl.ClusterConfig(epochs=3, eps=0.35, min_points=4, fusion="mean_all",
-                               optimizer="adamw", lr=5e-4, ids_per_batch=4,
-                               samples_per_id=4)
+                               lr=5e-4, ids_per_batch=4, samples_per_id=4)
         trainer = cl.AdaptTrainer(params, cfg, train.images, seed=9)
         history = trainer.run()
         purity = cl.cluster_purity(history[-1].labeling, train.ids)

@@ -6,6 +6,7 @@ import pytest
 
 from partssl import cli
 from partssl import config as cfgmod
+from partssl import synthetic as sd
 from partssl.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 
@@ -186,6 +187,20 @@ class TestAdaptModes:
         with pytest.raises(cfgmod.ConfigError, match="stage"):
             cli.run(cfg_bad)
 
+    def test_usl_learns_at_a_splitting_eps(self, pipeline, tmp_path):
+        # micro_cfg's eps 2.0 puts every feature in one cluster, where the
+        # prototype loss is exactly 0; at 0.2 the micro teacher's 16 train
+        # features form 2 clusters, so the adaptation steps learn
+        cfg = micro_cfg(tmp_path, "usl")
+        cfg.cluster.eps = 0.2
+        path = cfgmod.save_config(cfg, str(tmp_path / "usl.cfg"))
+        assert cli.main(["usl", "--config", path,
+                         "--init", pipeline["pre"]["checkpoint"]]) == 0
+        with open(os.path.join(cfg.out_dir, "adapt_log.jsonl")) as fh:
+            (epoch,) = [json.loads(line) for line in fh]
+        assert epoch["clusters"] >= 2
+        assert epoch["mean_loss"] > 0.0
+
     def test_usl_without_checkpoint_is_config_error(self, tmp_path):
         cfg = micro_cfg(tmp_path, "usl")
         with pytest.raises(cfgmod.ConfigError, match="init_checkpoint"):
@@ -207,6 +222,32 @@ class TestVisualizeMode:
         cfg.visualize.image_index = 10_000
         with pytest.raises(cfgmod.ConfigError, match="image_index"):
             cli.run(cfg)
+
+
+class TestDatasetSplit:
+    def test_directory_split_matches_synthetic(self, tmp_path):
+        cfg = micro_cfg(tmp_path)
+        train, test = cli.build_datasets(cfg)
+        # the same spec with every image in train: the whole synthetic set
+        whole_cfg = micro_cfg(tmp_path)
+        whole_cfg.data.train_images_per_identity = 6
+        whole_cfg.data.test_images_per_identity = 0
+        whole, nothing = cli.build_datasets(whole_cfg)
+        assert len(whole) == 24 and len(nothing) == 0
+        sd.save_dataset(whole, str(tmp_path / "data"))
+        dir_cfg = micro_cfg(tmp_path)
+        dir_cfg.data.kind = "dir"
+        dir_cfg.data.path = str(tmp_path / "data")
+        dir_train, dir_test = cli.build_datasets(dir_cfg)
+        for want, got in ((train, dir_train), (test, dir_test)):
+            np.testing.assert_array_equal(got.ids, want.ids)
+            np.testing.assert_array_equal(got.cams, want.cams)
+            np.testing.assert_array_equal(got.masks, want.masks)
+            np.testing.assert_allclose(got.images, want.images, atol=1e-5)  # 16-bit files
+        assert list(test.ids) == [i for i in range(4) for _ in range(2)]
+        dir_cfg.data.test_images_per_identity = 0
+        dir_train, dir_test = cli.build_datasets(dir_cfg)
+        assert len(dir_train) == 24 and len(dir_test) == 0
 
 
 class TestDirectoryIsolation:

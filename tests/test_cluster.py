@@ -169,8 +169,7 @@ class TestAdaptTrainer:
                                           cameras=2, image_h=16, image_w=8), seed=2)
         # eps 2 spans the unit sphere: one cluster, whatever the features
         cl_cfg = cl.ClusterConfig(epochs=epochs, eps=eps, ids_per_batch=3,
-                                  samples_per_id=2, optimizer="adamw", lr=1e-3,
-                                  steps_per_epoch=4)
+                                  samples_per_id=2, lr=1e-3, steps_per_epoch=4)
         out = str(tmp_path) if tmp_path else None
         return cl.AdaptTrainer(params, cl_cfg, ds.images, seed=0, out_dir=out), ds
 

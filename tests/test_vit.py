@@ -279,8 +279,8 @@ class TestSpecialTokenIdentity:
                num_parts=3, proj_dim=128)
     # A cosine of 0.9 puts 81% of each state's energy on the other's
     # direction: the tokens then issue nearly the same query, read the same
-    # patches and cannot specialize. With a zero patch bias and token_init
-    # 0.3 (token norm ~2 against shared residual updates of norm 5-12) the
+    # patches and cannot specialize. With a zero patch bias and special tokens
+    # at 0.3 scale (norm ~2 against shared residual updates of norm 5-12) the
     # largest pair read 0.95-0.97 at init; it now reads 0.6-0.7.
     BOUND = 0.9
 
