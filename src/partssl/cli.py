@@ -99,7 +99,10 @@ def _load_network(cfg, ckpt, prefix, params=None):
     return params
 
 
-def _check_ckpt_config(cfg, ckpt):
+def _open_checkpoint(cfg, path, stage=None):
+    """The checkpoint at ``path``, refused unless it was built with this
+    backbone and, when ``stage`` is given, written by that stage."""
+    ckpt = load_checkpoint(path)
     want = dataclasses.asdict(cfg.backbone)
     have = ckpt.config.get("backbone", {})
     mismatched = [k for k, v in want.items() if k in have and have[k] != v]
@@ -107,12 +110,12 @@ def _check_ckpt_config(cfg, ckpt):
         raise ConfigError(
             "checkpoint backbone config differs on: %s (checkpoint was built with %s)"
             % (", ".join(mismatched), {k: have[k] for k in mismatched}))
-
-
-def _require_stage(ckpt, want, mode):
-    stage = ckpt.extra.get("stage", "?")
-    if stage != want:
-        raise ConfigError("mode %s needs a %s checkpoint, got stage %r" % (mode, want, stage))
+    got = ckpt.extra.get("stage", "?")
+    if stage is not None and got != stage:
+        # pretrain opens a checkpoint only to resume from it
+        mode = "pretrain resume" if cfg.mode == "pretrain" else cfg.mode
+        raise ConfigError("mode %s needs a %s checkpoint, got stage %r" % (mode, stage, got))
+    return ckpt
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +136,7 @@ def run_pretrain(cfg, out):
     trainer = Pretrainer(cfg.backbone, cfg.crops, cfg.distill, train.images,
                          seed=cfg.seed, log_path=log_path)
     if cfg.resume:
-        ckpt = load_checkpoint(cfg.resume)
-        _check_ckpt_config(cfg, ckpt)
-        _require_stage(ckpt, "pretrain", "pretrain resume")
+        ckpt = _open_checkpoint(cfg, cfg.resume, "pretrain")
         _load_network(cfg, ckpt, "student", trainer.student)
         _load_network(cfg, ckpt, "teacher", trainer.teacher)
         trainer.center.load({r: ckpt.tensors["center." + r] for r in trainer.center.centers})
@@ -158,9 +159,7 @@ def run_pretrain(cfg, out):
 
 def _finetune_network(cfg):
     if cfg.init_checkpoint:
-        ckpt = load_checkpoint(cfg.init_checkpoint)
-        _check_ckpt_config(cfg, ckpt)
-        _require_stage(ckpt, "pretrain", cfg.mode)
+        ckpt = _open_checkpoint(cfg, cfg.init_checkpoint, "pretrain")
         # the momentum-averaged network is the one carried downstream
         return _load_network(cfg, ckpt, "teacher")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x1717]))
@@ -197,14 +196,8 @@ def run_adapt(cfg, out):
     usl from a pre-trained one."""
     if not cfg.init_checkpoint:
         raise ConfigError("mode %s requires init_checkpoint" % cfg.mode)
-    ckpt = load_checkpoint(cfg.init_checkpoint)
-    _check_ckpt_config(cfg, ckpt)
-    if cfg.mode == "uda":
-        _require_stage(ckpt, "finetune", "uda")
-        params = _load_network(cfg, ckpt, "network")
-    else:
-        _require_stage(ckpt, "pretrain", "usl")
-        params = _load_network(cfg, ckpt, "teacher")
+    stage, prefix = ("finetune", "network") if cfg.mode == "uda" else ("pretrain", "teacher")
+    params = _load_network(cfg, _open_checkpoint(cfg, cfg.init_checkpoint, stage), prefix)
     train, test = build_datasets(cfg)
     trainer = AdaptTrainer(params, cfg.cluster, train.images, seed=cfg.seed, out_dir=out)
     history = trainer.run()
@@ -263,8 +256,7 @@ _PART_COLORS = [(230, 70, 70), (70, 200, 70), (80, 110, 240), (230, 200, 60), (2
 def run_visualize(cfg, out):
     if not cfg.init_checkpoint:
         raise ConfigError("mode visualize requires init_checkpoint")
-    ckpt = load_checkpoint(cfg.init_checkpoint)
-    _check_ckpt_config(cfg, ckpt)
+    ckpt = _open_checkpoint(cfg, cfg.init_checkpoint)
     prefix = "teacher" if any(k.startswith("teacher.") for k in ckpt.tensors) else "network"
     params = _load_network(cfg, ckpt, prefix)
     _, test = build_datasets(cfg)

@@ -19,6 +19,7 @@ from .evaluate import pairwise_dist
 from .finetune import extract_embeddings, forward_embeddings, pk_batch
 from .optim import AdamW, clip_grad_norm
 from .tensor import Tensor
+from .vit import ConfigError
 
 
 class ClusterError(ValueError):
@@ -176,7 +177,10 @@ class AdaptTrainer:
     def run_epoch(self, epoch):
         cl = self.cl
         feats = extract_all_features(self.params, self.images, fusion=cl.fusion)
-        labeling = cluster(feats, eps=cl.eps, min_points=cl.min_points)
+        try:
+            labeling = cluster(feats, eps=cl.eps, min_points=cl.min_points)
+        except ClusterError as exc:  # no pseudo-labels at this radius: a config fix
+            raise ConfigError("cluster.eps = %g: %s" % (cl.eps, exc)) from None
         bank = build_prototypes(feats, labeling)
         if self.out_dir:
             snap = os.path.join(self.out_dir, "pseudo_labels_epoch%d.jsonl" % epoch)
@@ -195,9 +199,9 @@ class AdaptTrainer:
             feats_t = forward_embeddings(self.params, self.images[rows], cl.fusion)
             loss = prototype_contrastive_loss(feats_t, labs, bank, cl.temperature)
             loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                raise RuntimeError("non-finite adaptation loss in epoch %d" % epoch)
             try:
+                if not math.isfinite(loss_val):
+                    raise RuntimeError("non-finite adaptation loss in epoch %d" % epoch)
                 loss.backward(params=self.params.tensors())
                 clip_grad_norm(self.params.tensors(), cl.clip_grad)
                 self.optimizer.step()

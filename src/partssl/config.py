@@ -114,7 +114,6 @@ _COMMENTS = {
     "distill.ema_start": "teacher momentum schedule start; cosine to ema_end",
     "distill.tau_s": "student softmax temperature",
     "distill.tau_t": "teacher softmax temperature (sharper than student)",
-    "distill.raw_sums": "true = literal summed objective, false = per-term normalized",
     "finetune.margin": "triplet loss margin",
     "finetune.lr": "0 = rule 0.0004 * batch / 64",
     "finetune.fusion": " | ".join(FUSION_STRATEGIES),

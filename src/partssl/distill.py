@@ -155,7 +155,7 @@ class DistillOutputs:
 
     Teacher arrays hold probabilities (already centered and sharpened,
     gradient-free). Student tensors hold log-probabilities on the tape.
-    Local views are ordered area-major: axis layouts are
+    Axis layouts are
     t_cls (B,M,K), t_part (B,L,M,K), s_cls_g (B,M,K), s_cls_l (B,L,J,K),
     s_part_g (B,L,M,K), s_part_l (B,L,J,K).
     """
@@ -174,53 +174,43 @@ class DistillOutputs:
         return b, m, l, j
 
 
-def _pair_sum(teacher, student_log):
-    """Sum over all (m, n) of H(teacher[..., m, :], student[..., n, :])."""
-    t = Tensor(np.expand_dims(teacher, -2))               # (..., M, 1, K)
-    s_shape = student_log.shape
-    s = T.reshape(student_log, s_shape[:-2] + (1,) + s_shape[-2:])  # (..., 1, N, K)
-    return -T.sum_(t * s)
+def _pairings(t, s_loc, s_glob, axis):
+    """Sum of H(teacher, student) over every pairing, per index of the axes
+    between the batch axis and ``axis``, the teacher's global-view axis.
+
+    Each teacher view is paired with every local view and with every global
+    view but its own. H is linear in the student log-probabilities, so each
+    student view is scored once, against the sum of its teacher views.
+    """
+    t_all = t.sum(axis=axis, keepdims=True)
+    summed = (0,) + tuple(range(axis, t.ndim))
+    return -(T.sum_(Tensor(t_all) * s_loc, axis=summed)
+             + T.sum_(Tensor(t_all - t) * s_glob, axis=summed))
 
 
-def _matched_sum(teacher, student_log):
-    """Sum over m of H(teacher[..., m, :], student[..., m, :])."""
-    return -T.sum_(Tensor(teacher) * student_log)
+def _part_losses(outputs, normalize=True):
+    """All L part losses as one (L,) tensor, averaged over the view-set
+    batch; ``normalize`` also divides by the per-image term count."""
+    b, m, _, j = outputs.dims
+    loss = _pairings(outputs.t_part, outputs.s_part_l, outputs.s_part_g, axis=2)
+    return loss * (1.0 / (b * (part_term_count(m, j) if normalize else 1)))
 
 
 def part_loss(outputs, part_index, normalize=True):
-    """Distillation loss for one part token (1-based index).
-
-    Local-to-global matching plus cross-global matching, averaged over the
-    view-set batch; ``normalize`` divides by the per-image term count.
-    """
-    b, m, l, j = outputs.dims
+    """Distillation loss for one part token (1-based index): local-to-global
+    matching plus cross-global matching."""
+    l = outputs.dims[2]
     if not 1 <= part_index <= l:
         raise DistillError("part index %d outside 1..%d" % (part_index, l))
-    i = part_index - 1
-    t = outputs.t_part[:, i]        # (B, M, K)
-    s_loc = outputs.s_part_l[:, i]  # (B, J, K)
-    s_glob = outputs.s_part_g[:, i]  # (B, M, K)
-    loss = _pair_sum(t, s_loc) + (_pair_sum(t, s_glob) - _matched_sum(t, s_glob))
-    if normalize:
-        loss = loss * (1.0 / (b * part_term_count(m, j)))
-    else:
-        loss = loss * (1.0 / b)
-    return loss
+    return _part_losses(outputs, normalize)[part_index - 1]
 
 
 def cls_loss(outputs, normalize=True):
     """[CLS] distillation: every local view and cross-global pairs."""
     b, m, l, j = outputs.dims
-    t = outputs.t_cls                                        # (B, M, K)
-    k = outputs.s_cls_l.shape[-1]
-    s_loc = T.reshape(outputs.s_cls_l, (b, l * j, k))        # (B, L*J, K)
-    s_glob = outputs.s_cls_g                                 # (B, M, K)
-    loss = _pair_sum(t, s_loc) + (_pair_sum(t, s_glob) - _matched_sum(t, s_glob))
-    if normalize:
-        loss = loss * (1.0 / (b * cls_term_count(m, l, j)))
-    else:
-        loss = loss * (1.0 / b)
-    return loss
+    s_loc = T.reshape(outputs.s_cls_l, (b, l * j, outputs.t_cls.shape[-1]))
+    loss = _pairings(outputs.t_cls, s_loc, outputs.s_cls_g, axis=1)
+    return loss * (1.0 / (b * (cls_term_count(m, l, j) if normalize else 1)))
 
 
 def total_loss(outputs, raw_sums=False):
@@ -228,21 +218,14 @@ def total_loss(outputs, raw_sums=False):
 
     Default mode normalizes each component by its term count and weights the
     part losses by 1/L so [CLS] and part signals have comparable magnitude;
-    ``raw_sums`` restores the literal unnormalized summation.
+    ``raw_sums`` gives the literal unnormalized summation.
     """
-    _, _, l, _ = outputs.dims
-    normalize = not raw_sums
-    cls_term = cls_loss(outputs, normalize=normalize)
-    parts = [part_loss(outputs, i, normalize=normalize) for i in range(1, l + 1)]
-    total = cls_term
-    for p in parts:
-        total = total + p * _part_scale(l, raw_sums)
-    breakdown = {"cls": cls_term.item(), "parts": [p.item() for p in parts]}
+    l = outputs.dims[2]
+    cls_term = cls_loss(outputs, normalize=not raw_sums)
+    parts = _part_losses(outputs, normalize=not raw_sums)
+    total = cls_term + T.sum_(parts) * (1.0 if raw_sums else 1.0 / l)
+    breakdown = {"cls": cls_term.item(), "parts": parts.data.tolist()}
     return total, breakdown
-
-
-def _part_scale(num_parts, raw_sums):
-    return 1.0 if raw_sums else 1.0 / num_parts
 
 
 def excess_loss(outputs, breakdown, raw_sums=False):
@@ -254,9 +237,10 @@ def excess_loss(outputs, breakdown, raw_sums=False):
     mean entropy of that token's teacher distributions.
     """
     _, m, l, j = outputs.dims
-    n_cls = cls_term_count(m, l, j) if raw_sums else 1
-    n_part = part_term_count(m, j) if raw_sums else 1
-    scale = _part_scale(l, raw_sums)
+    if raw_sums:
+        n_cls, n_part, scale = cls_term_count(m, l, j), part_term_count(m, j), 1.0
+    else:
+        n_cls, n_part, scale = 1, 1, 1.0 / l
     excess = breakdown["cls"] - n_cls * distribution_entropy(outputs.t_cls)
     for i, p in enumerate(breakdown["parts"]):
         excess += scale * (p - n_part * distribution_entropy(outputs.t_part[:, i]))
@@ -294,7 +278,6 @@ class PretrainConfig:
     centering: bool = True
     ema_start: float = 0.996
     ema_end: float = 1.0
-    raw_sums: bool = False
     temperatures: Temperatures = field(default_factory=Temperatures)
 
 
@@ -345,21 +328,15 @@ class Pretrainer:
         return np.random.SeedSequence([self.seed, self.step_count, int(image_index)])
 
     def build_batch(self, indices):
-        """Stack all views: globals image-major, locals area-major."""
+        """Stack the global views and the local views, each image-major and
+        in ``build_view_set`` order (locals area by area)."""
         viewsets = [build_view_set(self.images[i], self.crop_cfg, self._view_seed(i))
                     for i in indices]
         glob_views = [v for vs in viewsets for v in vs.globals]
-        loc_views, loc_part = [], []
-        L = self.crop_cfg.num_areas
-        j = self.crop_cfg.resolve_j()
-        for area in range(1, L + 1):
-            for vs in viewsets:
-                for v in vs.locals:
-                    if v.area_index == area:
-                        loc_views.append(v)
-                        loc_part.append(area)
+        loc_views = [v for vs in viewsets for v in vs.locals]
         globs = np.stack([v.image for v in glob_views])
         locs = np.stack([v.image for v in loc_views])
+        loc_part = np.asarray([v.area_index for v in loc_views])
         if self.crop_cfg.pos_mode == "crop":
             batch_rects = (
                 [v.plan.rect_frac for v in glob_views],
@@ -369,60 +346,46 @@ class Pretrainer:
             )
         else:
             batch_rects = (None, None, None, None)
-        return globs, locs, np.asarray(loc_part), len(viewsets), j, batch_rects
+        return globs, locs, loc_part, len(viewsets), self.crop_cfg.resolve_j(), batch_rects
 
     # -- forward ----------------------------------------------------------
 
-    def _project_specials(self, params, cls_out, part_out, b, m):
-        """Head logits for global views: cls (B*M, K), parts (L, B*M, K)."""
-        L = self.cfg.num_parts
-        cls_logits = vit.project(cls_out, params, "head_cls")
-        flat = T.reshape(T.transpose(part_out, (1, 0, 2)), (L * b * m, -1))
-        part_logits = T.reshape(vit.project(flat, params, "head_part"), (L, b * m, -1))
-        return cls_logits, part_logits
+    def _global_logits(self, params, globs, rects):
+        """Head logits of the global views: [CLS] (B*M, K), parts (B*M, L, K)."""
+        parts = vit.all_parts(len(globs), self.cfg.num_parts)
+        cls_out, part_out = vit.forward_tokens(globs, parts, params,
+                                               rects=rects[0], mirrors=rects[1])
+        return vit.project(cls_out, params, "head_cls"), vit.project(part_out, params, "head_part")
 
     def _student_forward(self, globs, locs, loc_part, b, j, rects):
-        cfg = self.cfg
-        L = cfg.num_parts
+        L = self.cfg.num_parts
         m = self.crop_cfg.num_globals
-        tau_s = self.pre_cfg.temperatures.tau_s
-        g_rects, g_flips, l_rects, l_flips = rects
-        # globals
-        cls_out, part_out = vit.forward_tokens(globs, vit.all_parts(len(globs), L),
-                                               self.student, rects=g_rects, mirrors=g_flips)
-        cls_logits, part_logits = self._project_specials(self.student, cls_out, part_out, b, m)
-        s_cls_g = T.reshape(T.log_softmax(cls_logits * (1.0 / tau_s)), (b, m, -1))
-        s_part_g = T.transpose(T.reshape(T.log_softmax(part_logits * (1.0 / tau_s)),
-                                         (L, b, m, -1)), (1, 0, 2, 3))
-        # locals, area-major so each area's chunk is contiguous
+        inv_tau = 1.0 / self.pre_cfg.temperatures.tau_s
+        cls_g, part_g = self._global_logits(self.student, globs, rects[:2])
+        s_cls_g = T.reshape(T.log_softmax(cls_g * inv_tau), (b, m, -1))
+        s_part_g = T.transpose(T.reshape(T.log_softmax(part_g * inv_tau), (b, m, L, -1)),
+                               (0, 2, 1, 3))
         cls_out, part_out = vit.forward_tokens(locs, loc_part[:, None], self.student,
-                                               rects=l_rects, mirrors=l_flips)
+                                               rects=rects[2], mirrors=rects[3])
         cls_l = vit.project(cls_out, self.student, "head_cls")
-        s_cls_l = T.transpose(T.reshape(T.log_softmax(cls_l * (1.0 / tau_s)), (L, b, j, -1)),
-                              (1, 0, 2, 3))
-        part_l = vit.project(T.reshape(part_out, (len(locs), -1)), self.student, "head_part")
-        s_part_l = T.transpose(T.reshape(T.log_softmax(part_l * (1.0 / tau_s)), (L, b, j, -1)),
-                               (1, 0, 2, 3))
+        s_cls_l = T.reshape(T.log_softmax(cls_l * inv_tau), (b, L, j, -1))
+        part_l = vit.project(part_out, self.student, "head_part")
+        s_part_l = T.reshape(T.log_softmax(part_l * inv_tau), (b, L, j, -1))
         return s_cls_g, s_cls_l, s_part_g, s_part_l
 
     def _teacher_forward(self, globs, b, tau_t, rects):
-        cfg = self.cfg
-        L = cfg.num_parts
+        L = self.cfg.num_parts
         m = self.crop_cfg.num_globals
-        g_rects, g_flips = rects
         with T.no_grad():
-            cls_out, part_out = vit.forward_tokens(globs, vit.all_parts(len(globs), L),
-                                                   self.teacher, rects=g_rects, mirrors=g_flips)
-            cls_logits, part_logits = self._project_specials(self.teacher, cls_out, part_out, b, m)
+            cls_logits, part_logits = self._global_logits(self.teacher, globs, rects)
         cls_np = cls_logits.data
-        part_np = part_logits.data  # (L, B*M, K)
-        centering = self.pre_cfg.centering
-        c_cls = self.center.get("cls") if centering else None
+        part_np = part_logits.data  # (B*M, L, K)
+        c_cls = c_part = None
+        if self.pre_cfg.centering:
+            c_cls = self.center.get("cls")
+            c_part = np.stack([self.center.get("part%d" % i) for i in range(1, L + 1)])
         t_cls = sharpen(cls_np, tau_t, c_cls).reshape(b, m, -1)
-        t_part = np.empty((b, L, m, cls_np.shape[-1]))
-        for i in range(L):
-            c = self.center.get("part%d" % (i + 1)) if centering else None
-            t_part[:, i] = sharpen(part_np[i], tau_t, c).reshape(b, m, -1)
+        t_part = sharpen(part_np, tau_t, c_part).reshape(b, m, L, -1).transpose(0, 2, 1, 3)
         return t_cls, t_part, cls_np, part_np
 
     # -- one optimization step ---------------------------------------------
@@ -433,7 +396,6 @@ class Pretrainer:
         if indices is None:
             indices = self._next_batch_indices()
         globs, locs, loc_part, b, j, rects = self.build_batch(indices)
-        m = self.crop_cfg.num_globals
         tau_t = pc.temperatures.teacher_at(step, pc.steps)
 
         t_cls, t_part, cls_logits_np, part_logits_np = self._teacher_forward(
@@ -442,16 +404,15 @@ class Pretrainer:
             globs, locs, loc_part, b, j, rects)
         outputs = DistillOutputs(t_cls=t_cls, t_part=t_part, s_cls_g=s_cls_g,
                                  s_cls_l=s_cls_l, s_part_g=s_part_g, s_part_l=s_part_l)
-        loss, breakdown = total_loss(outputs, raw_sums=pc.raw_sums)
+        loss, breakdown = total_loss(outputs)
 
         lam = self.ema.value(step)
         loss_val = loss.item()
-        if not math.isfinite(loss_val):
-            raise TrainingDiverged(
-                "non-finite loss at step %d (lambda=%.6f tau_t=%.4f center_norm=%.4f)"
-                % (step, lam, tau_t, np.linalg.norm(self.center.get("cls"))))
-
         try:
+            if not math.isfinite(loss_val):
+                raise TrainingDiverged(
+                    "non-finite loss at step %d (lambda=%.6f tau_t=%.4f center_norm=%.4f)"
+                    % (step, lam, tau_t, np.linalg.norm(self.center.get("cls"))))
             loss.backward(params=self.student.tensors())
             grad_norm = clip_grad_norm(self.student.tensors(), pc.clip_grad)
             self.optimizer.lr = warmup_cosine_lr(
@@ -465,7 +426,7 @@ class Pretrainer:
 
         self.center.update("cls", cls_logits_np)
         for i in range(self.cfg.num_parts):
-            self.center.update("part%d" % (i + 1), part_logits_np[i])
+            self.center.update("part%d" % (i + 1), part_logits_np[:, i])
 
         t_cls_ent = distribution_entropy(t_cls)
         t_part_ent = distribution_entropy(t_part)
@@ -482,7 +443,7 @@ class Pretrainer:
             "grad_norm": grad_norm,
             "teacher_entropy": t_cls_ent,
             "teacher_part_entropy": t_part_ent,
-            "excess_loss": excess_loss(outputs, breakdown, raw_sums=pc.raw_sums),
+            "excess_loss": excess_loss(outputs, breakdown),
             "teacher_views": int(globs.shape[0]),
             "student_views": int(globs.shape[0] + locs.shape[0]),
         }

@@ -244,9 +244,9 @@ class FinetuneTrainer:
         ce = id_loss(self.head.class_logits(neck), labels)
         loss = ce + tri
         loss_val = loss.item()
-        if not math.isfinite(loss_val):
-            raise RuntimeError("non-finite fine-tune loss at step %d" % self.step_count)
         try:
+            if not math.isfinite(loss_val):
+                raise RuntimeError("non-finite fine-tune loss at step %d" % self.step_count)
             all_params = self.params.tensors() + [p for _, p in self.head.named_params()]
             loss.backward(params=all_params)
             clip_grad_norm(all_params, self.ft.clip_grad)

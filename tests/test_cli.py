@@ -126,6 +126,10 @@ class TestFinetuneMode:
         cfg = micro_cfg(tmp_path, "usl", init_checkpoint=pipeline["ft"]["checkpoint"])
         with pytest.raises(cfgmod.ConfigError, match="stage"):
             cli.run(cfg)
+        cfg = micro_cfg(tmp_path, "pretrain", resume=pipeline["ft"]["checkpoint"])
+        with pytest.raises(cfgmod.ConfigError, match="mode pretrain resume needs a pretrain "
+                                                     "checkpoint, got stage 'finetune'"):
+            cli.run(cfg)
 
 
 class TestEvalMode:
@@ -200,6 +204,15 @@ class TestAdaptModes:
             (epoch,) = [json.loads(line) for line in fh]
         assert epoch["clusters"] >= 2
         assert epoch["mean_loss"] > 0.0
+
+    def test_usl_at_an_all_outlier_eps_is_config_error(self, pipeline, tmp_path, capsys):
+        cfg = micro_cfg(tmp_path, "usl")
+        cfg.cluster.eps = 0.05  # no feature has a neighbour this close
+        path = cfgmod.save_config(cfg, str(tmp_path / "usl.cfg"))
+        assert cli.main(["usl", "--config", path,
+                         "--init", pipeline["pre"]["checkpoint"]]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "cluster.eps" in err
 
     def test_usl_without_checkpoint_is_config_error(self, tmp_path):
         cfg = micro_cfg(tmp_path, "usl")

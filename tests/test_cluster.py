@@ -198,6 +198,15 @@ class TestAdaptTrainer:
             assert stats.mean_loss > 0.0
         assert np.abs(trainer.params["blocks.0.attn.wq"].data - before).max() > 1e-4
 
+    def test_diverged_step_clears_the_tape(self, monkeypatch):
+        trainer, _ = self.setup_trainer(epochs=1)
+        loss_fn = cl.prototype_contrastive_loss
+        monkeypatch.setattr(cl, "prototype_contrastive_loss",
+                            lambda *args: loss_fn(*args) * float("nan"))
+        with pytest.raises(RuntimeError, match="non-finite"):
+            trainer.run_epoch(0)
+        assert len(T.tape()) == 0
+
     def test_never_sees_labels(self):
         import inspect
         sig = inspect.signature(cl.AdaptTrainer.__init__)

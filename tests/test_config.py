@@ -24,7 +24,7 @@ class TestRoundTrip:
         cfg.crops.num_areas = 2
         cfg.crops.global_scale = (0.5, 0.9)
         cfg.distill.temperatures.tau_t = 0.05
-        cfg.distill.raw_sums = True
+        cfg.distill.centering = False
         cfg.finetune.fusion = "mean_all"
         cfg.validate()
         back = cfgmod.parse_text(cfgmod.to_text(cfg))
@@ -140,7 +140,7 @@ class TestValidation:
                                       "crops.aspect_jitter = 0.75, 1.3333333333333333",
                                       "distill.final_lr_frac = 0.01",
                                       "cluster.proto_momentum = 0.2", "eval.report_top_k = 5",
-                                      "eval.report_queries = 4"])
+                                      "eval.report_queries = 4", "distill.raw_sums = false"])
     def test_removed_key_is_unknown(self, line):
         with pytest.raises(ConfigError, match="unknown config key"):
             cfgmod.parse_text(line)

@@ -35,11 +35,12 @@ def make_outputs(rng, b, m, l, j, k, uniform=False, grad_leaf=None):
     )
 
 
-def loss_by_manifest(outputs, raw_sums=False, kl=False):
+def manifest_by_token(outputs, raw_sums=False, kl=False):
     """Independent oracle: walk the enumerated pairings one by one.
 
-    ``kl`` scores each pairing by KL(teacher || student) instead of the
-    cross-entropy.
+    Returns each token's loss ("cls", then parts 1..L), averaged over the
+    batch and, unless ``raw_sums``, divided by its term count. ``kl`` scores
+    each pairing by KL(teacher || student) instead of the cross-entropy.
     """
     b, m, l, j = outputs.dims
     terms = distill.loss_terms(m, l, j)
@@ -64,14 +65,18 @@ def loss_by_manifest(outputs, raw_sums=False, kl=False):
                     s = outputs.s_part_g.data[bi, i, term.student_view[1]]
             per_token.setdefault(term.token, 0.0)
             per_token[term.token] += -(t * s).sum() + ((t * np.log(t)).sum() if kl else 0.0)
-    n_cls = distill.cls_term_count(m, l, j)
-    n_part = distill.part_term_count(m, j)
-    if raw_sums:
-        return (per_token["cls"] + sum(per_token[i] for i in range(1, l + 1))) / b
-    total = per_token["cls"] / (b * n_cls)
-    for i in range(1, l + 1):
-        total += per_token[i] / (b * n_part) / l
-    return total
+    n_cls = 1 if raw_sums else distill.cls_term_count(m, l, j)
+    n_part = 1 if raw_sums else distill.part_term_count(m, j)
+    return {tok: v / (b * (n_cls if tok == "cls" else n_part)) for tok, v in per_token.items()}
+
+
+def loss_by_manifest(outputs, raw_sums=False, kl=False):
+    """The oracle's total: [CLS] plus the part losses, weighted 1/L unless
+    ``raw_sums``."""
+    l = outputs.dims[2]
+    per_token = manifest_by_token(outputs, raw_sums, kl)
+    scale = 1.0 if raw_sums else 1.0 / l
+    return per_token["cls"] + scale * sum(per_token[i] for i in range(1, l + 1))
 
 
 class TestSharpen:
@@ -166,6 +171,19 @@ class TestLossStructure:
                 assert total.item() == pytest.approx(loss_by_manifest(out), rel=1e-12)
                 total_raw, _ = distill.total_loss(out, raw_sums=True)
                 assert total_raw.item() == pytest.approx(loss_by_manifest(out, raw_sums=True), rel=1e-12)
+
+    def test_breakdown_equals_manifest_per_token(self):
+        rng = np.random.default_rng(9)
+        for raw_sums in (False, True):
+            for m, l in ((1, 2), (2, 3)):
+                out = make_outputs(rng, b=2, m=m, l=l, j=mc.views_per_area(l), k=5)
+                _, breakdown = distill.total_loss(out, raw_sums=raw_sums)
+                oracle = manifest_by_token(out, raw_sums)
+                assert breakdown["cls"] == pytest.approx(oracle["cls"], rel=1e-12)
+                assert len(breakdown["parts"]) == l
+                for i, p in enumerate(breakdown["parts"], start=1):
+                    assert p == pytest.approx(oracle[i], rel=1e-12)
+                    assert distill.part_loss(out, i, normalize=not raw_sums).item() == p
 
     def test_excess_loss_is_weighted_kl(self):
         rng = np.random.default_rng(8)
@@ -358,6 +376,23 @@ class TestPretrainer:
         tr.student["cls_token"].data = np.full_like(tr.student["cls_token"].data, np.nan)
         with pytest.raises(distill.TrainingDiverged, match="lambda"):
             tr.pretrain_step()
+        assert len(T.tape()) == 0
+
+    def test_build_batch_stacks_view_sets_in_order(self):
+        tr = tiny_trainer(steps=1)
+        tr.crop_cfg.pos_mode = "crop"
+        indices = [3, 0, 5]
+        globs, locs, loc_part, b, j, rects = tr.build_batch(indices)
+        sets = [mc.build_view_set(tr.images[i], tr.crop_cfg, tr._view_seed(i)) for i in indices]
+        glob_views = [v for vs in sets for v in vs.globals]
+        loc_views = [v for vs in sets for v in vs.locals]
+        assert (b, j) == (3, 1)
+        np.testing.assert_array_equal(globs, np.stack([v.image for v in glob_views]))
+        np.testing.assert_array_equal(locs, np.stack([v.image for v in loc_views]))
+        np.testing.assert_array_equal(loc_part, [v.area_index for v in loc_views])
+        assert list(loc_part) == [1, 2] * 3
+        assert rects[2] == [v.plan.rect_frac for v in loc_views]
+        assert rects[3] == [v.plan.flip for v in loc_views]
 
     def test_student_matches_teacher_better_over_time(self):
         # raw loss tracks the drifting target entropy early on; the excess
@@ -378,9 +413,11 @@ class TestPretrainer:
         assert (moved > 0).all()
 
     def test_tape_size_at_acceptance_toy_config(self, monkeypatch):
-        # every linear and every attention is one tape node: 208 nodes at
-        # this config. A linear split into matmul + bias add, or attention
-        # composed of elementary ops, records 334.
+        # every linear and every attention is one tape node, and the loss
+        # scores each student view once: 151 nodes at this config. Pairwise
+        # (teacher, student) sums in a per-part loop recorded 208; a linear
+        # split into matmul + bias add, or attention composed of elementary
+        # ops, recorded 334.
         bb = vit.BackboneConfig(image_h=32, image_w=16, patch_size=4, embed_dim=48, depth=3,
                                 heads=4, num_parts=3, proj_dim=128).validate()
         crop = mc.MulticropConfig(num_areas=3, global_size=(32, 16), local_size=(16, 8),
@@ -398,7 +435,7 @@ class TestPretrainer:
 
         monkeypatch.setattr(T, "backward", counting_backward)
         tr.pretrain_step()
-        assert len(sizes) == 1 and sizes[0] <= 220, sizes
+        assert len(sizes) == 1 and sizes[0] <= 155, sizes
 
     def test_mismatched_part_and_area_counts_rejected(self):
         bb = vit.BackboneConfig(image_h=16, image_w=8, patch_size=4, embed_dim=8, depth=1,

@@ -233,6 +233,13 @@ class TestFinetuneTrainer:
         trainer.finetune_step()
         assert np.abs(trainer.params["part_tokens"].data - before).max() > 0
 
+    def test_diverged_step_clears_the_tape(self):
+        trainer, _ = toy_training_setup(steps=2)
+        trainer.head.classifier.data = np.full_like(trainer.head.classifier.data, np.nan)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            trainer.finetune_step()
+        assert len(T.tape()) == 0
+
     def test_eval_embeddings_ignore_classifier(self):
         trainer, ds = toy_training_setup(steps=3)
         trainer.run()
