@@ -55,22 +55,30 @@ def save_checkpoint(path, tensors, config=None, extra=None):
 
 def load_checkpoint(path):
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError("%s: not a checkpoint file (bad magic)" % path)
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("version") != VERSION:
-            raise CheckpointError(
-                "%s: checkpoint version %s, this build reads version %d"
-                % (path, header.get("version"), VERSION))
-        payload = fh.read()
+        blob = fh.read()
+    if blob[:len(MAGIC)] != MAGIC:
+        raise CheckpointError("%s: not a checkpoint file (bad magic)" % path)
+    try:
+        (hlen,) = struct.unpack_from("<Q", blob, len(MAGIC))
+        start = len(MAGIC) + 8 + hlen  # of the payload
+        if start > len(blob):
+            raise ValueError("the %d-byte header runs past the end of the file" % hlen)
+        header = json.loads(blob[start - hlen:start].decode("utf-8"))
+    except (struct.error, ValueError) as exc:  # also JSON and UTF-8 errors
+        raise CheckpointError("%s: truncated or corrupt header: %s" % (path, exc)) from None
+    if header.get("version") != VERSION:
+        raise CheckpointError(
+            "%s: checkpoint version %s, this build reads version %d"
+            % (path, header.get("version"), VERSION))
     tensors = {}
     for ent in header["tensors"]:
         shape = tuple(ent["shape"])
         count = int(np.prod(shape)) if shape else 1
-        start = ent["offset"]
-        arr = np.frombuffer(payload, dtype=np.float64, count=count, offset=start)
+        offset = start + ent["offset"]
+        if offset + 8 * count > len(blob):
+            raise CheckpointError("%s: tensor %r runs past the end of the file (truncated?)"
+                                  % (path, ent["name"]))
+        arr = np.frombuffer(blob, dtype=np.float64, count=count, offset=offset)
         tensors[ent["name"]] = arr.reshape(shape).copy()
     return Checkpoint(
         version=header["version"],

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .evaluate import pairwise_dist
-from .finetune import extract_embeddings, forward_embeddings, pk_batch
+from .finetune import extract_embeddings, forward_embeddings, id_loss, pk_batch
 from .optim import AdamW, clip_grad_norm
 from .tensor import Tensor
 from .vit import ConfigError
@@ -124,10 +124,7 @@ def prototype_contrastive_loss(features, labels, bank, temperature=0.05):
     labs = labels[keep]
     normed = T.l2_normalize(feats, axis=-1)
     sims = normed @ Tensor(bank.prototypes.T)
-    logp = T.log_softmax(sims * (1.0 / temperature), axis=-1)
-    onehot = np.zeros((len(labs), len(bank)))
-    onehot[np.arange(len(labs)), labs] = 1.0
-    return -T.mean(T.sum_(logp * Tensor(onehot), axis=-1))
+    return id_loss(sims * (1.0 / temperature), labs)
 
 
 def extract_all_features(params, images, fusion="mean_all", batch_size=32, workers=0):

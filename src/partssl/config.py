@@ -91,6 +91,13 @@ class RunConfig:
             if h % p or w % p:
                 raise ConfigError("crops.%s: %dx%d not divisible by backbone.patch_size %d"
                                   % (key, h, w, p))
+        for key in ("ids_per_batch", "samples_per_id"):  # a batch needs positives and negatives
+            if getattr(self.finetune, key) < 2:
+                raise ConfigError("finetune.%s must be >= 2, got %d"
+                                  % (key, getattr(self.finetune, key)))
+        if not -1 <= self.visualize.layer < self.backbone.depth:
+            raise ConfigError("visualize.layer: expected -1 .. %d (backbone.depth - 1), got %d"
+                              % (self.backbone.depth - 1, self.visualize.layer))
         if self.eval.max_rank < 1:
             raise ConfigError("eval.max_rank must be >= 1, got %d" % self.eval.max_rank)
         if self.data.kind not in ("synthetic", "dir"):

@@ -48,8 +48,8 @@ def fuse(cls_out, part_outs, strategy):
     """Combine [CLS] (B,C) with part outputs (B,L,C) into one embedding."""
     L = part_outs.shape[1]
     if strategy == "concat_all":
-        pieces = [cls_out] + [part_outs[:, i, :] * (1.0 / L) for i in range(L)]
-        return T.concatenate(pieces, axis=-1)
+        parts = T.reshape(part_outs * (1.0 / L), (part_outs.shape[0], -1))
+        return T.concatenate([cls_out, parts], axis=-1)
     mean_part = T.mean(part_outs, axis=1)
     if strategy == "mean_all":
         return (cls_out + mean_part) * 0.5
@@ -130,33 +130,23 @@ def _pairwise_dist_t(emb, eps=1e-12):
     return T.sqrt(d2 + eps)
 
 
-def _check_batch(pos_mask, neg_mask, labels):
-    if len(labels) < 2 or len(set(labels.tolist())) < 2:
-        raise BatchCompositionError("batch needs at least 2 identities, got %d"
-                                    % len(set(labels.tolist())))
-    if not pos_mask.any(axis=1).all():
-        bad = int(np.where(~pos_mask.any(axis=1))[0][0])
-        raise BatchCompositionError(
-            "anchor %d (identity %s) has no positive in the batch" % (bad, labels[bad]))
-    if not neg_mask.any(axis=1).all():
-        bad = int(np.where(~neg_mask.any(axis=1))[0][0])
-        raise BatchCompositionError(
-            "anchor %d (identity %s) has no negative in the batch" % (bad, labels[bad]))
-
-
 def batch_hard_triplet(embeddings, labels, margin=0.3):
     """Hinge on (hardest positive - hardest negative + margin), batch mean."""
     labels = np.asarray(labels)
     n = len(labels)
     same = labels[:, None] == labels[None, :]
-    eye = np.eye(n, dtype=bool)
-    pos_mask = same & ~eye
-    neg_mask = ~same
-    _check_batch(pos_mask, neg_mask, labels)
+    pos_mask = same & ~np.eye(n, dtype=bool)
+    n_ids = len(np.unique(labels))
+    if n_ids < 2:  # with two, every anchor has a negative
+        raise BatchCompositionError("batch needs at least 2 identities, got %d" % n_ids)
+    if not pos_mask.any(axis=1).all():
+        bad = int(np.argmin(pos_mask.any(axis=1)))
+        raise BatchCompositionError(
+            "anchor %d (identity %s) has no positive in the batch" % (bad, labels[bad]))
     d = _pairwise_dist_t(embeddings)
-    big = 1e12
-    d_pos = T.max_(d + Tensor(np.where(pos_mask, 0.0, -big)), axis=1)
-    d_neg = T.min_(d + Tensor(np.where(neg_mask, 0.0, big)), axis=1)
+    rows = np.arange(n)
+    d_pos = d[rows, np.where(pos_mask, d.data, -np.inf).argmax(axis=1)]
+    d_neg = d[rows, np.where(same, np.inf, d.data).argmin(axis=1)]
     return T.mean(T.relu(d_pos - d_neg + margin))
 
 

@@ -409,24 +409,6 @@ def getitem(a, key):
     return _record(out, (a,), bfn)
 
 
-def gather(a, indices, axis=0):
-    """Select rows by integer index along axis 0 (embedding-style lookup)."""
-    a = _coerce(a)
-    if axis != 0:
-        _fail("gather", "only axis=0 is supported")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        _fail("gather", "index out of range for first dim %d" % a.shape[0])
-    out = Tensor(a.data[idx])
-
-    def bfn(g):
-        z = np.zeros_like(a.data)
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return _record(out, (a,), bfn)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -449,33 +431,6 @@ def mean(a, axis=None, keepdims=False):
     a = _coerce(a)
     count = a.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
-
-
-def _extreme(a, axis, keepdims, np_fn, np_arg_fn):
-    a = _coerce(a)
-    data = np_fn(a.data, axis=axis, keepdims=keepdims)
-    out = Tensor(data)
-
-    def bfn(g):
-        z = np.zeros_like(a.data)
-        if axis is None:
-            z.reshape(-1)[np_arg_fn(a.data)] = g
-            return (z,)
-        idx = np.expand_dims(np_arg_fn(a.data, axis=axis), axis)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        np.put_along_axis(z, idx, gg, axis)
-        return (z,)
-
-    return _record(out, (a,), bfn)
-
-
-def max_(a, axis=None, keepdims=False):
-    """Max reduction; gradient flows to the first argmax position."""
-    return _extreme(a, axis, keepdims, np.max, np.argmax)
-
-
-def min_(a, axis=None, keepdims=False):
-    return _extreme(a, axis, keepdims, np.min, np.argmin)
 
 
 # ---------------------------------------------------------------------------

@@ -280,14 +280,15 @@ def assemble(patches, part_index, params):
     """
     cfg = params.cfg
     idx = np.asarray(part_index, dtype=np.int64)
-    B, _, C = patches.shape
+    B = patches.shape[0]
     if idx.ndim != 2 or idx.shape[0] != B:
         raise T.ShapeError("assemble: need a (%d, P) part index array, got shape %s"
                            % (B, idx.shape))
     if idx.size and (idx.min() < 1 or idx.max() > cfg.num_parts):
         raise LayoutError("part index outside 1..%d" % cfg.num_parts)
-    cls = T.broadcast_to(T.reshape(params["cls_token"], (1, 1, C)), (B, 1, C))
-    return T.concatenate([cls, T.gather(params["part_tokens"], idx - 1), patches], axis=1)
+    specials = T.concatenate([params["cls_token"], params["part_tokens"]], axis=0)
+    rows = np.concatenate([np.zeros((B, 1), dtype=np.int64), idx], axis=1)
+    return T.concatenate([specials[rows], patches], axis=1)
 
 
 def _attention(x, params, pre, cfg, probs_out):

@@ -122,6 +122,22 @@ class TestFinetuneMode:
         with open(os.path.join(cfg.out_dir, "loss_log.jsonl")) as fh:
             assert len(fh.readlines()) == 3
 
+    def test_truncated_checkpoint_is_checkpoint_error(self, pipeline, tmp_path, capsys):
+        blob = open(pipeline["pre"]["checkpoint"], "rb").read()
+        hlen = int.from_bytes(blob[8:16], "little")
+        cuts = {"length field": blob[:12], "header": blob[:16 + hlen // 2],
+                "payload start": blob[:16 + hlen], "payload": blob[:len(blob) - 8],
+                "last byte": blob[:-1], "bad json": blob[:16] + b"{" * hlen + blob[16 + hlen:]}
+        cfg_path = cfgmod.save_config(micro_cfg(tmp_path, "finetune"), str(tmp_path / "ft.cfg"))
+        for name, data in cuts.items():
+            path = tmp_path / ("cut_%s.ckpt" % name.replace(" ", "_"))
+            path.write_bytes(data)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(str(path))
+            assert cli.main(["finetune", "--config", cfg_path, "--init", str(path)]) == 1, name
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and str(path) in err, (name, err)
+
     def test_wrong_stage_refused(self, pipeline, tmp_path):
         cfg = micro_cfg(tmp_path, "usl", init_checkpoint=pipeline["ft"]["checkpoint"])
         with pytest.raises(cfgmod.ConfigError, match="stage"):

@@ -103,7 +103,10 @@ class TestValidation:
     @pytest.mark.parametrize("line", ["crops.local_size = 22, 12",
                                       "crops.global_size = 64, 30",
                                       "data.num_identities = 80",
-                                      "eval.max_rank = 0"])
+                                      "eval.max_rank = 0",
+                                      "finetune.ids_per_batch = 1",
+                                      "finetune.samples_per_id = 1",
+                                      "visualize.layer = 4"])  # backbone.depth is 4
     def test_unusable_value_rejected_at_load(self, line, tmp_path, capsys):
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError, match=key):

@@ -240,6 +240,25 @@ class TestFinetuneTrainer:
             trainer.finetune_step()
         assert len(T.tape()) == 0
 
+    def test_tape_size_at_default_backbone(self, monkeypatch):
+        # one lookup for the special tokens and the hardest positive and
+        # negative read by index: 96 nodes. A [CLS] broadcast apart from a
+        # part gather and max/min over ±1e12-masked distances recorded 99.
+        ds = sd.generate(sd.SyntheticSpec(num_identities=4, images_per_identity=4), seed=0)
+        params = vit.NetworkParams.init(vit.BackboneConfig().validate(),
+                                        np.random.default_rng(0))
+        trainer = ft.FinetuneTrainer(params, ft.FinetuneConfig(steps=1), ds.images, ds.ids, 0)
+        sizes = []
+        backward = T.backward
+
+        def counting_backward(loss, params=None):
+            sizes.append(len(T.tape()))
+            backward(loss, params=params)
+
+        monkeypatch.setattr(T, "backward", counting_backward)
+        trainer.finetune_step()
+        assert len(sizes) == 1 and sizes[0] <= 96, sizes
+
     def test_eval_embeddings_ignore_classifier(self):
         trainer, ds = toy_training_setup(steps=3)
         trainer.run()
