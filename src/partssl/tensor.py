@@ -168,11 +168,31 @@ def _coerce(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=DTYPE))
 
 
+def _tracked(*parents):
+    return grad_enabled() and any(p.requires_grad for p in parents)
+
+
 def _record(out, parents, backward_fn):
-    if grad_enabled() and any(p.requires_grad for p in parents):
+    if _tracked(*parents):
         out.requires_grad = True
         tape().record(out, parents, backward_fn)
     return out
+
+
+# attention, gelu and layer_norm run over row blocks of about this size, so
+# each block's temporaries stay in L2; every element and every last-axis
+# reduction is computed as on the whole array, bit for bit
+BLOCK_BYTES = 1 << 17
+
+
+def _blocks(n, row_bytes, keep):
+    """The buffer's row count and, per block of at most ``BLOCK_BYTES`` (at least
+    one row), the row slice and its slice of the buffer: the same rows if ``keep``
+    (a buffer of all rows), else the head of a one-block buffer."""
+    step = max(1, BLOCK_BYTES // max(1, row_bytes))
+    return (n if keep else min(step, n)), [
+        (slice(i, i + step), slice(i, i + step) if keep else slice(0, min(step, n - i)))
+        for i in range(0, n, step)]
 
 
 def _unbroadcast(g, shape):
@@ -211,10 +231,7 @@ def backward(loss, params=None):
             if pg is None or not p.requires_grad:
                 continue
             key = id(p)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
+            grads[key] = grads[key] + pg if key in grads else pg
     for key, leaf in leaves.items():
         g = grads.get(key)
         leaf.grad = np.zeros_like(leaf.data) if g is None else g
@@ -234,7 +251,8 @@ def add(a, b):
         out = Tensor(a.data + b.data)
     except ValueError:
         _fail("add", "shapes %s and %s not broadcastable" % (a.shape, b.shape))
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                                           _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 def sub(a, b):
@@ -243,7 +261,8 @@ def sub(a, b):
         out = Tensor(a.data - b.data)
     except ValueError:
         _fail("sub", "shapes %s and %s not broadcastable" % (a.shape, b.shape))
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                                           _unbroadcast(-g, b.shape) if b.requires_grad else None))
 
 
 def mul(a, b):
@@ -254,7 +273,8 @@ def mul(a, b):
         _fail("mul", "shapes %s and %s not broadcastable" % (a.shape, b.shape))
 
     def bfn(g):
-        return (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape))
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bfn)
 
@@ -267,9 +287,8 @@ def div(a, b):
         _fail("div", "shapes %s and %s not broadcastable" % (a.shape, b.shape))
 
     def bfn(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return (ga, gb)
+        return (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bfn)
 
@@ -291,25 +310,29 @@ def matmul(a, b):
         _fail("matmul", "batch dims of %s and %s not broadcastable" % (a.shape, b.shape))
 
     def bfn(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return (ga, gb)
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None,
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bfn)
 
 
 def linear(x, w, b):
     """``x @ w + b`` over the last axis of ``x``: one GEMM forward, one each
-    for the input and weight gradients, whatever the leading dims."""
+    for the input and weight gradients, whatever the leading dims. The bias
+    is added in place."""
     x, w, b = _coerce(x), _coerce(w), _coerce(b)
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         _fail("linear", "shapes %s @ %s + %s do not conform" % (x.shape, w.shape, b.shape))
     x2 = x.data.reshape(-1, w.shape[0])
-    out = Tensor((x2 @ w.data + b.data).reshape(x.shape[:-1] + (w.shape[1],)))
+    y = x2 @ w.data
+    y += b.data
+    out = Tensor(y.reshape(x.shape[:-1] + (w.shape[1],)))
 
     def bfn(g):
         g2 = g.reshape(-1, w.shape[1])
-        return ((g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0))
+        return ((g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+                x2.T @ g2 if w.requires_grad else None,
+                g2.sum(axis=0) if b.requires_grad else None)
 
     return _record(out, (x, w, b), bfn)
 
@@ -320,6 +343,9 @@ def attention(q, k, v, heads, probs_out=None):
     Each of the ``heads`` channel groups attends with softmax(q k^T / sqrt(dh));
     the head outputs are merged back to (B, S, C). If ``probs_out`` is a list,
     the (B, heads, S, S) attention probabilities are appended to it.
+
+    Runs over blocks of whole views. The probabilities are kept for backward
+    or ``probs_out`` only; otherwise one block's worth is reused.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % heads:
@@ -327,22 +353,37 @@ def attention(q, k, v, heads, probs_out=None):
               % (q.shape, k.shape, v.shape, heads))
     B, S, C = q.shape
     scale = 1.0 / np.sqrt(C // heads)
-    qh, kh, vh = (t.data.reshape(B, S, heads, -1).transpose(0, 2, 1, 3) for t in (q, k, v))
-    p = qh @ kh.transpose(0, 1, 3, 2)  # scores, then probabilities in place
-    p *= scale
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+
+    def split(a):  # (B, S, C) -> (B, heads, S, dh) view
+        return a.reshape(B, S, heads, -1).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = (split(t.data) for t in (q, k, v))
+    rows, blocks = _blocks(B, 8 * heads * S * S, probs_out is not None or _tracked(q, k, v))
+    p, y = np.empty((rows, heads, S, S)), np.empty((B, S, C))
+    for s, ps in blocks:
+        pb = p[ps]  # scores, then probabilities in place
+        np.matmul(qh[s], kh[s].transpose(0, 1, 3, 2), out=pb)
+        pb *= scale
+        pb -= pb.max(axis=-1, keepdims=True)
+        np.exp(pb, out=pb)
+        pb /= pb.sum(axis=-1, keepdims=True)
+        np.matmul(pb, vh[s], out=split(y)[s])
     if probs_out is not None:
         probs_out.append(p)
-    out = Tensor((p @ vh).transpose(0, 2, 1, 3).reshape(B, S, C))
+    out = Tensor(y)
 
     def bfn(g):
-        gh = g.reshape(B, S, heads, -1).transpose(0, 2, 1, 3)
-        dp = gh @ vh.transpose(0, 1, 3, 2)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
-        return tuple(d.transpose(0, 2, 1, 3).reshape(B, S, C) for d in
-                     (ds @ kh, ds.transpose(0, 1, 3, 2) @ qh, p.transpose(0, 1, 3, 2) @ gh))
+        gh = split(g)
+        grads = [np.empty((B, S, C)) if t.requires_grad else None for t in (q, k, v)]
+        for s, _ in blocks:
+            pb = p[s]
+            dp = gh[s] @ vh[s].transpose(0, 1, 3, 2)
+            ds = pb * (dp - (dp * pb).sum(axis=-1, keepdims=True)) * scale
+            for d, a, b in zip(grads, (ds, ds.transpose(0, 1, 3, 2), pb.transpose(0, 1, 3, 2)),
+                               (kh, qh, gh)):
+                if d is not None:
+                    np.matmul(a, b[s], out=split(d)[s])
+        return tuple(grads)
 
     return _record(out, (q, k, v), bfn)
 
@@ -354,10 +395,7 @@ def attention(q, k, v, heads, probs_out=None):
 def transpose(a, axes=None):
     a = _coerce(a)
     out = Tensor(np.transpose(a.data, axes))
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
+    inv = None if axes is None else tuple(np.argsort(axes))
     return _record(out, (a,), lambda g: (np.transpose(g, inv),))
 
 
@@ -387,8 +425,7 @@ def concatenate(tensors, axis=0):
         out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
     except ValueError:
         _fail("concatenate", "shapes %s do not align on axis %d" % ([t.shape for t in ts], axis))
-    sizes = [t.shape[axis] for t in ts]
-    bounds = np.cumsum([0] + sizes)
+    bounds = np.cumsum([0] + [t.shape[axis] for t in ts])
 
     def bfn(g):
         g = np.moveaxis(g, axis, 0)
@@ -418,9 +455,7 @@ def sum_(a, axis=None, keepdims=False):
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def bfn(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
@@ -453,23 +488,28 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a):
-    """Gaussian error linear unit (tanh approximation)."""
+    """Gaussian error linear unit (tanh approximation), in blocks of elements;
+    the tanh is kept for backward only."""
     a = _coerce(a)
-    x = a.data
-    x2 = x * x
-    inner = x2 * x
-    inner *= 0.044715
-    inner += x
-    inner *= _GELU_C
-    t = np.tanh(inner)
-    out = Tensor(0.5 * x * (1.0 + t))
+    x = a.data.reshape(-1)
+    size, blocks = _blocks(x.size, 8, _tracked(a))
+    y, t = np.empty_like(x), np.empty(size)
+    for s, ts in blocks:
+        xb, tb = x[s], t[ts]
+        np.tanh((xb * xb * xb * 0.044715 + xb) * _GELU_C, out=tb)
+        np.multiply(0.5 * xb, 1.0 + tb, out=y[s])
+    out = Tensor(y.reshape(a.shape))
 
     def bfn(g):
-        dy = 1.0 - t * t
-        dy *= _GELU_C * (1.0 + 0.134145 * x2)
-        dy *= 0.5 * x
-        dy += 0.5 * (1.0 + t)
-        return (g * dy,)
+        g, ga = g.reshape(-1), np.empty_like(x)
+        for s, _ in blocks:
+            xb, tb = x[s], t[s]
+            dy = 1.0 - tb * tb
+            dy *= _GELU_C * (1.0 + 0.134145 * (xb * xb))
+            dy *= 0.5 * xb
+            dy += 0.5 * (1.0 + tb)
+            np.multiply(g[s], dy, out=ga[s])
+        return (ga.reshape(a.shape),)
 
     return _record(out, (a,), bfn)
 
@@ -502,24 +542,36 @@ def log_softmax(a, axis=-1):
 
 
 def layer_norm(a, gamma, beta, eps=1e-6):
-    """Layer normalization over the last dimension with affine parameters."""
+    """Layer normalization over the last dimension with affine parameters,
+    in blocks of rows; the normalized rows are kept for backward only."""
     a, gamma, beta = _coerce(a), _coerce(gamma), _coerce(beta)
     if gamma.shape != (a.shape[-1],) or beta.shape != (a.shape[-1],):
         _fail("layer_norm", "affine params %s/%s do not match last dim of %s" % (gamma.shape, beta.shape, a.shape))
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    C = a.shape[-1]
+    x = a.data.reshape(-1, C)
+    rows, blocks = _blocks(len(x), 8 * C, _tracked(a, gamma, beta))
+    y, xhat, inv = np.empty_like(x), np.empty((rows, C)), np.empty((rows, 1))
+    for s, ks in blocks:
+        xc = x[s] - x[s].mean(axis=-1, keepdims=True)
+        var = (xc * xc).mean(axis=-1, keepdims=True)
+        np.divide(1.0, np.sqrt(var + eps), out=inv[ks])
+        np.multiply(xc, inv[ks], out=xhat[ks])
+        np.multiply(xhat[ks], gamma.data, out=y[s])
+        y[s] += beta.data
+    out = Tensor(y.reshape(a.shape))
 
     def bfn(g):
-        gg = g * gamma.data
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        ga = (gg - m1 - xhat * m2) * inv
+        ga = np.empty_like(x) if a.requires_grad else None
+        for s, _ in blocks if a.requires_grad else ():
+            gg = g.reshape(-1, C)[s] * gamma.data
+            m1 = gg.mean(axis=-1, keepdims=True)
+            m2 = (gg * xhat[s]).mean(axis=-1, keepdims=True)
+            np.multiply(gg - m1 - xhat[s] * m2, inv[s], out=ga[s])
+        # the affine gradients sum all rows at once, in the unblocked order
         axes = tuple(range(g.ndim - 1))
-        return (ga, (g * xhat).sum(axis=axes), g.sum(axis=axes))
+        return (ga if ga is None else ga.reshape(a.shape),
+                (g * xhat.reshape(g.shape)).sum(axis=axes) if gamma.requires_grad else None,
+                g.sum(axis=axes) if beta.requires_grad else None)
 
     return _record(out, (a, gamma, beta), bfn)
 
@@ -533,9 +585,8 @@ def l2_normalize(a, axis=-1, eps=1e-12):
     out = Tensor(y)
 
     def bfn(g):
-        safe = norm > eps
         proj = (g - y * (g * y).sum(axis=axis, keepdims=True)) / denom
-        return (np.where(safe, proj, g / eps),)
+        return (np.where(norm > eps, proj, g / eps),)
 
     return _record(out, (a,), bfn)
 
@@ -567,8 +618,7 @@ def finite_diff_check(f, params, eps=1e-5):
     max_err = 0.0
     with no_grad():
         for p, an in zip(params, analytic):
-            flat = p.data.reshape(-1)
-            an_flat = an.reshape(-1)
+            flat, an_flat = p.data.reshape(-1), an.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps

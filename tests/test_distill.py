@@ -327,6 +327,18 @@ def tiny_trainer(steps=30, seed=0, centering=True, **pre_kw):
     return distill.Pretrainer(bb, crop, pre, ds.images, seed=seed)
 
 
+def acceptance_toy_trainer():
+    """One-step Pretrainer at the toy config of tests/test_acceptance.py."""
+    bb = vit.BackboneConfig(image_h=32, image_w=16, patch_size=4, embed_dim=48, depth=3,
+                            heads=4, num_parts=3, proj_dim=128).validate()
+    crop = mc.MulticropConfig(num_areas=3, global_size=(32, 16), local_size=(16, 8),
+                              pos_mode="crop")
+    ds = sd.generate(sd.SyntheticSpec(num_identities=6, images_per_identity=2,
+                                      image_h=32, image_w=16), seed=11)
+    return distill.Pretrainer(bb, crop, distill.PretrainConfig(steps=1, batch_size=6),
+                              ds.images, seed=0)
+
+
 class TestPretrainer:
     def test_teacher_moves_toward_student_by_ema_factor(self):
         tr = tiny_trainer(steps=5)
@@ -420,14 +432,7 @@ class TestPretrainer:
         # (teacher, student) sums in a per-part loop recorded 208; a linear
         # split into matmul + bias add, or attention composed of elementary
         # ops, recorded 334.
-        bb = vit.BackboneConfig(image_h=32, image_w=16, patch_size=4, embed_dim=48, depth=3,
-                                heads=4, num_parts=3, proj_dim=128).validate()
-        crop = mc.MulticropConfig(num_areas=3, global_size=(32, 16), local_size=(16, 8),
-                                  pos_mode="crop")
-        ds = sd.generate(sd.SyntheticSpec(num_identities=6, images_per_identity=2,
-                                          image_h=32, image_w=16), seed=11)
-        tr = distill.Pretrainer(bb, crop, distill.PretrainConfig(steps=1, batch_size=6),
-                                ds.images, seed=0)
+        tr = acceptance_toy_trainer()
         sizes = []
         backward = T.backward
 
@@ -436,8 +441,33 @@ class TestPretrainer:
             backward(loss, params=params)
 
         monkeypatch.setattr(T, "backward", counting_backward)
-        tr.pretrain_step()
+        with T.scoped_tape():  # nodes other tests left on this thread's tape do not count
+            tr.pretrain_step()
         assert len(sizes) == 1 and sizes[0] <= 149, sizes
+
+    def test_backward_skips_parents_that_need_no_gradient(self, monkeypatch):
+        # the patch pixels, the position interpolation matrices and the
+        # constant factors get no gradient array; 15 were formed per step
+        # when each backward computed every parent's gradient
+        tr = acceptance_toy_trainer()
+        constant, formed = [], []
+        record = T.Tape.record
+
+        def checked_record(tape, out, parents, backward_fn):
+            def checked(g):
+                grads = backward_fn(g)
+                for p, pg in zip(parents, grads):
+                    if not p.requires_grad:
+                        constant.append(p.shape)
+                        if pg is not None:
+                            formed.append((p.shape, np.shape(pg)))
+                return grads
+
+            record(tape, out, parents, checked)
+
+        monkeypatch.setattr(T.Tape, "record", checked_record)
+        tr.pretrain_step()
+        assert len(constant) >= 15 and formed == []
 
     def test_mismatched_part_and_area_counts_rejected(self):
         bb = vit.BackboneConfig(image_h=16, image_w=8, patch_size=4, embed_dim=8, depth=1,

@@ -256,7 +256,8 @@ class TestFinetuneTrainer:
             backward(loss, params=params)
 
         monkeypatch.setattr(T, "backward", counting_backward)
-        trainer.finetune_step()
+        with T.scoped_tape():  # nodes other tests left on this thread's tape do not count
+            trainer.finetune_step()
         assert len(sizes) == 1 and sizes[0] <= 96, sizes
 
     def test_eval_embeddings_ignore_classifier(self):
@@ -267,6 +268,21 @@ class TestFinetuneTrainer:
                                     trainer.ft.fusion)
         assert np.isfinite(emb).all()
         assert emb.shape == (6, ft.fused_dim(trainer.ft.fusion, 2, 16))
+
+    def test_threaded_extraction_bit_identical_at_default_backbone(self):
+        # 4-image chunks of 132 tokens: attention, gelu and layer_norm each
+        # run several blocks per call, so shared scratch would show here
+        cfg = vit.BackboneConfig().validate()
+        assert 4 * 132 * cfg.embed_dim * 8 > T.BLOCK_BYTES
+        params = vit.NetworkParams.init(cfg, np.random.default_rng(5))
+        images = sd.generate(sd.SyntheticSpec(num_identities=6, images_per_identity=4),
+                             seed=5).images
+        serial = ft.extract_embeddings(params, None, images, "concat_all", batch_size=4,
+                                       workers=1)
+        threaded = ft.extract_embeddings(params, None, images, "concat_all", batch_size=4,
+                                         workers=2)
+        assert serial.shape == (24, 4 * cfg.embed_dim)
+        assert np.array_equal(serial, threaded)
 
     def test_needs_two_identities(self):
         cfg = small_cfg()

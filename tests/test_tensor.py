@@ -197,7 +197,7 @@ class TestOpGradients:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_grad(self, name):
-        g = rng(hash(name) % 2**31)
+        g = rng(sorted(self.CASES).index(name))  # str hashes vary per process
         x = T.Tensor(g.normal(0, 1.0, size=(5,)), requires_grad=True)
         extra = [T.Tensor(g.normal(1.0, 0.2, (5,)), requires_grad=True),
                  T.Tensor(g.normal(0, 0.2, (5,)), requires_grad=True)]
@@ -246,6 +246,62 @@ def unfused_attention(q, k, v, heads):
     return T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (B, S, C))
 
 
+def unblocked_attention(q, k, v, heads, g):
+    """The whole-array attention kernel: output, probabilities, dq, dk, dv
+    for the output gradient ``g``. The reference of the blocked op."""
+    B, S, C = q.shape
+    scale = 1.0 / np.sqrt(C // heads)
+    qh, kh, vh, gh = (t.reshape(B, S, heads, -1).transpose(0, 2, 1, 3) for t in (q, k, v, g))
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    dp = gh @ vh.transpose(0, 1, 3, 2)
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+    return [(p @ vh).transpose(0, 2, 1, 3).reshape(B, S, C), p] + [
+        d.transpose(0, 2, 1, 3).reshape(B, S, C) for d in
+        (ds @ kh, ds.transpose(0, 1, 3, 2) @ qh, p.transpose(0, 1, 3, 2) @ gh)]
+
+
+def unblocked_gelu(x, g):
+    """The whole-array gelu kernel: output and input gradient."""
+    x2 = x * x
+    inner = x2 * x
+    inner *= 0.044715
+    inner += x
+    inner *= T._GELU_C
+    t = np.tanh(inner)
+    dy = 1.0 - t * t
+    dy *= T._GELU_C * (1.0 + 0.134145 * x2)
+    dy *= 0.5 * x
+    dy += 0.5 * (1.0 + t)
+    return [0.5 * x * (1.0 + t), g * dy]
+
+
+def unblocked_layer_norm(x, gamma, beta, g, eps=1e-6):
+    """The whole-array layer_norm kernel: output and the three gradients."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    gg = g * gamma
+    m1 = gg.mean(axis=-1, keepdims=True)
+    m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+    axes = tuple(range(g.ndim - 1))
+    return [xhat * gamma + beta, (gg - m1 - xhat * m2) * inv, (g * xhat).sum(axis=axes),
+            g.sum(axis=axes)]
+
+
+def regime_rows(row_bytes, regime):
+    """Rows of ``row_bytes`` that make one block, four whole blocks, or four
+    and a ragged fifth, at the current ``T.BLOCK_BYTES``."""
+    step = T.BLOCK_BYTES // row_bytes
+    assert step >= 4
+    return {"one": step // 4, "several": 4 * step, "ragged": 4 * step + 3}[regime]
+
+
 class TestFusedOps:
     """Each fused op against the composition of elementary ops it replaces."""
 
@@ -288,6 +344,66 @@ class TestFusedOps:
         assert p.shape == (2, 3, 5, 5)
         assert (p > 0).all()
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("regime", ["one", "several", "ragged"])
+    @pytest.mark.parametrize("kernel", ["attention", "gelu", "layer_norm"])
+    def test_blocked_kernel_bit_identical_to_unblocked(self, kernel, regime):
+        # output, every gradient and attention's probabilities, in grad mode
+        # and under no_grad, on one block, four whole blocks, or four and a
+        # ragged fifth
+        g = rng(97)
+        if kernel == "attention":
+            heads, S, C = 2, 16, 8
+            n = regime_rows(8 * heads * S * S, regime)
+            arrays = [g.normal(0, 2, (n, S, C)) for _ in range(3)]
+
+            def op(q, k, v, probs_out):
+                return T.attention(q, k, v, heads, probs_out)
+
+            def unblocked(q, k, v, dy):
+                return unblocked_attention(q, k, v, heads, dy)
+        elif kernel == "gelu":
+            arrays = [g.normal(0, 2, (regime_rows(8 * 16, regime), 16))]
+            op, unblocked = (lambda a, probs_out: T.gelu(a)), unblocked_gelu
+        else:
+            C = 16
+            arrays = [g.normal(0, 2, (2, regime_rows(2 * 8 * C, regime), C)),
+                      g.normal(1, 0.2, C), g.normal(0, 0.2, C)]
+            op, unblocked = (lambda a, gm, bt, probs_out: T.layer_norm(a, gm, bt)), \
+                unblocked_layer_norm
+        dy = rng(98).normal(size=arrays[0].shape)
+        want = unblocked(*arrays, dy)
+        ts = [T.Tensor(a, requires_grad=True) for a in arrays]
+        probs = []
+        with T.scoped_tape():
+            out = op(*ts, probs_out=probs)
+            T.sum_(out * T.Tensor(dy)).backward(params=ts)
+        got = [out.data] + probs + [t.grad for t in ts]
+        assert len(got) == len(want)
+        for w, x in zip(want, got):
+            assert x.shape == w.shape and np.array_equal(x, w)
+        with T.no_grad():
+            kept = []
+            assert np.array_equal(op(*map(T.Tensor, arrays), probs_out=kept).data, want[0])
+            assert np.array_equal(op(*map(T.Tensor, arrays), probs_out=None).data, want[0])
+        assert len(kept) == len(probs) and all(np.array_equal(p, want[1]) for p in kept)
+
+    def test_blocked_kernel_grads_match_finite_differences(self, monkeypatch):
+        # 64-byte blocks: 8 gelu elements, 2 layer_norm rows, 1 attention view
+        monkeypatch.setattr(T, "BLOCK_BYTES", 64)
+        g = rng(99)
+        x = T.Tensor(g.normal(size=(5, 3)), requires_grad=True)
+        weight = T.Tensor(g.normal(size=(5, 3)))
+        assert T.finite_diff_check(lambda p: T.sum_(T.gelu(p[0]) * weight), [x], eps=1e-6) < 1e-6
+        ln = [T.Tensor(g.normal(size=(5, 4)), requires_grad=True),
+              T.Tensor(g.normal(1.0, 0.2, 4), requires_grad=True),
+              T.Tensor(g.normal(0, 0.2, 4), requires_grad=True)]
+        weight = T.Tensor(g.normal(size=(5, 4)))
+        assert T.finite_diff_check(lambda p: T.sum_(T.layer_norm(*p) * weight), ln, eps=1e-6) < 1e-6
+        qkv = [T.Tensor(g.normal(size=(3, 3, 4)), requires_grad=True) for _ in range(3)]
+        weight = T.Tensor(g.normal(size=(3, 3, 4)))
+        assert T.finite_diff_check(lambda p: T.sum_(T.attention(*p, heads=2) * weight), qkv,
+                                   eps=1e-6) < 1e-6
 
     def test_shape_errors_name_the_op(self):
         with pytest.raises(T.ShapeError, match="linear"):
