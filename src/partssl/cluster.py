@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .evaluate import pairwise_dist
+from .evaluate import pairwise_blocks
 from .finetune import extract_embeddings, forward_embeddings, id_loss, pk_batch
 from .optim import AdamW, clip_grad_norm
 from .tensor import Tensor
@@ -45,11 +45,13 @@ def _l2n(x, eps=1e-12):
 
 
 def dbscan(features, eps, min_points):
-    """Plain O(n^2) density clustering with Euclidean distances."""
+    """Plain O(n^2) density clustering with Euclidean distances, taken one
+    block of rows at a time."""
     x = np.asarray(features, dtype=np.float64)
     n = len(x)
-    d = pairwise_dist(x, x)
-    neighbors = [np.where(d[i] <= eps)[0] for i in range(n)]
+    neighbors = []
+    for _, d in pairwise_blocks(x, x):
+        neighbors.extend(np.flatnonzero(row) for row in d <= eps)
     core = np.array([len(nb) >= min_points for nb in neighbors])
     labels = np.full(n, -1, dtype=np.int64)
     cluster = 0

@@ -308,4 +308,9 @@ def load_embeddings(path):
             vecs.append(rec["vector"])
             ids.append(rec["identity"])
             cams.append(rec["camera"])
-    return np.asarray(vecs, dtype=np.float64), np.asarray(ids), np.asarray(cams)
+    vecs = np.asarray(vecs, dtype=np.float64)
+    # JSON reads NaN and Infinity, and evaluate would rank them without a word
+    bad = np.nonzero(~np.isfinite(vecs))[0]
+    if len(bad):
+        raise vit.ConfigError("%s line %d: embedding vector is not finite" % (path, bad[0] + 1))
+    return vecs, np.asarray(ids), np.asarray(cams)

@@ -184,6 +184,20 @@ class TestEvalMode:
         keys = [l.split(" = ")[0] for l in (out / "metrics.txt").read_text().splitlines()]
         assert keys == ["mAP", "rank-1", "rank-5", "valid_queries", "excluded_queries"]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_dump_exits_1(self, tmp_path, capsys, bad):
+        from partssl.finetune import dump_embeddings
+        rng = np.random.default_rng(1)
+        emb = rng.normal(size=(40, 4))
+        emb[17, 2] = bad
+        dump = str(tmp_path / "emb.jsonl")
+        dump_embeddings(dump, emb, np.arange(40) // 4, np.arange(40) % 2)
+        cfg_file = tmp_path / "eval.cfg"
+        cfg_file.write_text("eval.embeddings = %s\n" % dump)
+        assert cli.main(["eval", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and dump + " line 18" in err, err
+
     def test_missing_embeddings_config_error(self, tmp_path):
         cfg = micro_cfg(tmp_path, "eval")
         with pytest.raises(cfgmod.ConfigError, match="embeddings"):

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 
 from partssl import cluster as cl
+from partssl import evaluate as ev
 from partssl import synthetic as sd
 from partssl import tensor as T
 from partssl import vit
@@ -17,7 +20,62 @@ def blobs(rng, centers, n_per, scale=0.05):
     return np.concatenate(pts), np.array(labels)
 
 
+def reference_dbscan(x, eps, min_points):
+    """``dbscan`` as it was before the row blocks: neighbour lists from one
+    n x n distance matrix."""
+    n = len(x)
+    sq = (x * x).sum(axis=1)[:, None] + (x * x).sum(axis=1)[None, :] - 2.0 * x @ x.T
+    d = np.sqrt(np.maximum(sq, 0.0))
+    neighbors = [np.where(d[i] <= eps)[0] for i in range(n)]
+    core = np.array([len(nb) >= min_points for nb in neighbors])
+    labels = np.full(n, -1, dtype=np.int64)
+    cluster = 0
+    for i in range(n):
+        if labels[i] != -1 or not core[i]:
+            continue
+        labels[i] = cluster
+        queue = deque(neighbors[i])
+        while queue:
+            j = queue.popleft()
+            if labels[j] == -1:
+                labels[j] = cluster
+                if core[j]:
+                    queue.extend(neighbors[j])
+        cluster += 1
+    return labels, cluster
+
+
 class TestCluster:
+    def test_blocked_dbscan_equals_the_full_matrix_reference(self):
+        # more than two blocks of rows, with exact duplicates; a point count
+        # that is a multiple of 16 keeps OpenBLAS's gemm rows independent of
+        # the row blocking even when it runs threaded
+        rng = np.random.default_rng(3)
+        n = 2 * ev.BLOCK_ROWS + 64
+        pts, _ = blobs(rng, rng.normal(size=(16, 6)), n_per=n // 16, scale=0.3)
+        pts[rng.integers(0, n, 40)] = pts[rng.integers(0, n, 40)]
+        x = cl._l2n(pts)
+        # a radius that is one of the distances: the point at it is a neighbour
+        at_fifth = float(np.sort(ev.pairwise_dist(x, x)[0])[4])
+        for eps, min_points in ((at_fifth, 5), (0.1, 2), (0.2, 4), (0.35, 4), (0.6, 8)):
+            labeling = cl.dbscan(x, eps, min_points)
+            labels, clusters = reference_dbscan(x, eps, min_points)
+            np.testing.assert_array_equal(labeling.assignments, labels)
+            assert labeling.num_clusters == clusters
+
+    def test_peak_memory_holds_no_full_matrix(self):
+        # one n x n matrix and its temporaries peaked at 96.5 MB here
+        rng = np.random.default_rng(4)
+        pts, _ = blobs(rng, rng.normal(size=(100, 32)), n_per=20, scale=0.1)
+        tracemalloc.start()
+        try:
+            labeling = cl.cluster(pts, eps=0.3, min_points=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labeling.num_clusters > 1
+        assert peak < 30e6, peak
+
     def test_two_separated_blobs(self):
         rng = np.random.default_rng(0)
         pts, truth = blobs(rng, [(5, 0, 0), (0, 5, 0)], n_per=12)

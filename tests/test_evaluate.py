@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,44 @@ def brute_force_eval(index, max_rank):
     return float(np.mean(aps)), np.mean(cmc_rows, axis=0), excluded
 
 
+def reference_dist(queries, gallery):
+    """The one-call distance matrix, as ``pairwise_dist`` computed it before
+    ``evaluate`` worked in query-row blocks."""
+    q = np.asarray(queries, dtype=np.float64)
+    g = np.asarray(gallery, dtype=np.float64)
+    sq = (q * q).sum(axis=1)[:, None] + (g * g).sum(axis=1)[None, :] - 2.0 * q @ g.T
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def reference_evaluate(index, max_rank=None):
+    """``evaluate`` as it was before the blocks: the whole matrix, then one
+    stable argsort and one AP and CMC row per query."""
+    dist = reference_dist(index.query, index.gallery)
+    n_g = dist.shape[1]
+    if max_rank is None:
+        max_rank = min(50, n_g)
+    max_rank = min(max_rank, n_g)
+    aps = []
+    cmc_rows = []
+    excluded = 0
+    for qi in range(dist.shape[0]):
+        order = np.argsort(dist[qi], kind="stable")
+        keep = ~((index.g_ids[order] == index.q_ids[qi]) & (index.g_cams[order] == index.q_cams[qi]))
+        order = order[keep]
+        matches = (index.g_ids[order] == index.q_ids[qi]).astype(np.float64)
+        if not matches.any():
+            excluded += 1
+            continue
+        hits = matches.cumsum()
+        precision = hits / np.arange(1, len(matches) + 1)
+        aps.append(float((precision * matches).sum() / matches.sum()))
+        found = np.minimum(hits, 1.0)
+        if len(found) < max_rank:
+            found = np.concatenate([found, np.ones(max_rank - len(found))])
+        cmc_rows.append(found[:max_rank])
+    return float(np.mean(aps)), np.mean(cmc_rows, axis=0), len(aps), excluded
+
+
 def random_index(rng, n_q=10, n_g=40, dim=4, n_ids=6, n_cams=3):
     return ev.RetrievalIndex(
         query=rng.normal(size=(n_q, dim)),
@@ -64,6 +104,29 @@ class TestPairwiseDist:
     def test_dim_mismatch(self):
         with pytest.raises(ev.EvalError):
             ev.pairwise_dist(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+class TestPairwiseBlocks:
+    @pytest.mark.parametrize("n_q", [1, 2, ev.BLOCK_ROWS - 1, ev.BLOCK_ROWS,
+                                     3 * ev.BLOCK_ROWS, 3 * ev.BLOCK_ROWS + 1,
+                                     4 * ev.BLOCK_ROWS - 1])
+    def test_blocks_cover_the_rows_and_equal_one_call(self, n_q):
+        rng = np.random.default_rng(n_q)
+        q, g = rng.normal(size=(n_q, 24)), rng.normal(size=(208, 24))
+        blocks = list(ev.pairwise_blocks(q, g))
+        starts = [s for s, _ in blocks]
+        assert starts == [k * ev.BLOCK_ROWS for k in range(len(blocks))]
+        assert sum(len(d) for _, d in blocks) == n_q
+        # no short block: 1 row would take BLAS gemv, whose rounding differs
+        assert min(len(d) for _, d in blocks) >= min(n_q, ev.BLOCK_ROWS)
+        np.testing.assert_array_equal(np.concatenate([d for _, d in blocks]),
+                                      reference_dist(q, g))
+
+    def test_pairwise_dist_equals_the_reference(self):
+        x = np.random.default_rng(3).normal(size=(130, 7))
+        np.testing.assert_array_equal(ev.pairwise_dist(x, x), reference_dist(x, x))
+        np.testing.assert_array_equal(ev.pairwise_dist(x[:50], x[50:]),
+                                      reference_dist(x[:50], x[50:]))
 
 
 class TestEvaluate:
@@ -158,6 +221,90 @@ class TestEvaluate:
         index = ev.RetrievalIndex(np.zeros((1, 2)), [0], [0], np.ones((2, 2)), [1, 2], [0, 0])
         with pytest.raises(ev.EvalError):
             ev.evaluate(index)
+
+    # Several blocks with remainders 0, 1 and BLOCK_ROWS - 1. The gallery size
+    # is a multiple of 16, where OpenBLAS's gemm rows do not depend on the
+    # row blocking even when it runs threaded, so duplicated vectors tie
+    # exactly in the reference and in the blocks alike.
+    @pytest.mark.parametrize("n_q", [3 * ev.BLOCK_ROWS, 3 * ev.BLOCK_ROWS + 1,
+                                     4 * ev.BLOCK_ROWS - 1])
+    def test_blocks_equal_the_per_query_reference(self, n_q):
+        rng = np.random.default_rng(n_q)
+        n_g, n_ids = 256, 40
+        gallery = rng.normal(size=(n_g, 16))
+        gallery[rng.integers(0, n_g, 64)] = gallery[rng.integers(0, n_g, 64)]  # ties
+        g_ids, g_cams = rng.integers(0, n_ids, n_g), rng.integers(0, 3, n_g)
+        # a third of the queries are gallery rows, so ties reach the ranking
+        # top; ids past n_ids have no positive and are excluded
+        query = np.concatenate([gallery[rng.integers(0, n_g, n_q // 3)],
+                                rng.normal(size=(n_q - n_q // 3, 16))])
+        q_ids = rng.integers(0, n_ids + 5, n_q)
+        index = ev.RetrievalIndex(query, q_ids, rng.integers(0, 3, n_q), gallery, g_ids, g_cams)
+        for max_rank in (10, n_g):
+            res = ev.evaluate(index, max_rank=max_rank)
+            mean_ap, cmc, valid, excluded = reference_evaluate(index, max_rank)
+            assert excluded > 0
+            assert res.mean_ap == mean_ap
+            np.testing.assert_array_equal(res.cmc, cmc)
+            assert (res.num_valid_queries, res.num_excluded_queries) == (valid, excluded)
+
+    def test_query_set_is_gallery_set(self):
+        # how the CLI evaluates: every image is a query against all the others
+        rng = np.random.default_rng(4)
+        n = 2 * ev.BLOCK_ROWS + 16
+        emb = rng.normal(size=(n, 8))
+        emb[1::7] = emb[::7][:len(emb[1::7])]
+        ids, cams = rng.integers(0, 30, n), rng.integers(0, 4, n)
+        index = ev.RetrievalIndex(emb, ids, cams, emb, ids, cams)
+        res = ev.evaluate(index, max_rank=20)
+        mean_ap, cmc, valid, excluded = reference_evaluate(index, 20)
+        assert res.mean_ap == mean_ap
+        np.testing.assert_array_equal(res.cmc, cmc)
+        assert (res.num_valid_queries, res.num_excluded_queries) == (valid, excluded)
+
+    def test_tied_gallery_ranks_by_index_in_evaluate(self):
+        # all three at distance 1: ranked 0, 1, 2, so the one positive is
+        # second (AP 1/2); any other tie order gives 1 or 1/3
+        query = np.array([[0.0]])
+        gallery = np.array([[1.0], [1.0], [1.0]])
+        index = ev.RetrievalIndex(query, [3], [0], gallery, [4, 3, 4], [1, 1, 1])
+        res = ev.evaluate(index, max_rank=3)
+        assert res.mean_ap == 0.5
+        np.testing.assert_array_equal(res.cmc, [0.0, 1.0, 1.0])
+
+    def test_argsort_rows_is_the_stable_argsort(self):
+        rng = np.random.default_rng(5)
+        dist = rng.integers(0, 6, size=(40, 30)).astype(np.float64)  # many ties
+        dist[3, 7] = dist[9, 0] = np.nan
+        dist[12] = rng.permutation(30)  # a row without ties
+        np.testing.assert_array_equal(ev._argsort_rows(dist),
+                                      np.argsort(dist, axis=1, kind="stable"))
+
+    def test_non_finite_rows_refused(self):
+        rng = np.random.default_rng(6)
+        emb, ids = rng.normal(size=(6, 3)), [0, 0, 1, 1, 2, 2]
+        for name, bad in (("query", np.nan), ("gallery", np.inf)):
+            rows = {"query": emb.copy(), "gallery": emb.copy()}
+            rows[name][4, 1] = bad
+            with pytest.raises(ev.EvalError, match="%s rows are not finite, the first is row 4"
+                               % name):
+                ev.RetrievalIndex(rows["query"], ids, [0] * 6, rows["gallery"], ids, [1] * 6)
+
+    def test_peak_memory_holds_no_full_matrix(self):
+        # one n x n matrix and the per-query CMC rows that kept their
+        # whole cumsum alive peaked at 96 MB here
+        rng = np.random.default_rng(7)
+        n = 2000
+        emb = rng.normal(size=(n, 32))
+        ids, cams = rng.integers(0, 100, n), rng.integers(0, 6, n)
+        index = ev.RetrievalIndex(emb, ids, cams, emb, ids, cams)
+        tracemalloc.start()
+        try:
+            ev.evaluate(index, max_rank=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6, peak
 
     def test_tie_break_by_gallery_index(self):
         query = np.array([[0.0]])

@@ -309,3 +309,12 @@ class TestEmbeddingDump:
         np.testing.assert_array_equal(emb, emb2)  # json floats round-trip exactly
         np.testing.assert_array_equal(ids, ids2)
         np.testing.assert_array_equal(cams, cams2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_is_config_error(self, tmp_path, bad):
+        emb = np.random.default_rng(12).normal(size=(7, 5))
+        emb[4, 2] = emb[6, 0] = bad
+        path = str(tmp_path / "emb.jsonl")
+        ft.dump_embeddings(path, emb, np.arange(7), np.zeros(7))
+        with pytest.raises(vit.ConfigError, match="emb.jsonl line 5: .*not finite"):
+            ft.load_embeddings(path)
