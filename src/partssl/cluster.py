@@ -7,7 +7,6 @@ ground truth is strictly an external measurement.
 from __future__ import annotations
 
 import json
-import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .evaluate import pairwise_blocks
 from .finetune import extract_embeddings, forward_embeddings, id_loss, pk_batch
-from .optim import AdamW, clip_grad_norm
+from .optim import AdamW
 from .tensor import Tensor
 from .vit import ConfigError
 
@@ -149,7 +148,6 @@ class ClusterConfig:
     samples_per_id: int = 4
     steps_per_epoch: int = 0   # 0 -> one pass over the clustered subset
     lr: float = 3.5e-4
-    clip_grad: float = 5.0
 
 
 @dataclass
@@ -193,25 +191,16 @@ class AdaptTrainer:
         batch = cl.ids_per_batch * cl.samples_per_id
         steps = cl.steps_per_epoch or max(1, len(clustered) // batch)
         losses = []
-        for _ in range(steps):
+        for step in range(steps):
             rows, labs = pk_batch(self.rng, pools, cl.ids_per_batch, cl.samples_per_id)
             feats_t = forward_embeddings(self.params, self.images[rows], cl.fusion)
             loss = prototype_contrastive_loss(feats_t, labs, bank, cl.temperature)
-            loss_val = loss.item()
-            try:
-                if not math.isfinite(loss_val):
-                    raise RuntimeError("non-finite adaptation loss in epoch %d" % epoch)
-                loss.backward(params=self.params.tensors())
-                clip_grad_norm(self.params.tensors(), cl.clip_grad)
-                self.optimizer.step()
-                self.optimizer.zero_grad()
-            finally:
-                T.clear_tape()
+            losses.append(loss.item())
+            self.optimizer.minimize(loss, 5.0, "adaptation epoch %d step %d" % (epoch, step))
             with T.no_grad():
                 fresh = forward_embeddings(self.params, self.images[rows], cl.fusion).data
             for r, lab in zip(range(len(rows)), labs):
                 bank.update(int(lab), fresh[r])
-            losses.append(loss_val)
         stats = EpochStats(epoch=epoch, labeling=labeling, mean_loss=float(np.mean(losses)),
                            num_clusters=labeling.num_clusters,
                            num_outliers=labeling.num_outliers)

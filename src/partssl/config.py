@@ -9,6 +9,7 @@ identical run.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 
 from .cluster import ClusterConfig
@@ -72,6 +73,11 @@ class RunConfig:
         if self.mode not in MODES:
             raise ConfigError("mode: %r is not one of %s" % (self.mode, "/".join(MODES)))
         self.backbone.validate()
+        values = {key: value for key, _obj, _name, value in _iter_keys(self)}
+        for key, low, high in _BOUNDS:
+            if not low <= values[key] <= high:
+                span = ">= %s" % low if high == math.inf else "in %s .. %s" % (low, high)
+                raise ConfigError("%s must be %s, got %s" % (key, span, values[key]))
         if self.crops.num_areas != self.backbone.num_parts:
             raise ConfigError("crops.num_areas (%d) must equal backbone.num_parts (%d)"
                               % (self.crops.num_areas, self.backbone.num_parts))
@@ -91,15 +97,9 @@ class RunConfig:
             if h % p or w % p:
                 raise ConfigError("crops.%s: %dx%d not divisible by backbone.patch_size %d"
                                   % (key, h, w, p))
-        for key in ("ids_per_batch", "samples_per_id"):  # a batch needs positives and negatives
-            if getattr(self.finetune, key) < 2:
-                raise ConfigError("finetune.%s must be >= 2, got %d"
-                                  % (key, getattr(self.finetune, key)))
         if not -1 <= self.visualize.layer < self.backbone.depth:
             raise ConfigError("visualize.layer: expected -1 .. %d (backbone.depth - 1), got %d"
                               % (self.backbone.depth - 1, self.visualize.layer))
-        if self.eval.max_rank < 1:
-            raise ConfigError("eval.max_rank must be >= 1, got %d" % self.eval.max_rank)
         if self.data.kind not in ("synthetic", "dir"):
             raise ConfigError("data.kind: expected synthetic or dir, got %r" % self.data.kind)
         if self.data.kind == "synthetic" and self.data.num_identities > COLORS_PER_BAND ** 3:
@@ -110,6 +110,18 @@ class RunConfig:
         self.distill.temperatures = dataclasses.replace(self.distill.temperatures)
         return self
 
+
+# (key, lowest, highest) of the counts and ranges that a run can use
+_BOUNDS = (
+    ("data.num_identities", 1, math.inf), ("data.train_images_per_identity", 1, math.inf),
+    ("data.cameras", 1, math.inf), ("crops.num_globals", 1, math.inf),
+    ("crops.num_areas", 1, 5), ("distill.batch_size", 1, math.inf),
+    ("distill.ema_start", 0.0, 1.0), ("distill.ema_end", 0.0, 1.0),
+    # a triplet batch needs positives and negatives
+    ("finetune.ids_per_batch", 2, math.inf), ("finetune.samples_per_id", 2, math.inf),
+    ("cluster.epochs", 1, math.inf), ("cluster.ids_per_batch", 1, math.inf),
+    ("cluster.samples_per_id", 1, math.inf), ("eval.max_rank", 1, math.inf),
+)
 
 MODES = ("pretrain", "finetune", "uda", "usl", "eval", "visualize", "ablate")
 

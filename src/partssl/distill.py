@@ -12,7 +12,6 @@ is the audit trail for that claim.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,15 +19,11 @@ import numpy as np
 from . import tensor as T
 from . import vit
 from .multicrop import build_view_set
-from .optim import AdamW, clip_grad_norm, cosine_ramp, warmup_cosine_lr
+from .optim import AdamW, cosine_ramp, warmup_cosine_lr
 from .tensor import Tensor
 
 
 class DistillError(ValueError):
-    pass
-
-
-class TrainingDiverged(RuntimeError):
     pass
 
 
@@ -271,8 +266,6 @@ class PretrainConfig:
     steps: int = 2000
     batch_size: int = 6
     lr: float = 1e-3
-    warmup_frac: float = 0.1
-    weight_decay: float = 0.01
     clip_grad: float = 3.0
     center_momentum: float = 0.9
     centering: bool = True
@@ -303,8 +296,7 @@ class Pretrainer:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD15711]))
         self.student = vit.NetworkParams.init(backbone_cfg, rng, requires_grad=True)
         self.teacher = self.student.clone(requires_grad=False)
-        self.optimizer = AdamW(self.student.items(), lr=pre_cfg.lr,
-                               weight_decay=pre_cfg.weight_decay)
+        self.optimizer = AdamW(self.student.items(), lr=pre_cfg.lr, weight_decay=0.01)
         self.center = CenterState(backbone_cfg.proj_dim, center_roles(backbone_cfg),
                                   momentum=pre_cfg.center_momentum)
         self.ema = EmaSchedule(pre_cfg.ema_start, pre_cfg.ema_end, pre_cfg.steps)
@@ -407,20 +399,11 @@ class Pretrainer:
         loss, breakdown = total_loss(outputs)
 
         lam = self.ema.value(step)
-        loss_val = loss.item()
-        try:
-            if not math.isfinite(loss_val):
-                raise TrainingDiverged(
-                    "non-finite loss at step %d (lambda=%.6f tau_t=%.4f center_norm=%.4f)"
-                    % (step, lam, tau_t, np.linalg.norm(self.center.get("cls"))))
-            loss.backward(params=self.student.tensors())
-            grad_norm = clip_grad_norm(self.student.tensors(), pc.clip_grad)
-            self.optimizer.lr = warmup_cosine_lr(
-                step, pc.steps, pc.lr, int(pc.warmup_frac * pc.steps), pc.lr * 0.01)
-            self.optimizer.step()
-            self.optimizer.zero_grad()
-        finally:
-            T.clear_tape()
+        self.optimizer.lr = warmup_cosine_lr(step, pc.steps, pc.lr, int(0.1 * pc.steps),
+                                             pc.lr * 0.01)
+        grad_norm = self.optimizer.minimize(
+            loss, pc.clip_grad, "step %d (lambda=%.6f tau_t=%.4f center_norm=%.4f)"
+            % (step, lam, tau_t, np.linalg.norm(self.center.get("cls"))))
 
         ema_update(self.student, self.teacher, lam)
 
@@ -432,7 +415,7 @@ class Pretrainer:
         t_part_ent = distribution_entropy(t_part)
         record = {
             "step": step,
-            "loss": loss_val,
+            "loss": loss.item(),
             "cls_loss": breakdown["cls"],
             "part_losses": breakdown["parts"],
             "lambda": lam,

@@ -9,7 +9,6 @@ usual strong-baseline convention.
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from . import vit
 from .multicrop import resize_bilinear
-from .optim import AdamW, clip_grad_norm, warmup_cosine_lr
+from .optim import AdamW, warmup_cosine_lr
 from .tensor import Tensor
 
 FUSION_STRATEGIES = ("concat_all", "mean_all", "concat_cls_meanpart")
@@ -160,9 +159,6 @@ class FinetuneConfig:
     ids_per_batch: int = 4
     samples_per_id: int = 4
     lr: float = 0.0         # 0 -> 0.0004 * batch / 64 rule
-    warmup_frac: float = 0.1
-    weight_decay: float = 0.01
-    clip_grad: float = 5.0
     margin: float = 0.3
     fusion: str = "concat_cls_meanpart"
     flip_p: float = 0.5
@@ -217,7 +213,7 @@ class FinetuneTrainer:
         dim = fused_dim(ft_cfg.fusion, self.cfg.num_parts, self.cfg.embed_dim)
         self.head = ReidHead(dim, len(self.classes), rng)
         named = list(params.items()) + self.head.named_params()
-        self.optimizer = AdamW(named, lr=ft_cfg.resolve_lr(), weight_decay=ft_cfg.weight_decay)
+        self.optimizer = AdamW(named, lr=ft_cfg.resolve_lr(), weight_decay=0.01)
         self.rng = rng
         self.step_count = 0
         self.log = []
@@ -233,22 +229,11 @@ class FinetuneTrainer:
         neck = self.head.embed(feats, training=True)
         ce = id_loss(self.head.class_logits(neck), labels)
         loss = ce + tri
-        loss_val = loss.item()
-        try:
-            if not math.isfinite(loss_val):
-                raise RuntimeError("non-finite fine-tune loss at step %d" % self.step_count)
-            all_params = self.params.tensors() + [p for _, p in self.head.named_params()]
-            loss.backward(params=all_params)
-            clip_grad_norm(all_params, self.ft.clip_grad)
-            self.optimizer.lr = warmup_cosine_lr(
-                self.step_count, self.ft.steps, self.ft.resolve_lr(),
-                int(self.ft.warmup_frac * self.ft.steps))
-            self.optimizer.step()
-            self.optimizer.zero_grad()
-        finally:
-            T.clear_tape()
-        rec = {"step": self.step_count, "loss": loss_val, "id_loss": ce.item(),
-               "triplet_loss": tri.item(), "lr": self.optimizer.lr}
+        self.optimizer.lr = warmup_cosine_lr(
+            self.step_count, self.ft.steps, self.ft.resolve_lr(), int(0.1 * self.ft.steps))
+        grad_norm = self.optimizer.minimize(loss, 5.0, "fine-tune step %d" % self.step_count)
+        rec = {"step": self.step_count, "loss": loss.item(), "id_loss": ce.item(),
+               "triplet_loss": tri.item(), "lr": self.optimizer.lr, "grad_norm": grad_norm}
         self.log.append(rec)
         if self.log_path:
             with open(self.log_path, "a") as fh:

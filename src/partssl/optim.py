@@ -6,6 +6,12 @@ import math
 
 import numpy as np
 
+from . import tensor as T
+
+
+class TrainingDiverged(RuntimeError):
+    pass
+
 
 def _no_decay(name, tensor):
     # biases, norm affines, tokens and positions are excluded from weight decay
@@ -47,6 +53,22 @@ class AdamW:
     def zero_grad(self):
         for _, p in self.params:
             p.grad = None
+
+    def minimize(self, loss, max_norm, context):
+        """One update on ``loss``: backward, clip to ``max_norm`` (0 = off),
+        step. Returns the gradient norm before clipping; a non-finite loss
+        raises ``TrainingDiverged`` naming ``context`` and updates nothing."""
+        try:
+            if not math.isfinite(loss.item()):
+                raise TrainingDiverged("non-finite loss at %s" % context)
+            tensors = [p for _, p in self.params]
+            loss.backward(params=tensors)
+            norm = clip_grad_norm(tensors, max_norm)
+            self.step()
+            self.zero_grad()
+            return norm
+        finally:
+            T.clear_tape()
 
 
 def clip_grad_norm(params, max_norm):

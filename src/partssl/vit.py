@@ -40,6 +40,9 @@ class BackboneConfig:
     head_bottleneck: int = 0  # 0 -> embed_dim
 
     def validate(self):
+        for key in ("patch_size", "heads"):  # both divide below
+            if getattr(self, key) < 1:
+                raise ConfigError("backbone.%s must be >= 1, got %d" % (key, getattr(self, key)))
         if self.image_h % self.patch_size or self.image_w % self.patch_size:
             raise ConfigError(
                 "image %dx%d not divisible by patch size %d"

@@ -106,9 +106,16 @@ class TestValidation:
                                       "eval.max_rank = 0",
                                       "finetune.ids_per_batch = 1",
                                       "finetune.samples_per_id = 1",
-                                      "visualize.layer = 4"])  # backbone.depth is 4
+                                      "visualize.layer = 4",  # backbone.depth is 4
+                                      "backbone.heads = 0", "backbone.patch_size = 0",
+                                      "distill.batch_size = 0", "crops.num_globals = 0",
+                                      "cluster.epochs = 0", "cluster.ids_per_batch = 0",
+                                      "cluster.samples_per_id = 0", "data.num_identities = 0",
+                                      "data.train_images_per_identity = 0", "data.cameras = 0",
+                                      "backbone.num_parts = 6\ncrops.num_areas = 6",
+                                      "distill.ema_start = 1.5", "distill.ema_end = -0.1"])
     def test_unusable_value_rejected_at_load(self, line, tmp_path, capsys):
-        key = line.split(" = ")[0]
+        key = line.splitlines()[-1].split(" = ")[0]
         with pytest.raises(ConfigError, match=key):
             cfgmod.parse_text(line)
         path = tmp_path / "bad.cfg"
@@ -143,7 +150,12 @@ class TestValidation:
                                       "crops.aspect_jitter = 0.75, 1.3333333333333333",
                                       "distill.final_lr_frac = 0.01",
                                       "cluster.proto_momentum = 0.2", "eval.report_top_k = 5",
-                                      "eval.report_queries = 4", "distill.raw_sums = false"])
+                                      "eval.report_queries = 4", "distill.raw_sums = false",
+                                      "distill.warmup_frac = 0.1",
+                                      "distill.weight_decay = 0.01",
+                                      "finetune.warmup_frac = 0.1",
+                                      "finetune.weight_decay = 0.01",
+                                      "finetune.clip_grad = 5.0", "cluster.clip_grad = 5.0"])
     def test_removed_key_is_unknown(self, line):
         with pytest.raises(ConfigError, match="unknown config key"):
             cfgmod.parse_text(line)
