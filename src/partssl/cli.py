@@ -211,6 +211,8 @@ def run_adapt(cfg, out):
     with open(stats_path, "w") as fh:
         for h in history:
             fh.write(json.dumps({"epoch": h.epoch, "mean_loss": h.mean_loss,
+                                 "grad_norm_mean": h.grad_norm_mean,
+                                 "grad_norm_max": h.grad_norm_max,
                                  "clusters": h.num_clusters,
                                  "outliers": h.num_outliers}) + "\n")
     return {"checkpoint": ckpt_path, "epochs": len(history),

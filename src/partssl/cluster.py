@@ -155,6 +155,8 @@ class EpochStats:
     epoch: int
     labeling: PseudoLabeling
     mean_loss: float
+    grad_norm_mean: float  # pre-clip gradient norms of the epoch's steps
+    grad_norm_max: float
     num_clusters: int
     num_outliers: int
 
@@ -190,18 +192,21 @@ class AdaptTrainer:
                  for c in range(labeling.num_clusters)]
         batch = cl.ids_per_batch * cl.samples_per_id
         steps = cl.steps_per_epoch or max(1, len(clustered) // batch)
-        losses = []
+        losses, norms = [], []
         for step in range(steps):
             rows, labs = pk_batch(self.rng, pools, cl.ids_per_batch, cl.samples_per_id)
             feats_t = forward_embeddings(self.params, self.images[rows], cl.fusion)
             loss = prototype_contrastive_loss(feats_t, labs, bank, cl.temperature)
             losses.append(loss.item())
-            self.optimizer.minimize(loss, 5.0, "adaptation epoch %d step %d" % (epoch, step))
+            norms.append(self.optimizer.minimize(
+                loss, 5.0, "adaptation epoch %d step %d" % (epoch, step)))
             with T.no_grad():
                 fresh = forward_embeddings(self.params, self.images[rows], cl.fusion).data
             for r, lab in zip(range(len(rows)), labs):
                 bank.update(int(lab), fresh[r])
         stats = EpochStats(epoch=epoch, labeling=labeling, mean_loss=float(np.mean(losses)),
+                           grad_norm_mean=float(np.mean(norms)),
+                           grad_norm_max=float(np.max(norms)),
                            num_clusters=labeling.num_clusters,
                            num_outliers=labeling.num_outliers)
         self.history.append(stats)

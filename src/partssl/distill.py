@@ -170,8 +170,9 @@ class DistillOutputs:
 
 
 def _pairings(t, s_loc, s_glob, axis):
-    """Sum of H(teacher, student) over every pairing, per index of the axes
-    between the batch axis and ``axis``, the teacher's global-view axis.
+    """Minus the sum of H(teacher, student) over every pairing, per index of
+    the axes between the batch axis and ``axis``, the teacher's global-view
+    axis; callers fold the sign into their normalising factor.
 
     Each teacher view is paired with every local view and with every global
     view but its own. H is linear in the student log-probabilities, so each
@@ -179,8 +180,8 @@ def _pairings(t, s_loc, s_glob, axis):
     """
     t_all = t.sum(axis=axis, keepdims=True)
     summed = (0,) + tuple(range(axis, t.ndim))
-    return -(T.sum_(Tensor(t_all) * s_loc, axis=summed)
-             + T.sum_(Tensor(t_all - t) * s_glob, axis=summed))
+    return (T.sum_(Tensor(t_all) * s_loc, axis=summed)
+            + T.sum_(Tensor(t_all - t) * s_glob, axis=summed))
 
 
 def _part_losses(outputs, normalize=True):
@@ -188,7 +189,7 @@ def _part_losses(outputs, normalize=True):
     batch; ``normalize`` also divides by the per-image term count."""
     b, m, _, j = outputs.dims
     loss = _pairings(outputs.t_part, outputs.s_part_l, outputs.s_part_g, axis=2)
-    return loss * (1.0 / (b * (part_term_count(m, j) if normalize else 1)))
+    return loss * (-1.0 / (b * (part_term_count(m, j) if normalize else 1)))
 
 
 def part_loss(outputs, part_index, normalize=True):
@@ -205,7 +206,7 @@ def cls_loss(outputs, normalize=True):
     b, m, l, j = outputs.dims
     s_loc = T.reshape(outputs.s_cls_l, (b, l * j, outputs.t_cls.shape[-1]))
     loss = _pairings(outputs.t_cls, s_loc, outputs.s_cls_g, axis=1)
-    return loss * (1.0 / (b * (cls_term_count(m, l, j) if normalize else 1)))
+    return loss * (-1.0 / (b * (cls_term_count(m, l, j) if normalize else 1)))
 
 
 def total_loss(outputs, raw_sums=False):

@@ -115,10 +115,7 @@ def id_loss(logits, labels):
     n, k = logits.shape
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError("identity label outside 0..%d" % (k - 1))
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
-    logp = T.log_softmax(logits, axis=-1)
-    return -T.mean(T.sum_(logp * Tensor(onehot), axis=-1))
+    return -T.mean(T.log_softmax(logits, axis=-1)[np.arange(n), labels])
 
 
 def _pairwise_dist_t(emb, eps=1e-12):

@@ -337,12 +337,14 @@ def linear(x, w, b):
     return _record(out, (x, w, b), bfn)
 
 
-def attention(q, k, v, heads, probs_out=None):
+def attention(q, k, v, heads, probs_out=None, rows=None):
     """Multi-head scaled dot-product attention on (B, S, C) inputs as one node.
 
     Each of the ``heads`` channel groups attends with softmax(q k^T / sqrt(dh));
-    the head outputs are merged back to (B, S, C). If ``probs_out`` is a list,
-    the (B, heads, S, S) attention probabilities are appended to it.
+    the head outputs are merged back to (B, R, C). Only the first R = ``rows``
+    query rows are read (all S by default); every token stays a key and a
+    value, and the other query rows get a zero gradient. If ``probs_out`` is a
+    list, the (B, heads, R, S) attention probabilities are appended to it.
 
     Runs over blocks of whole views. The probabilities are kept for backward
     or ``probs_out`` only; otherwise one block's worth is reused.
@@ -352,14 +354,17 @@ def attention(q, k, v, heads, probs_out=None):
         _fail("attention", "q/k/v shapes %s, %s, %s with %d heads"
               % (q.shape, k.shape, v.shape, heads))
     B, S, C = q.shape
+    R = S if rows is None else rows
+    if not 1 <= R <= S:
+        _fail("attention", "rows %d outside 1..%d" % (R, S))
     scale = 1.0 / np.sqrt(C // heads)
 
-    def split(a):  # (B, S, C) -> (B, heads, S, dh) view
-        return a.reshape(B, S, heads, -1).transpose(0, 2, 1, 3)
+    def split(a):  # (B, n, C) -> (B, heads, n, dh) view
+        return a.reshape(B, a.shape[1], heads, -1).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = (split(t.data) for t in (q, k, v))
-    rows, blocks = _blocks(B, 8 * heads * S * S, probs_out is not None or _tracked(q, k, v))
-    p, y = np.empty((rows, heads, S, S)), np.empty((B, S, C))
+    qh, kh, vh = split(q.data)[:, :, :R], split(k.data), split(v.data)
+    n, blocks = _blocks(B, 8 * heads * R * S, probs_out is not None or _tracked(q, k, v))
+    p, y = np.empty((n, heads, R, S)), np.empty((B, R, C))
     for s, ps in blocks:
         pb = p[ps]  # scores, then probabilities in place
         np.matmul(qh[s], kh[s].transpose(0, 1, 3, 2), out=pb)
@@ -375,14 +380,16 @@ def attention(q, k, v, heads, probs_out=None):
     def bfn(g):
         gh = split(g)
         grads = [np.empty((B, S, C)) if t.requires_grad else None for t in (q, k, v)]
+        if grads[0] is not None:
+            grads[0][:, R:] = 0.0  # query rows that were not read
         for s, _ in blocks:
             pb = p[s]
             dp = gh[s] @ vh[s].transpose(0, 1, 3, 2)
             ds = pb * (dp - (dp * pb).sum(axis=-1, keepdims=True)) * scale
             for d, a, b in zip(grads, (ds, ds.transpose(0, 1, 3, 2), pb.transpose(0, 1, 3, 2)),
                                (kh, qh, gh)):
-                if d is not None:
-                    np.matmul(a, b[s], out=split(d)[s])
+                if d is not None:  # the first R rows of dq, every row of dk and dv
+                    np.matmul(a, b[s], out=split(d)[s, :, :a.shape[-2]])
         return tuple(grads)
 
     return _record(out, (q, k, v), bfn)
@@ -435,12 +442,20 @@ def concatenate(tensors, axis=0):
 
 
 def getitem(a, key):
+    """``a[key]``. A key of ints, slices, ``None`` and ``Ellipsis`` selects each
+    element once, so backward adds into the selected region; integer-array keys
+    may repeat an index and accumulate with ``np.add.at``."""
     a = _coerce(a)
     out = Tensor(np.array(a.data[key]))
+    basic = all(k is None or k is Ellipsis or isinstance(k, (int, np.integer, slice))
+                for k in (key if isinstance(key, tuple) else (key,)))
 
     def bfn(g):
         z = np.zeros_like(a.data)
-        np.add.at(z, key, g)
+        if basic:
+            z[key] += g
+        else:
+            np.add.at(z, key, g)
         return (z,)
 
     return _record(out, (a,), bfn)

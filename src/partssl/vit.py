@@ -294,26 +294,30 @@ def assemble(patches, part_index, params):
     return T.concatenate([specials[rows], patches], axis=1)
 
 
-def _attention(x, params, pre, cfg, probs_out):
+def _attention(x, params, pre, cfg, probs_out, rows):
     q = T.linear(x, params[pre + "attn.wq"], params[pre + "attn.bq"])
     k = T.linear(x, params[pre + "attn.wk"], params[pre + "attn.bk"])
     v = T.linear(x, params[pre + "attn.wv"], params[pre + "attn.bv"])
-    out = T.attention(q, k, v, cfg.heads, probs_out)
+    out = T.attention(q, k, v, cfg.heads, probs_out, rows)
     return T.linear(out, params[pre + "attn.wo"], params[pre + "attn.bo"])
 
 
-def encode(x, params, probs_out=None):
-    """Pre-norm transformer blocks; preserves sequence length and channels.
+def encode(x, params, probs_out=None, rows=None):
+    """Pre-norm transformer blocks over (B, S, C) tokens.
 
-    depth=0 is the identity (the final norm is skipped too).
+    With ``rows`` the last block computes only the first ``rows`` tokens, the
+    ones that are read, and returns (B, rows, C). Their keys and values still
+    come from all S tokens, so those rows are the full pass's. depth=0 is the
+    identity (the final norm is skipped too).
     """
     cfg = params.cfg
     if cfg.depth == 0:
         return x
     for d in range(cfg.depth):
         pre = "blocks.%d." % d
+        n = rows if d == cfg.depth - 1 else None
         hn = T.layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
-        x = x + _attention(hn, params, pre, cfg, probs_out)
+        x = (x if n is None else x[:, :n]) + _attention(hn, params, pre, cfg, probs_out, n)
         hn = T.layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
         hid = T.gelu(T.linear(hn, params[pre + "mlp.w1"], params[pre + "mlp.b1"]))
         x = x + T.linear(hid, params[pre + "mlp.w2"], params[pre + "mlp.b2"])
@@ -330,11 +334,13 @@ def project(x, params, head):
 
 
 def forward_tokens(images, part_index, params, probs_out=None, rects=None, mirrors=None):
-    """Full encoder pass; returns [CLS] outputs (B, C) and part outputs
-    (B, P, C), ordered as in ``part_index``."""
+    """Encoder pass; returns [CLS] outputs (B, C) and part outputs (B, P, C),
+    ordered as in ``part_index``. The last block computes only these 1 + P
+    tokens, so its ``probs_out`` entry is (B, heads, 1 + P, S)."""
+    n = 1 + np.shape(part_index)[1]
     patches = patchify(images, params.cfg, params, rects=rects, mirrors=mirrors)
-    out = encode(assemble(patches, part_index, params), params, probs_out=probs_out)
-    return out[:, 0, :], out[:, 1:1 + np.shape(part_index)[1], :]
+    out = encode(assemble(patches, part_index, params), params, probs_out=probs_out, rows=n)
+    return out[:, 0, :], out[:, 1:n, :]
 
 
 @dataclass
@@ -362,7 +368,7 @@ def attention_map(image, token, layer, params):
     with T.no_grad():
         img = np.asarray(image, dtype=T.DTYPE)
         forward_tokens(img[None], all_parts(1, cfg.num_parts), params, probs_out=cache)
-    attn = cache[layer][0]  # (heads, S, S)
+    attn = cache[layer][0]  # (heads, S, S); (heads, 1 + L, S) at the last layer
     weights = attn[:, row, :].mean(axis=0)
     n_special = 1 + cfg.num_parts
     gh, gw = patch_grid(img.shape[0], img.shape[1], cfg.patch_size)

@@ -237,6 +237,7 @@ class TestAdaptModes:
             (epoch,) = [json.loads(line) for line in fh]
         assert epoch["clusters"] >= 2
         assert epoch["mean_loss"] > 0.0
+        assert 0.0 < epoch["grad_norm_mean"] <= epoch["grad_norm_max"]
 
     def test_usl_at_an_all_outlier_eps_is_config_error(self, pipeline, tmp_path, capsys):
         cfg = micro_cfg(tmp_path, "usl")

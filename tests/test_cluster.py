@@ -254,6 +254,7 @@ class TestAdaptTrainer:
         for stats in hist:
             assert stats.num_clusters >= 2
             assert stats.mean_loss > 0.0
+            assert 0.0 < stats.grad_norm_mean <= stats.grad_norm_max
         assert np.abs(trainer.params["blocks.0.attn.wq"].data - before).max() > 1e-4
 
     def test_diverged_step_clears_the_tape(self, monkeypatch):

@@ -241,9 +241,12 @@ class TestFinetuneTrainer:
         assert len(T.tape()) == 0
 
     def test_tape_size_at_default_backbone(self, monkeypatch):
-        # one lookup for the special tokens and the hardest positive and
-        # negative read by index: 96 nodes. A [CLS] broadcast apart from a
-        # part gather and max/min over ±1e12-masked distances recorded 99.
+        # one lookup for the special tokens, one residual slice to the rows
+        # the last block computes, the hardest positive and negative and the
+        # label log-probabilities read by index: 96 nodes. A [CLS] broadcast
+        # apart from a part gather and max/min over ±1e12-masked distances
+        # recorded 99. The node outputs hold 66.7 MB; a last block over every
+        # token held 82.4 MB.
         ds = sd.generate(sd.SyntheticSpec(num_identities=4, images_per_identity=4), seed=0)
         params = vit.NetworkParams.init(vit.BackboneConfig().validate(),
                                         np.random.default_rng(0))
@@ -252,13 +255,14 @@ class TestFinetuneTrainer:
         backward = T.backward
 
         def counting_backward(loss, params=None):
-            sizes.append(len(T.tape()))
+            nodes = T.tape().nodes
+            sizes.append((len(nodes), sum(out.data.nbytes for out, _, _ in nodes) / 1e6))
             backward(loss, params=params)
 
         monkeypatch.setattr(T, "backward", counting_backward)
         with T.scoped_tape():  # nodes other tests left on this thread's tape do not count
             trainer.finetune_step()
-        assert len(sizes) == 1 and sizes[0] <= 96, sizes
+        assert len(sizes) == 1 and sizes[0][0] <= 96 and sizes[0][1] <= 70.0, sizes
 
     def test_eval_embeddings_ignore_classifier(self):
         trainer, ds = toy_training_setup(steps=3)

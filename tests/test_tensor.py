@@ -147,6 +147,26 @@ class TestBackward:
         with pytest.raises(T.AutogradError):
             T.finite_diff_check(f, [w])
 
+    def test_getitem_repeated_rows_accumulate(self):
+        x = T.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        with T.scoped_tape():
+            T.sum_(x[np.array([[0, 2, 2], [2, 1, 2]])]).backward()
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [1.0, 1.0], [4.0, 4.0]])
+
+    def test_getitem_basic_key_backward_equals_add_at(self):
+        # ints, slices, None and Ellipsis add into the selected region; the
+        # bits match the np.add.at accumulation they replace
+        a = rng(5).normal(size=(4, 6, 3))
+        for key in [(slice(None), slice(None, 4)), 2, (Ellipsis, 1), (None, slice(1, 3), 0),
+                    (np.int64(1), slice(None, None, 2))]:
+            x = T.Tensor(a, requires_grad=True)
+            g = rng(6).normal(size=np.shape(a[key]))
+            with T.scoped_tape():
+                T.sum_(x[key] * T.Tensor(g)).backward()
+            want = np.zeros_like(a)
+            np.add.at(want, key, g)
+            assert np.array_equal(x.grad, want), key
+
     def test_teacher_like_constant_requires_no_tape(self):
         x = T.Tensor([1.0, 2.0])  # requires_grad False
         with T.scoped_tape() as tp:
@@ -231,6 +251,16 @@ class TestOpGradients:
         weight = T.Tensor(rng(82).normal(size=(2, 5, 4)))
         assert T.finite_diff_check(lambda p: T.sum_(T.attention(*p, heads=2) * weight), qkv,
                                    eps=1e-6) < 1e-6
+
+    def test_attention_rows_grad(self):
+        # queries of the first 2 of 5 tokens; every token is a key and a value
+        g = rng(83)
+        qkv = [T.Tensor(g.normal(size=(2, 5, 4)), requires_grad=True) for _ in range(3)]
+        weight = T.Tensor(rng(84).normal(size=(2, 2, 4)))
+        assert T.finite_diff_check(
+            lambda p: T.sum_(T.attention(*p, heads=2, rows=2) * weight), qkv, eps=1e-6) < 1e-6
+        np.testing.assert_array_equal(qkv[0].grad[:, 2:], 0.0)
+        assert np.abs(qkv[1].grad[:, 2:]).min() > 0 and np.abs(qkv[2].grad[:, 2:]).min() > 0
 
 
 def unfused_attention(q, k, v, heads):
@@ -345,6 +375,17 @@ class TestFusedOps:
         assert (p > 0).all()
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
 
+    def test_attention_rows_are_the_first_rows_of_the_full_attention(self):
+        g = rng(95)
+        q, k, v = (T.Tensor(g.normal(0, 3, size=(2, 7, 6))) for _ in range(3))
+        full, probs = [], []
+        want = T.attention(q, k, v, 3, probs_out=full).data
+        got = T.attention(q, k, v, 3, probs_out=probs, rows=3).data
+        (p,) = probs
+        assert got.shape == (2, 3, 6) and p.shape == (2, 3, 3, 7)
+        np.testing.assert_allclose(got, want[:, :3], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p, full[0][:, :, :3], rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("regime", ["one", "several", "ragged"])
     @pytest.mark.parametrize("kernel", ["attention", "gelu", "layer_norm"])
     def test_blocked_kernel_bit_identical_to_unblocked(self, kernel, regime):
@@ -411,3 +452,5 @@ class TestFusedOps:
         with pytest.raises(T.ShapeError, match="attention"):
             x = T.Tensor(np.zeros((1, 2, 6)))
             T.attention(x, x, x, 4)
+        with pytest.raises(T.ShapeError, match="rows 3 outside 1..2"):
+            T.attention(x, x, x, 3, rows=3)

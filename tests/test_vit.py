@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,62 @@ class TestEncode:
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
 
+class TestLastBlockRows:
+    """The last block computes only the [CLS] and [PART] rows that
+    ``forward_tokens`` returns; those rows are the full pass's."""
+
+    LAYOUTS = {"global": vit.all_parts(3, 3), "local": np.array([[2], [1], [3]])}
+
+    def full_rows(self, images, part_index, params):
+        seq = vit.assemble(vit.patchify(images, params.cfg, params), part_index, params)
+        out = vit.encode(seq, params)
+        return out[:, 0, :], out[:, 1:1 + np.shape(part_index)[1], :]
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_forward_tokens_match_the_full_encode_rows(self, layout, grad):
+        params = make_params(tiny_cfg(depth=2), seed=21)
+        img = np.random.default_rng(22).random((3, 16, 8, 3))
+        idx = self.LAYOUTS[layout]
+        with T.scoped_tape(), (contextlib.nullcontext() if grad else T.no_grad()):
+            got = vit.forward_tokens(img, idx, params)
+            want = self.full_rows(img, idx, params)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g.data, w.data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_every_gradient_matches_the_full_encode(self, layout):
+        params = make_params(tiny_cfg(depth=2), seed=23)
+        img = np.random.default_rng(24).random((3, 16, 8, 3))
+        idx = self.LAYOUTS[layout]
+        rng = np.random.default_rng(25)
+        w_cls, w_part = rng.normal(size=(3, 8)), rng.normal(size=(3, idx.shape[1], 8))
+
+        def grads(forward):
+            with T.scoped_tape():
+                c, p = forward(img, idx, params)
+                loss = T.sum_(c * T.Tensor(w_cls)) + T.sum_(p * T.Tensor(w_part))
+                loss.backward(params=params.tensors())
+            out = {k: v.grad for k, v in params.items()}
+            for v in params.tensors():
+                v.grad = None
+            return out
+
+        got, want = grads(vit.forward_tokens), grads(self.full_rows)
+        assert np.abs(got["blocks.1.attn.wq"]).max() > 0
+        for name, w in want.items():
+            assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
+
+    def test_last_layer_probabilities_cover_the_read_rows(self):
+        cfg = tiny_cfg(depth=2)
+        probs = []
+        with T.no_grad():
+            vit.forward_tokens(np.zeros((2, 16, 8, 3)), [[1], [3]], make_params(cfg),
+                               probs_out=probs)
+        assert [p.shape for p in probs] == [(2, 2, 10, 10), (2, 2, 2, 10)]
+
+
 def special_token_cosines(params, images):
     """Mean over images of the pairwise cosines between the channel-centred
     last-block states of [CLS] and every [PART] (global layout)."""
@@ -370,23 +428,29 @@ class TestAttentionMap:
         def linear(x, pre, nm):
             return x @ params[pre + "attn.w" + nm] + params[pre + "attn.b" + nm]
 
-        def unfused(x, params, pre, cfg, probs_out):
+        def unfused(x, params, pre, cfg, probs_out, rows):
+            # queries of the first ``rows`` tokens (all without it), keys and
+            # values of every token
             B, S, C = x.shape
-            dh = C // cfg.heads
+            dh, n = C // cfg.heads, S if rows is None else rows
+            seen.append(n)
 
             def split(t):
                 return T.transpose(T.reshape(t, (B, S, cfg.heads, dh)), (0, 2, 1, 3))
 
             q, k, v = (split(linear(x, pre, nm)) for nm in "qkv")
+            q = q[:, :, :n]
             attn = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh)))
             probs_out.append(attn.data)
-            out = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (B, S, C))
+            out = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (B, n, C))
             return linear(out, pre, "o")
 
+        seen = []
         monkeypatch.setattr(vit, "_attention", unfused)
         for want in fused:
             got = vit.attention_map(img, want.token, want.layer, params)
             np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-12)
+        assert seen[:2] == [12, 4]  # the last layer queries [CLS] and the 3 parts only
 
     def test_layer_out_of_range(self):
         cfg = tiny_cfg(depth=1)
