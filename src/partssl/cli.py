@@ -26,7 +26,6 @@ from .config import ConfigError, RunConfig
 from .distill import Pretrainer
 from .finetune import (FUSION_STRATEGIES, FinetuneTrainer, dump_embeddings,
                        extract_embeddings, fused_dim, load_embeddings)
-from .multicrop import views_per_area
 from .tensor import ShapeError
 
 
@@ -44,7 +43,7 @@ def build_datasets(cfg):
             num_identities=d.num_identities,
             images_per_identity=d.train_images_per_identity + d.test_images_per_identity,
             cameras=d.cameras, image_h=cfg.backbone.image_h, image_w=cfg.backbone.image_w,
-            noise=d.noise, band_jitter=d.band_jitter, occlusion_p=d.occlusion_p)
+            band_jitter=d.band_jitter)
         ds = sd.generate(spec, seed=d.seed)
     return _split_by_identity(ds, d.test_images_per_identity)
 
@@ -310,8 +309,8 @@ def run_ablate(cfg, out):
             sub.out_dir = os.path.join(out, "L%d_finetune" % L)
             ft_out = _prepare_out(sub)
             res = run_finetune(sub, ft_out)
-            rows.append((L, views_per_area(L), res["mAP"], res["rank1"]))
-    elif cfg.ablation.axis == "fusion":
+            rows.append((L, sub.crops.resolve_j(), res["mAP"], res["rank1"]))
+    else:  # fusion
         header = ("fusion", "dim", "mAP", "rank1")
         sub = cfgmod.parse_text(cfgmod.to_text(cfg))
         sub.mode = "pretrain"
@@ -326,8 +325,6 @@ def run_ablate(cfg, out):
             res = run_finetune(sub2, _prepare_out(sub2))
             dim = fused_dim(strategy, cfg.backbone.num_parts, cfg.backbone.embed_dim)
             rows.append((strategy, dim, res["mAP"], res["rank1"]))
-    else:
-        raise ConfigError("ablation.axis: expected areas or fusion, got %r" % cfg.ablation.axis)
     table = _format_table(header, rows)
     path = os.path.join(out, "ablation.txt")
     with open(path, "w") as fh:

@@ -142,7 +142,6 @@ class ClusterConfig:
     epochs: int = 3
     eps: float = 0.5
     min_points: int = 4
-    temperature: float = 0.05
     fusion: str = "mean_all"
     ids_per_batch: int = 4
     samples_per_id: int = 4
@@ -196,7 +195,7 @@ class AdaptTrainer:
         for step in range(steps):
             rows, labs = pk_batch(self.rng, pools, cl.ids_per_batch, cl.samples_per_id)
             feats_t = forward_embeddings(self.params, self.images[rows], cl.fusion)
-            loss = prototype_contrastive_loss(feats_t, labs, bank, cl.temperature)
+            loss = prototype_contrastive_loss(feats_t, labs, bank)
             losses.append(loss.item())
             norms.append(self.optimizer.minimize(
                 loss, 5.0, "adaptation epoch %d step %d" % (epoch, step)))

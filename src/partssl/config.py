@@ -1,9 +1,9 @@
 """Run configuration: a flat ``section.key = value`` text format with full
 defaults, typed parsing, and exact round-tripping of resolved configs.
 
-The local-view count J is always derived from the area count L unless the
-explicit override flag is set; a resolved config therefore re-parses to an
-identical run.
+The local-view count J is derived from the area count L as ceil(9/L) when
+``crops.views_per_area`` is 0, or set directly; a resolved config re-parses
+to an identical run either way.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ class DataConfig:
     train_images_per_identity: int = 8
     test_images_per_identity: int = 4  # the last ones of each identity, either kind
     cameras: int = 4
-    noise: float = 0.03
     band_jitter: float = 0.12
-    occlusion_p: float = 0.0
     seed: int = 11
 
 
@@ -58,7 +56,6 @@ class RunConfig:
     out_dir: str = "runs/out"
     resume: str = ""
     init_checkpoint: str = ""
-    allow_j_override: bool = False
     data: DataConfig = field(default_factory=DataConfig)
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     crops: MulticropConfig = field(default_factory=MulticropConfig)
@@ -81,13 +78,10 @@ class RunConfig:
         if self.crops.num_areas != self.backbone.num_parts:
             raise ConfigError("crops.num_areas (%d) must equal backbone.num_parts (%d)"
                               % (self.crops.num_areas, self.backbone.num_parts))
-        if self.crops.views_per_area and not self.allow_j_override:
-            raise ConfigError(
-                "crops.views_per_area is derived from the area count; "
-                "set allow_j_override = true to force a value")
         for key, value, choices in (("finetune.fusion", self.finetune.fusion, FUSION_STRATEGIES),
                                     ("cluster.fusion", self.cluster.fusion, FUSION_STRATEGIES),
-                                    ("crops.pos_mode", self.crops.pos_mode, POS_MODES)):
+                                    ("crops.pos_mode", self.crops.pos_mode, POS_MODES),
+                                    ("ablation.axis", self.ablation.axis, ("areas", "fusion"))):
             if value not in choices:
                 raise ConfigError("%s: expected one of %s, got %r"
                                   % (key, " | ".join(choices), value))
@@ -115,7 +109,8 @@ class RunConfig:
 _BOUNDS = (
     ("data.num_identities", 1, math.inf), ("data.train_images_per_identity", 1, math.inf),
     ("data.cameras", 1, math.inf), ("crops.num_globals", 1, math.inf),
-    ("crops.num_areas", 1, 5), ("distill.batch_size", 1, math.inf),
+    ("crops.num_areas", 1, 5), ("crops.views_per_area", 0, math.inf),
+    ("distill.batch_size", 1, math.inf),
     ("distill.ema_start", 0.0, 1.0), ("distill.ema_end", 0.0, 1.0),
     # a triplet batch needs positives and negatives
     ("finetune.ids_per_batch", 2, math.inf), ("finetune.samples_per_id", 2, math.inf),
@@ -133,7 +128,6 @@ _COMMENTS = {
     "distill.ema_start": "teacher momentum schedule start; cosine to ema_end",
     "distill.tau_s": "student softmax temperature",
     "distill.tau_t": "teacher softmax temperature (sharper than student)",
-    "finetune.margin": "triplet loss margin",
     "finetune.lr": "0 = rule 0.0004 * batch / 64",
     "finetune.fusion": " | ".join(FUSION_STRATEGIES),
     "cluster.fusion": " | ".join(FUSION_STRATEGIES),

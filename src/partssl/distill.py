@@ -31,8 +31,6 @@ class DistillError(ValueError):
 class Temperatures:
     tau_s: float = 0.1
     tau_t: float = 0.04
-    tau_t_warmup_start: float = 0.04
-    tau_warmup_frac: float = 0.1
 
     def __post_init__(self):
         if self.tau_s <= 0 or self.tau_t <= 0:
@@ -41,11 +39,11 @@ class Temperatures:
             raise DistillError("teacher temperature must not exceed student temperature")
 
     def teacher_at(self, step, total_steps):
-        warm = int(self.tau_warmup_frac * total_steps)
+        """tau_t after a linear warmup from 0.04 over the first 10% of steps."""
+        warm = int(0.1 * total_steps)
         if warm <= 0 or step >= warm:
             return self.tau_t
-        t = step / warm
-        return self.tau_t_warmup_start + t * (self.tau_t - self.tau_t_warmup_start)
+        return 0.04 + step / warm * (self.tau_t - 0.04)
 
 
 @dataclass

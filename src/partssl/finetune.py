@@ -156,9 +156,7 @@ class FinetuneConfig:
     ids_per_batch: int = 4
     samples_per_id: int = 4
     lr: float = 0.0         # 0 -> 0.0004 * batch / 64 rule
-    margin: float = 0.3
     fusion: str = "concat_cls_meanpart"
-    flip_p: float = 0.5
 
     def resolve_lr(self):
         if self.lr:
@@ -220,9 +218,9 @@ class FinetuneTrainer:
         # labels are positions in the sorted class list: the classifier rows
         rows, labels = pk_batch(self.rng, self.pools, self.ft.ids_per_batch,
                                 self.ft.samples_per_id)
-        flip = self.rng.random(len(rows)) < self.ft.flip_p
+        flip = self.rng.random(len(rows)) < 0.5
         feats = forward_embeddings(self.params, self.images[rows], self.ft.fusion, flip)
-        tri = batch_hard_triplet(feats, labels, self.ft.margin)
+        tri = batch_hard_triplet(feats, labels)
         neck = self.head.embed(feats, training=True)
         ce = id_loss(self.head.class_logits(neck), labels)
         loss = ce + tri
@@ -285,14 +283,29 @@ def dump_embeddings(path, embeddings, ids, cams):
 def load_embeddings(path):
     vecs, ids, cams = [], [], []
     with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            vecs.append(rec["vector"])
-            ids.append(rec["identity"])
-            cams.append(rec["camera"])
-    vecs = np.asarray(vecs, dtype=np.float64)
+        try:
+            for line in fh:
+                rec = json.loads(line)
+                vecs.append(rec["vector"])
+                ids.append(rec["identity"])
+                cams.append(rec["camera"])
+        except (ValueError, KeyError, TypeError) as exc:  # cams grows last on each line
+            raise vit.ConfigError("%s line %d: not an embedding record (%s: %s)"
+                                  % (path, len(cams) + 1, type(exc).__name__, exc)) from None
+    if not vecs:
+        raise vit.ConfigError("%s: no embedding records" % path)
+    try:
+        matrix = np.asarray(vecs, dtype=np.float64)
+    except (ValueError, TypeError):  # ragged, or not numbers
+        matrix = None
+    if matrix is None or matrix.ndim != 2:  # blame the first vector unlike line 1's
+        sizes = [len(v) if isinstance(v, list) and all(isinstance(x, (int, float)) for x in v)
+                 else -1 for v in vecs]
+        bad = next(n for n, k in enumerate(sizes) if k < 0 or k != sizes[0])
+        raise vit.ConfigError("%s line %d: vector is not a list of numbers as long as line 1's"
+                              % (path, bad + 1)) from None
     # JSON reads NaN and Infinity, and evaluate would rank them without a word
-    bad = np.nonzero(~np.isfinite(vecs))[0]
+    bad = np.nonzero(~np.isfinite(matrix))[0]
     if len(bad):
         raise vit.ConfigError("%s line %d: embedding vector is not finite" % (path, bad[0] + 1))
-    return vecs, np.asarray(ids), np.asarray(cams)
+    return matrix, np.asarray(ids), np.asarray(cams)

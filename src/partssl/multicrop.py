@@ -118,6 +118,14 @@ class ViewSet:
 # raster helpers
 
 
+def pixel_centers(src, dst, lo_frac=0.0, hi_frac=1.0):
+    """Source coordinates of ``dst`` pixel centers spread over the [lo_frac,
+    hi_frac] span of a ``src``-pixel axis: the one rule of resizing and of
+    position interpolation, so crop-aware positions match resized pixels."""
+    pos = lo_frac * src + (np.arange(dst) + 0.5) * ((hi_frac - lo_frac) * src / dst) - 0.5
+    return np.clip(pos, 0.0, src - 1.0)
+
+
 def resize_bilinear(img, out_h, out_w):
     """Pixel-center-aligned bilinear resize of an (H,W,C) float image."""
     img = np.asarray(img, dtype=np.float64)
@@ -126,7 +134,7 @@ def resize_bilinear(img, out_h, out_w):
         return img.copy()
 
     def axis_coords(n_src, n_dst):
-        pos = np.clip((np.arange(n_dst) + 0.5) * (n_src / n_dst) - 0.5, 0, n_src - 1)
+        pos = pixel_centers(n_src, n_dst)
         lo = np.floor(pos).astype(int)
         hi = np.minimum(lo + 1, n_src - 1)
         return lo, hi, pos - lo

@@ -98,6 +98,4 @@ def warmup_cosine_lr(step, total_steps, base_lr, warmup_steps, final_lr=0.0):
     """Linear warmup to base_lr, then cosine decay to final_lr."""
     if warmup_steps > 0 and step < warmup_steps:
         return base_lr * (step + 1) / warmup_steps
-    span = max(total_steps - warmup_steps, 1)
-    t = min(max((step - warmup_steps) / span, 0.0), 1.0)
-    return final_lr + (base_lr - final_lr) * 0.5 * (1.0 + math.cos(math.pi * t))
+    return cosine_ramp(step - warmup_steps, max(total_steps - warmup_steps, 1), base_lr, final_lr)

@@ -46,7 +46,6 @@ class SyntheticSpec:
     # is only observable by looking at that band (identities stay decodable
     # from the base palette)
     band_jitter: float = 0.12
-    occlusion_p: float = 0.0
 
     def validate(self):
         if self.num_identities < 1 or self.images_per_identity < 1 or self.cameras < 1:
@@ -140,7 +139,6 @@ def generate(spec, seed):
     palettes, textures = _sample_palettes(spec, rng)
 
     images, ids, cams, masks = [], [], [], []
-    H, W = spec.image_h, spec.image_w
     bounds = band_bounds(spec)
     for ident in range(spec.num_identities):
         base, mask = _base_image(spec, palettes[ident], textures[ident])
@@ -156,12 +154,6 @@ def generate(spec, seed):
                     img[bounds[band]:bounds[band + 1]] += shift
             img = img * gain + tint
             img = img + rng.normal(0.0, spec.noise, size=img.shape)
-            if spec.occlusion_p and rng.random() < spec.occlusion_p:
-                oh = int(rng.integers(H // 8, H // 3))
-                ow = int(rng.integers(W // 4, W // 2 + 1))
-                top = int(rng.integers(0, H - oh + 1))
-                left = int(rng.integers(0, W - ow + 1))
-                img[top:top + oh, left:left + ow] = 0.5
             images.append(np.clip(img, 0.0, 1.0))
             ids.append(ident)
             cams.append(cam)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .multicrop import pixel_centers
 from .tensor import Tensor
 
 
@@ -214,9 +215,8 @@ def _interp_weights(src, dst, lo_frac, hi_frac, mirror):
     sub-interval (crop-aware positions); ``mirror`` (V,) reverses a view's
     target traversal (horizontal flip).
     """
-    lo_frac, hi_frac = lo_frac[:, None], hi_frac[:, None]
-    pos = lo_frac * src + (np.arange(dst) + 0.5) * ((hi_frac - lo_frac) * src / dst) - 0.5
-    pos = np.clip(np.where(mirror[:, None], pos[:, ::-1], pos), 0.0, src - 1.0)[..., None]
+    pos = pixel_centers(src, dst, lo_frac[:, None], hi_frac[:, None])
+    pos = np.where(mirror[:, None], pos[:, ::-1], pos)[..., None]
     lo = np.floor(pos)
     w = pos - lo
     cols = np.arange(src)

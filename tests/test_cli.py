@@ -100,7 +100,6 @@ class TestFinetuneMode:
     def test_backbone_mismatch_refused(self, pipeline, tmp_path):
         cfg = micro_cfg(tmp_path, "finetune", init_checkpoint=pipeline["pre"]["checkpoint"])
         cfg.backbone.embed_dim = 16
-        cfg.allow_j_override = False
         with pytest.raises(cfgmod.ConfigError, match="embed_dim"):
             cli.run(cfg)
 
@@ -200,6 +199,18 @@ class TestEvalMode:
         assert cli.main(["eval", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and dump + " line 18" in err, err
+
+    def test_truncated_dump_exits_1(self, tmp_path, capsys):
+        from partssl.finetune import dump_embeddings
+        dump = tmp_path / "emb.jsonl"
+        dump_embeddings(str(dump), np.random.default_rng(2).normal(size=(8, 4)),
+                        np.arange(8) // 2, np.arange(8) % 2)
+        dump.write_text(dump.read_text()[:-40])  # a cut-off last line
+        cfg_file = tmp_path / "eval.cfg"
+        cfg_file.write_text("eval.embeddings = %s\n" % dump)
+        assert cli.main(["eval", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "%s line 8" % dump in err, err
 
     def test_missing_embeddings_config_error(self, tmp_path):
         cfg = micro_cfg(tmp_path, "eval")
@@ -350,6 +361,14 @@ class TestAblation:
         with open(res["table"]) as fh:
             table = fh.read()
         assert "fusion" in table and "mean_all" in table
+
+    def test_unknown_axis_exits_1_before_writing(self, tmp_path, capsys):
+        cfg_file = tmp_path / "ablate.cfg"
+        cfg_file.write_text("ablation.axis = bogus\n")
+        out = tmp_path / "out"
+        assert cli.main(["ablate", "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert "ablation.axis" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_areas_axis_one_row_per_l(self, tmp_path):
         cfg = micro_cfg(tmp_path, "ablate")

@@ -58,11 +58,15 @@ class TestValidation:
             cfgmod.parse_text("crops.num_areas = 2")
 
     def test_j_is_derived_not_user_set(self):
-        with pytest.raises(ConfigError, match="views_per_area"):
-            cfgmod.parse_text("crops.views_per_area = 7")
+        # left at 0, J is derived from L and is written back as 0, not as
+        # the derived value, so a changed L re-derives it after a round trip
+        cfg = cfgmod.parse_text("crops.views_per_area = 0")
+        assert cfg.crops.resolve_j() == 3  # ceil(9/3)
+        again = cfgmod.parse_text(cfgmod.to_text(cfg))
+        assert again == cfg and again.crops.views_per_area == 0
 
-    def test_j_override_flag_allows_it(self):
-        cfg = cfgmod.parse_text("allow_j_override = true\ncrops.views_per_area = 7")
+    def test_j_set_directly(self):
+        cfg = cfgmod.parse_text("crops.views_per_area = 7")
         assert cfg.crops.resolve_j() == 7
         # and it still round-trips
         assert cfgmod.parse_text(cfgmod.to_text(cfg)) == cfg
@@ -113,7 +117,8 @@ class TestValidation:
                                       "cluster.samples_per_id = 0", "data.num_identities = 0",
                                       "data.train_images_per_identity = 0", "data.cameras = 0",
                                       "backbone.num_parts = 6\ncrops.num_areas = 6",
-                                      "distill.ema_start = 1.5", "distill.ema_end = -0.1"])
+                                      "distill.ema_start = 1.5", "distill.ema_end = -0.1",
+                                      "crops.views_per_area = -1"])
     def test_unusable_value_rejected_at_load(self, line, tmp_path, capsys):
         key = line.splitlines()[-1].split(" = ")[0]
         with pytest.raises(ConfigError, match=key):
@@ -155,7 +160,13 @@ class TestValidation:
                                       "distill.weight_decay = 0.01",
                                       "finetune.warmup_frac = 0.1",
                                       "finetune.weight_decay = 0.01",
-                                      "finetune.clip_grad = 5.0", "cluster.clip_grad = 5.0"])
+                                      "finetune.clip_grad = 5.0", "cluster.clip_grad = 5.0",
+                                      "finetune.margin = 0.3", "finetune.flip_p = 0.5",
+                                      "cluster.temperature = 0.05", "data.noise = 0.03",
+                                      "data.occlusion_p = 0.0",
+                                      "distill.tau_t_warmup_start = 0.04",
+                                      "distill.tau_warmup_frac = 0.1",
+                                      "allow_j_override = false"])
     def test_removed_key_is_unknown(self, line):
         with pytest.raises(ConfigError, match="unknown config key"):
             cfgmod.parse_text(line)

@@ -309,11 +309,14 @@ class TestSchedules:
             distill.Temperatures(tau_s=0.1, tau_t=0.2)
         with pytest.raises(distill.DistillError):
             distill.Temperatures(tau_s=-0.1)
-        temps = distill.Temperatures(tau_s=0.1, tau_t=0.06, tau_t_warmup_start=0.02,
-                                     tau_warmup_frac=0.5)
-        assert temps.teacher_at(0, 100) == pytest.approx(0.02)
-        assert temps.teacher_at(25, 100) == pytest.approx(0.04)
+        # a linear warmup from 0.04 over the first 10% of steps
+        temps = distill.Temperatures(tau_s=0.1, tau_t=0.06)
+        assert temps.teacher_at(0, 100) == 0.04
+        assert temps.teacher_at(5, 100) == pytest.approx(0.05)
+        assert temps.teacher_at(9, 100) == pytest.approx(0.058)
+        assert temps.teacher_at(10, 100) == 0.06
         assert temps.teacher_at(60, 100) == 0.06
+        assert temps.teacher_at(0, 9) == 0.06  # fewer than 10 steps: no warmup
 
 
 def tiny_trainer(steps=30, seed=0, centering=True, **pre_kw):

@@ -322,3 +322,33 @@ class TestEmbeddingDump:
         ft.dump_embeddings(path, emb, np.arange(7), np.zeros(7))
         with pytest.raises(vit.ConfigError, match="emb.jsonl line 5: .*not finite"):
             ft.load_embeddings(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda rec: rec[:len(rec) // 2], "line 4: not an embedding record"),  # truncated
+        (lambda rec: rec.replace('"camera"', '"cam"'), "line 4: .*KeyError: 'camera'"),
+        (lambda rec: rec.replace('"vector": [', '"vector": [1.0, '), "line 4: vector is not"),
+        (lambda rec: rec.replace('"vector": [', '"vector": ["a", '), "line 4: vector is not"),
+        (lambda rec: "[1, 2]", "line 4: not an embedding record"),
+    ], ids=["truncated", "missing-camera", "longer-vector", "string-element", "not-an-object"])
+    def test_malformed_record_is_config_error(self, tmp_path, damage, message):
+        path = tmp_path / "emb.jsonl"
+        ft.dump_embeddings(path, np.random.default_rng(13).normal(size=(6, 5)),
+                           np.arange(6), np.zeros(6))
+        lines = path.read_text().splitlines()
+        lines[3] = damage(lines[3])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(vit.ConfigError, match="emb.jsonl " + message):
+            ft.load_embeddings(str(path))
+
+    def test_numbers_in_place_of_vectors_are_config_error(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text("".join('{"identity": %d, "camera": 0, "vector": 1.5}\n' % n
+                                for n in range(3)))
+        with pytest.raises(vit.ConfigError, match="line 1: vector is not"):
+            ft.load_embeddings(str(path))
+
+    def test_empty_dump_is_config_error(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text("")
+        with pytest.raises(vit.ConfigError, match="no embedding records"):
+            ft.load_embeddings(str(path))

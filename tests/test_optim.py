@@ -105,3 +105,13 @@ def test_warmup_cosine_lr_shape():
     assert lrs[-1] == pytest.approx(final, rel=1e-12)
     assert all(a <= b for a, b in zip(lrs[:warmup], lrs[1:warmup]))
     assert all(a >= b for a, b in zip(lrs[warmup:], lrs[warmup + 1:]))
+
+
+@pytest.mark.parametrize("final", [0.0, 1e-5])
+def test_warmup_cosine_lr_decays_on_cosine_ramp(final):
+    base = 1e-3
+    for total in (1, 2, 7, 100, 333):
+        for warmup in (0, int(0.1 * total)):
+            for step in range(warmup, total + 2):
+                assert optim.warmup_cosine_lr(step, total, base, warmup, final) == \
+                    optim.cosine_ramp(step - warmup, max(total - warmup, 1), base, final)

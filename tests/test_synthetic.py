@@ -84,11 +84,6 @@ class TestGenerate:
         acc = correct / len(ds)
         assert acc > 1.0 / 8 + 0.2
 
-    def test_occlusion_option(self):
-        ds = sd.generate(small_spec(occlusion_p=1.0, noise=0.0), seed=6)
-        base = sd.generate(small_spec(occlusion_p=0.0, noise=0.0), seed=6)
-        assert not np.array_equal(ds.images, base.images)
-
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             sd.generate(small_spec(num_identities=0), seed=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from partssl import checkpoint as ckpt
+from partssl import multicrop as mc
 from partssl import synthetic as sd
 from partssl import tensor as T
 from partssl import vit
@@ -101,6 +102,17 @@ class TestPositionMatrices:
             want = np.kron(interp_1d(gh, grid[0], top, top + h, False),
                            interp_1d(gw, grid[1], left, left + w, mirror))
             assert np.array_equal(got, want)
+
+    def test_full_rect_weights_are_the_resize_weights(self):
+        # resizing the one-hot rows of the identity reads off resize's own
+        # interpolation weights; positions must use the same sampling
+        whole, flat = np.array([0.0]), np.array([False])
+        for src in range(2, 13):
+            basis = np.eye(src)[:, None, :]  # (src, 1, src): channel c is pixel c
+            for dst in range(1, 13):
+                resized = mc.resize_bilinear(basis, dst, 1)[:, 0, :]
+                weights = vit._interp_weights(src, dst, whole, whole + 1.0, flat)[0]
+                assert np.array_equal(resized, weights), (src, dst)
 
     def test_single_view_matrix_is_one_row_of_the_batch(self):
         cfg = tiny_cfg()
