@@ -8,7 +8,9 @@ bit-exact because payloads are raw ``float64`` bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -31,7 +33,7 @@ class Checkpoint:
 
 
 def save_checkpoint(path, tensors, config=None, extra=None):
-    """Write named float64 arrays plus config/extra metadata."""
+    """Write named float64 arrays plus config/extra metadata, atomically."""
     arrays = {k: np.ascontiguousarray(v, dtype=np.float64) for k, v in tensors.items()}
     entries = []
     offset = 0
@@ -44,12 +46,21 @@ def save_checkpoint(path, tensors, config=None, extra=None):
         "extra": extra or {},
         "tensors": entries,
     }).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for arr in arrays.values():
-            fh.write(arr.tobytes())
+    # a crash or a full disk mid-write leaves the previous file whole: write a
+    # sibling, then rename it over the target (atomic within one directory)
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for arr in arrays.values():
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     return path
 
 
@@ -79,6 +90,7 @@ def load_checkpoint(path):
             raise CheckpointError("%s: tensor %r runs past the end of the file (truncated?)"
                                   % (path, ent["name"]))
         arr = np.frombuffer(blob, dtype=np.float64, count=count, offset=offset)
+        # a copy: frombuffer is read-only, and parameters are updated in place
         tensors[ent["name"]] = arr.reshape(shape).copy()
     return Checkpoint(
         version=header["version"],

@@ -252,7 +252,9 @@ def ema_update(student, teacher, lam):
         s, t = student[name], teacher[name]
         if s.shape != t.shape:
             raise T.ShapeError("ema_update: %s shapes differ %s vs %s" % (name, s.shape, t.shape))
-        t.data = lam * t.data + (1.0 - lam) * s.data
+        pull = s.data * (1.0 - lam)
+        t.data *= lam
+        t.data += pull
     return teacher
 
 
@@ -319,25 +321,22 @@ class Pretrainer:
         return np.random.SeedSequence([self.seed, self.step_count, int(image_index)])
 
     def build_batch(self, indices):
-        """Stack the global views and the local views, each image-major and
+        """The global views and the local views, each stacked image-major and
         in ``build_view_set`` order (locals area by area)."""
-        viewsets = [build_view_set(self.images[i], self.crop_cfg, self._view_seed(i))
-                    for i in indices]
-        glob_views = [v for vs in viewsets for v in vs.globals]
-        loc_views = [v for vs in viewsets for v in vs.locals]
-        globs = np.stack([v.image for v in glob_views])
-        locs = np.stack([v.image for v in loc_views])
-        loc_part = np.asarray([v.area_index for v in loc_views])
+        vs = build_view_set([self.images[i] for i in indices], self.crop_cfg,
+                            [self._view_seed(i) for i in indices])
+        loc_part = np.asarray([v.area_index for v in vs.locals])
         if self.crop_cfg.pos_mode == "crop":
             batch_rects = (
-                [v.plan.rect_frac for v in glob_views],
-                [v.plan.flip for v in glob_views],
-                [v.plan.rect_frac for v in loc_views],
-                [v.plan.flip for v in loc_views],
+                [v.plan.rect_frac for v in vs.globals],
+                [v.plan.flip for v in vs.globals],
+                [v.plan.rect_frac for v in vs.locals],
+                [v.plan.flip for v in vs.locals],
             )
         else:
             batch_rects = (None, None, None, None)
-        return globs, locs, loc_part, len(viewsets), self.crop_cfg.resolve_j(), batch_rects
+        return (vs.global_pixels, vs.local_pixels, loc_part, len(indices),
+                self.crop_cfg.resolve_j(), batch_rects)
 
     # -- forward ----------------------------------------------------------
 

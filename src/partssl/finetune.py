@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from . import vit
-from .multicrop import resize_bilinear
+from .multicrop import resize_batch
 from .optim import AdamW, warmup_cosine_lr
 from .tensor import Tensor
 
@@ -182,7 +182,7 @@ def forward_embeddings(params, images, fusion, flip_mask=None):
     cfg = params.cfg
     images = np.asarray(images, dtype=np.float64)
     if images.shape[1:3] != (cfg.image_h, cfg.image_w):
-        images = np.stack([resize_bilinear(im, cfg.image_h, cfg.image_w) for im in images])
+        images = resize_batch(images, cfg.image_h, cfg.image_w)
     if flip_mask is not None:
         images = images.copy()
         images[flip_mask] = images[flip_mask, :, ::-1]
@@ -280,6 +280,17 @@ def dump_embeddings(path, embeddings, ids, cams):
     return path
 
 
+def _is_float(x):
+    """Whether a JSON value converts to a float (an integer may be too large)."""
+    if not isinstance(x, (int, float)):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
 def load_embeddings(path):
     vecs, ids, cams = [], [], []
     with open(path) as fh:
@@ -296,13 +307,13 @@ def load_embeddings(path):
         raise vit.ConfigError("%s: no embedding records" % path)
     try:
         matrix = np.asarray(vecs, dtype=np.float64)
-    except (ValueError, TypeError):  # ragged, or not numbers
+    except (ValueError, TypeError, OverflowError):  # ragged, not numbers, or too large
         matrix = None
     if matrix is None or matrix.ndim != 2:  # blame the first vector unlike line 1's
-        sizes = [len(v) if isinstance(v, list) and all(isinstance(x, (int, float)) for x in v)
-                 else -1 for v in vecs]
+        sizes = [len(v) if isinstance(v, list) and all(_is_float(x) for x in v) else -1
+                 for v in vecs]
         bad = next(n for n, k in enumerate(sizes) if k < 0 or k != sizes[0])
-        raise vit.ConfigError("%s line %d: vector is not a list of numbers as long as line 1's"
+        raise vit.ConfigError("%s line %d: vector is not a list of floats as long as line 1's"
                               % (path, bad + 1)) from None
     # JSON reads NaN and Infinity, and evaluate would rank them without a word
     bad = np.nonzero(~np.isfinite(matrix))[0]

@@ -4,7 +4,9 @@ An image yields M global crops from anywhere plus J local crops from each of
 L fixed, overlapping, full-width horizontal areas. Local crops keep full
 image width when they can; width shrinks only when the crop would otherwise
 exceed the 40% image-area cap. Every crop and jitter parameter is a pure
-function of the seed, so a view set replays bit-identically.
+function of the seed, so a view set replays bit-identically. Plans are
+drawn image by image; then one vectorised pass cuts, resizes and jitters all
+views of one size.
 """
 
 from __future__ import annotations
@@ -106,8 +108,10 @@ class View:
 
 @dataclass
 class ViewSet:
-    globals: list
-    locals: list
+    globals: list            # View per global crop, image-major
+    locals: list             # View per local crop, image-major, areas in order
+    global_pixels: np.ndarray  # the globals' images stacked: (len(globals), *global_size, C)
+    local_pixels: np.ndarray   # the locals' images stacked: (len(locals), *local_size, C)
 
     @property
     def views(self):
@@ -121,45 +125,104 @@ class ViewSet:
 def pixel_centers(src, dst, lo_frac=0.0, hi_frac=1.0):
     """Source coordinates of ``dst`` pixel centers spread over the [lo_frac,
     hi_frac] span of a ``src``-pixel axis: the one rule of resizing and of
-    position interpolation, so crop-aware positions match resized pixels."""
+    position interpolation, so crop-aware positions match resized pixels.
+    An (N, 1) array of sizes gives one row of centers per size."""
     pos = lo_frac * src + (np.arange(dst) + 0.5) * ((hi_frac - lo_frac) * src / dst) - 0.5
     return np.clip(pos, 0.0, src - 1.0)
 
 
-def resize_bilinear(img, out_h, out_w):
-    """Pixel-center-aligned bilinear resize of an (H,W,C) float image."""
-    img = np.asarray(img, dtype=np.float64)
-    H, W = img.shape[:2]
-    if (H, W) == (out_h, out_w):
-        return img.copy()
+def _resample(images, plans, owners):
+    """Crop, pixel-center bilinear resize and flip of every plan, stacked
+    (N, *target, C): plan k cuts ``images[owners[k]]``. All plans share one
+    target size.
 
-    def axis_coords(n_src, n_dst):
-        pos = pixel_centers(n_src, n_dst)
+    Separable and exact: every crop row is first resized in x (a bilinear
+    output row blends two such rows, by the same products), then each output
+    row blends its two rows in y. A crop of the target size is copied, not
+    interpolated. Also returns which views are flipped or copied: resizing
+    one of those alone leaves it in C order, any other W-major.
+    """
+    images = [np.asarray(im, dtype=np.float64) for im in images]
+    th, tw = plans[0].target
+    C = images[0].shape[2]
+    n = len(plans)
+    owners = np.asarray(owners)
+    pixels = np.concatenate([im.reshape(-1, C) for im in images])  # images end to end
+    first = np.cumsum([0] + [im.shape[0] * im.shape[1] for im in images])[owners]
+    width = np.asarray([im.shape[1] for im in images])[owners]
+    top, left, h, w = np.asarray([(p.top, p.left, p.height, p.width) for p in plans]).T
+    flip = np.asarray([p.flip for p in plans], dtype=bool)
+    same = (h == th) & (w == tw)
+
+    def axis(n_src, n_dst):
+        pos = pixel_centers(n_src[:, None], n_dst)
         lo = np.floor(pos).astype(int)
-        hi = np.minimum(lo + 1, n_src - 1)
-        return lo, hi, pos - lo
+        return lo, np.minimum(lo + 1, n_src[:, None] - 1), pos - lo
 
-    y0, y1, wy = axis_coords(H, out_h)
-    x0, x1, wx = axis_coords(W, out_w)
-    wy = wy[:, None, None]
-    wx = wx[None, :, None]
-    top = img[y0][:, x0] * (1 - wx) + img[y0][:, x1] * wx
-    bot = img[y1][:, x0] * (1 - wx) + img[y1][:, x1] * wx
-    return top * (1 - wy) + bot * wy
+    y0, y1, wy = axis(h, th)
+    x0, x1, wx = axis(w, tw)
+    for arr in (x0, x1, wx):
+        arr[flip] = arr[flip, ::-1]
+    x0 += left[:, None]
+    x1 += left[:, None]
+    r = np.minimum(np.arange(h.max()), h[:, None] - 1)  # (n, R) crop rows, padded
+    row_start = (first[:, None] + (top[:, None] + r) * width[:, None])[:, :, None]
+    a = pixels.take(row_start + x0[:, None, :], axis=0)  # (n, R, tw, C)
+    rows = a * (1 - wx[:, None, :, None])
+    rows += pixels.take(row_start + x1[:, None, :], axis=0) * wx[:, None, :, None]
+    rows = rows.reshape(-1, tw * C)
+    offset = np.arange(n)[:, None] * r.shape[1]
+    wy = wy[:, :, None]
+    out = rows.take(offset + y0, axis=0)
+    out *= 1 - wy
+    bot = rows.take(offset + y1, axis=0)
+    bot *= wy
+    out += bot
+    out = out.reshape(n, th, tw, C)
+    if same.any():
+        out[same] = a[same, :th]
+    return out, flip | same
+
+
+def render(images, plans, owners):
+    """Every plan's view, stacked (N, *target, C): crop, resize, flip, then
+    brightness and contrast about the view's mean, clipped to [0, 1].
+
+    A view's mean is summed in the memory order that resizing the view alone
+    leaves it in (C order when flipped or copied, W-major when interpolated):
+    every pixel equals the view-by-view formulas that tests/test_multicrop.py
+    keeps, bit for bit."""
+    out, c_order = _resample(images, plans, owners)
+    out *= np.asarray([p.brightness for p in plans])[:, None, None, None]
+    contrast = np.asarray([p.contrast for p in plans])
+    jitter = contrast != 1.0  # contrast 1.0 leaves a view as it is
+    m = np.zeros(len(plans))  # axis orders: C order, then W-major
+    for order, sel in (((0, 1, 2, 3), jitter & c_order), ((0, 2, 1, 3), jitter & ~c_order)):
+        m[sel] = out[sel].transpose(order).reshape(-1, out[0].size).mean(axis=1)
+    m = m[:, None, None, None]
+    sel = jitter[:, None, None, None]
+    np.subtract(out, m, out=out, where=sel)
+    np.multiply(out, contrast[:, None, None, None], out=out, where=sel)
+    np.add(out, m, out=out, where=sel)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def resize_batch(images, out_h, out_w):
+    """Every image of a batch resized whole to out_h x out_w (no clipping)."""
+    plans = [CropPlan(0, 0, im.shape[0], im.shape[1], im.shape[:2], (out_h, out_w),
+                      False, 1.0, 1.0) for im in images]
+    return _resample(images, plans, np.arange(len(plans)))[0]
+
+
+def resize_bilinear(img, out_h, out_w):
+    """Pixel-center-aligned bilinear resize of an (H,W,C) float image (no
+    clipping)."""
+    return resize_batch([np.asarray(img, dtype=np.float64)], out_h, out_w)[0]
 
 
 def apply_plan(image, plan):
     """Crop, resize, then photometric ops; output clipped to [0, 1]."""
-    crop = image[plan.top:plan.top + plan.height, plan.left:plan.left + plan.width]
-    out = resize_bilinear(crop, plan.target[0], plan.target[1])
-    if plan.flip:
-        out = out[:, ::-1].copy()
-    if plan.brightness != 1.0:
-        out = out * plan.brightness
-    if plan.contrast != 1.0:
-        m = out.mean()
-        out = (out - m) * plan.contrast + m
-    return np.clip(out, 0.0, 1.0)
+    return render([image], [plan], [0])[0]
 
 
 def _photometric(cfg, rng):
@@ -169,9 +232,9 @@ def _photometric(cfg, rng):
     return flip, brightness, contrast
 
 
-def sample_global(image, rng, cfg):
-    """Random crop of the whole image, resized to the canonical global size."""
-    H, W = image.shape[:2]
+def global_plan(hw, rng, cfg):
+    """Random crop of a whole H x W image, to be resized to the global size."""
+    H, W = hw
     if H < 2 or W < 2:
         raise AreaError("degenerate image dims %dx%d" % (H, W))
     lo, hi = cfg.global_scale
@@ -188,13 +251,12 @@ def sample_global(image, rng, cfg):
             break
     top = int(rng.integers(0, H - ch + 1))
     left = int(rng.integers(0, W - cw + 1))
-    plan = CropPlan(top, left, ch, cw, (H, W), cfg.global_size, *_photometric(cfg, rng))
-    return View(apply_plan(image, plan), 0, plan)
+    return CropPlan(top, left, ch, cw, (H, W), cfg.global_size, *_photometric(cfg, rng))
 
 
-def sample_local(image, area, area_index, rng, cfg):
+def local_plan(hw, area, rng, cfg):
     """Random crop constrained to one area's rows, capped at 40% image area."""
-    H, W = image.shape[:2]
+    H, W = hw
     row_lo = int(math.ceil(area.top_frac * H))
     row_hi = int(math.floor(area.bottom_frac * H))
     area_h = row_hi - row_lo
@@ -212,19 +274,39 @@ def sample_local(image, area, area_index, rng, cfg):
     w = max(w, 2)
     top = int(rng.integers(row_lo, row_hi - h + 1))
     left = int(rng.integers(0, W - w + 1))
-    plan = CropPlan(top, left, h, w, (H, W), cfg.local_size, *_photometric(cfg, rng))
+    return CropPlan(top, left, h, w, (H, W), cfg.local_size, *_photometric(cfg, rng))
+
+
+def sample_global(image, rng, cfg):
+    """One global view of ``image``: its plan and pixels."""
+    plan = global_plan(np.shape(image)[:2], rng, cfg)
+    return View(apply_plan(image, plan), 0, plan)
+
+
+def sample_local(image, area, area_index, rng, cfg):
+    """One local view of ``image`` inside ``area``: its plan and pixels."""
+    plan = local_plan(np.shape(image)[:2], area, rng, cfg)
     return View(apply_plan(image, plan), area_index, plan)
 
 
-def build_view_set(image, cfg, seed):
-    """M global + L*J local views, each with its crop plan; replayable from seed."""
-    image = np.asarray(image, dtype=np.float64)
-    rng = np.random.default_rng(seed)
+def build_view_set(images, cfg, seeds):
+    """M global + L*J local views of every image, image-major, each with its
+    crop plan. Image n's plans replay from ``seeds[n]``; the views of each
+    size are rendered in one call."""
+    images = [np.asarray(im, dtype=np.float64) for im in images]
     areas = define_areas(cfg.num_areas)
     j = cfg.resolve_j()
-    globs = [sample_global(image, rng, cfg) for _ in range(cfg.num_globals)]
-    locs = []
-    for i, area in enumerate(areas, start=1):
-        for _ in range(j):
-            locs.append(sample_local(image, area, i, rng, cfg))
-    return ViewSet(globals=globs, locals=locs)
+    globs, locs = [], []  # (plan, area index, image index)
+    for n, (image, seed) in enumerate(zip(images, seeds)):
+        rng = np.random.default_rng(seed)
+        hw = image.shape[:2]
+        globs += [(global_plan(hw, rng, cfg), 0, n) for _ in range(cfg.num_globals)]
+        for i, area in enumerate(areas, start=1):
+            locs += [(local_plan(hw, area, rng, cfg), i, n) for _ in range(j)]
+
+    def views(specs):
+        pixels = render(images, [p for p, _, _ in specs], [n for _, _, n in specs])
+        return [View(px, i, p) for px, (p, i, _) in zip(pixels, specs)], pixels
+
+    (globs, glob_pixels), (locs, loc_pixels) = views(globs), views(locs)
+    return ViewSet(globs, locs, glob_pixels, loc_pixels)

@@ -41,14 +41,28 @@ class AdamW:
             g = p.grad
             m = self._m[name]
             v = self._v[name]
+            # moments in place, and one scratch buffer: each op of the
+            # textbook formulas in their order, so the bits are unchanged
+            buf = g * (1 - self.b1)
             m *= self.b1
-            m += (1 - self.b1) * g
+            m += buf
+            np.multiply(g, 1 - self.b2, out=buf)
+            buf *= g
             v *= self.b2
-            v += (1 - self.b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += buf
+            np.divide(v, bc2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += self.eps
+            update = m / bc1
+            update /= buf
             if self.weight_decay and not _no_decay(name, p):
-                update = update + self.weight_decay * p.data
-            p.data = p.data - self.lr * update
+                np.multiply(p.data, self.weight_decay, out=buf)
+                update += buf
+            update *= self.lr
+            # a new array, not ``-=``: updated in place, finetune steps ran 18%
+            # slower, a heap-layout effect that disappears with glibc's trim
+            # and mmap thresholds raised
+            p.data = p.data - update
 
     def zero_grad(self):
         for _, p in self.params:
@@ -72,7 +86,7 @@ class AdamW:
 
 
 def clip_grad_norm(params, max_norm):
-    """Scale all grads so their global L2 norm is at most max_norm."""
+    """Scale all grads in place so their global L2 norm is at most max_norm."""
     total = 0.0
     for p in params:
         if p.grad is not None:
@@ -82,7 +96,7 @@ def clip_grad_norm(params, max_norm):
         scale = max_norm / (norm + 1e-12)
         for p in params:
             if p.grad is not None:
-                p.grad = p.grad * scale
+                p.grad *= scale
     return norm
 
 

@@ -8,9 +8,9 @@ sweep visits every node exactly once.
 The op set is only what a small transformer pipeline needs. Elementwise ops
 broadcast by numpy rules and gradients are un-broadcast by summation; beyond
 that no general numpy surface is attempted. Tensors are treated as immutable
-once produced by an op; the optimizer and the finite-difference checker are
-the only places that write ``.data`` in place, and both own their tensors at
-that point.
+once produced by an op; gradient clipping (``.grad``), the teacher's EMA
+update and the finite-difference checker (``.data``) are the only places that
+write a tensor's arrays in place, and each owns its tensors then.
 """
 
 from __future__ import annotations
@@ -232,9 +232,17 @@ def backward(loss, params=None):
                 continue
             key = id(p)
             grads[key] = grads[key] + pg if key in grads else pg
+    # the optimizer rescales and reads gradients in place: each leaf gets a
+    # writeable array that shares no memory with another leaf's gradient
+    owners = set()
     for key, leaf in leaves.items():
         g = grads.get(key)
-        leaf.grad = np.zeros_like(leaf.data) if g is None else g
+        if g is None:
+            g = np.zeros_like(leaf.data)
+        elif not g.flags.writeable or id(g if g.base is None else g.base) in owners:
+            g = g.copy()
+        owners.add(id(g if g.base is None else g.base))
+        leaf.grad = g
     if params is not None:
         for p in params:
             if p.requires_grad and p.grad is None:

@@ -200,6 +200,21 @@ class TestEvalMode:
         err = capsys.readouterr().err
         assert err.startswith("config error") and dump + " line 18" in err, err
 
+    def test_integer_beyond_float_range_exits_1(self, tmp_path, capsys):
+        from partssl.finetune import dump_embeddings
+        dump = tmp_path / "emb.jsonl"
+        dump_embeddings(str(dump), np.random.default_rng(3).normal(size=(8, 4)),
+                        np.arange(8) // 2, np.arange(8) % 2)
+        lines = dump.read_text().splitlines()
+        lines[5] = lines[5].replace('"vector": [', '"vector": [1%s, ' % ("0" * 400))
+        lines[5] = lines[5][:lines[5].rindex(",")] + "]}"  # still four numbers
+        dump.write_text("\n".join(lines) + "\n")
+        cfg_file = tmp_path / "eval.cfg"
+        cfg_file.write_text("eval.embeddings = %s\n" % dump)
+        assert cli.main(["eval", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "%s line 6" % dump in err, err
+
     def test_truncated_dump_exits_1(self, tmp_path, capsys):
         from partssl.finetune import dump_embeddings
         dump = tmp_path / "emb.jsonl"

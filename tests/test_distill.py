@@ -285,6 +285,21 @@ class TestEma:
         for k, v in t.items():
             np.testing.assert_array_equal(v.data, s[k].data)
 
+    def test_in_place_update_equals_the_out_of_place_formula(self):
+        cfg = vit.BackboneConfig(image_h=8, image_w=8, patch_size=4, embed_dim=4,
+                                 depth=1, heads=1, num_parts=1, proj_dim=4).validate()
+        rng = np.random.default_rng(3)
+        s = vit.NetworkParams.init(cfg, rng)
+        t = vit.NetworkParams.init(cfg, rng)
+        want = t.state()
+        for lam in (0.996, 0.9, 0.5, 0.1, 0.9993):
+            for _, v in s.items():
+                v.data = rng.normal(size=v.shape)
+            distill.ema_update(s, t, lam)
+            want = {k: lam * w + (1.0 - lam) * s[k].data for k, w in want.items()}
+            for k, v in t.items():
+                assert np.array_equal(v.data, want[k]), k
+
     def test_shape_mismatch_raises(self):
         cfg = vit.BackboneConfig(image_h=8, image_w=8, patch_size=4, embed_dim=4,
                                  depth=1, heads=1, num_parts=1, proj_dim=4).validate()
@@ -399,7 +414,8 @@ class TestPretrainer:
         tr.crop_cfg.pos_mode = "crop"
         indices = [3, 0, 5]
         globs, locs, loc_part, b, j, rects = tr.build_batch(indices)
-        sets = [mc.build_view_set(tr.images[i], tr.crop_cfg, tr._view_seed(i)) for i in indices]
+        sets = [mc.build_view_set([tr.images[i]], tr.crop_cfg, [tr._view_seed(i)])
+                for i in indices]
         glob_views = [v for vs in sets for v in vs.globals]
         loc_views = [v for vs in sets for v in vs.locals]
         assert (b, j) == (3, 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from partssl import finetune as ft
+from partssl import multicrop as mc
 from partssl import synthetic as sd
 from partssl import tensor as T
 from partssl import vit
@@ -64,6 +65,17 @@ class TestFusion:
         parts = rng.normal(size=(2, 2, 4))
         out = ft.fuse(T.Tensor(cls_out), T.Tensor(parts), "concat_all").data
         np.testing.assert_allclose(out[:, 4:8], parts[:, 0] / 2, atol=1e-12)
+
+    def test_off_size_images_are_resized_as_a_batch(self):
+        cfg = small_cfg()
+        params = vit.NetworkParams.init(cfg, np.random.default_rng(4))
+        images = np.random.default_rng(5).random((3, 20, 12, 3))
+        resized = np.stack([mc.resize_bilinear(im, 16, 8) for im in images])
+        flip = np.array([True, False, True])
+        with T.no_grad():
+            got = ft.forward_embeddings(params, images, "concat_all", flip)
+            want = ft.forward_embeddings(params, resized, "concat_all", flip)
+        assert np.array_equal(got.data, want.data)
 
     def test_unknown_strategy(self):
         with pytest.raises(ft.FusionError, match="unknown fusion"):
@@ -338,6 +350,14 @@ class TestEmbeddingDump:
         lines[3] = damage(lines[3])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(vit.ConfigError, match="emb.jsonl " + message):
+            ft.load_embeddings(str(path))
+
+    def test_integer_beyond_float_range_is_config_error(self, tmp_path):
+        # JSON has no bound on integer literals; no float holds 10**400
+        path = tmp_path / "emb.jsonl"
+        path.write_text("".join('{"identity": %d, "camera": 0, "vector": [%s, 1.0]}\n'
+                                % (n, 10 ** 400 if n == 2 else 0.5) for n in range(4)))
+        with pytest.raises(vit.ConfigError, match="emb.jsonl line 3: vector is not"):
             ft.load_embeddings(str(path))
 
     def test_numbers_in_place_of_vectors_are_config_error(self, tmp_path):

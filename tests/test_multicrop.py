@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from partssl import distill
 from partssl import multicrop as mc
+from partssl import synthetic as sd
+from partssl import vit
 
 
 def sample_image(seed=0, h=32, w=16):
@@ -149,7 +152,7 @@ class TestLocalSampler:
 class TestViewSet:
     def test_counts_for_default_config(self):
         cfg = mc.MulticropConfig(global_size=(32, 16), local_size=(16, 8))
-        vs = mc.build_view_set(sample_image(11), cfg, seed=0)
+        vs = mc.build_view_set([sample_image(11)], cfg, [0])
         assert len(vs.globals) == 2
         assert len(vs.locals) == 9
         assert len(vs.views) == 11  # M + L*J = 2 + 3*3
@@ -160,27 +163,27 @@ class TestViewSet:
             for L in (1, 2, 3, 4, 5):
                 cfg = mc.MulticropConfig(num_globals=m, num_areas=L,
                                          global_size=(32, 16), local_size=(16, 8))
-                vs = mc.build_view_set(img, cfg, seed=3)
+                vs = mc.build_view_set([img], cfg, [3])
                 assert len(vs.views) == m + L * cfg.resolve_j()
 
     def test_local_layouts_carry_their_area_index(self):
         cfg = mc.MulticropConfig(global_size=(32, 16), local_size=(16, 8))
-        vs = mc.build_view_set(sample_image(13), cfg, seed=1)
+        vs = mc.build_view_set([sample_image(13)], cfg, [1])
         assert [v.area_index for v in vs.locals] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
         assert [v.area_index for v in vs.globals] == [0, 0]
 
     def test_same_seed_bit_identical(self):
         cfg = mc.MulticropConfig(global_size=(32, 16), local_size=(16, 8))
-        a = mc.build_view_set(sample_image(14), cfg, seed=42)
-        b = mc.build_view_set(sample_image(14), cfg, seed=42)
+        a = mc.build_view_set([sample_image(14)], cfg, [42])
+        b = mc.build_view_set([sample_image(14)], cfg, [42])
         assert [v.plan for v in a.views] == [v.plan for v in b.views]
         for va, vb in zip(a.views, b.views):
             np.testing.assert_array_equal(va.image, vb.image)
 
     def test_different_seed_differs(self):
         cfg = mc.MulticropConfig(global_size=(32, 16), local_size=(16, 8))
-        a = mc.build_view_set(sample_image(14), cfg, seed=42)
-        b = mc.build_view_set(sample_image(14), cfg, seed=43)
+        a = mc.build_view_set([sample_image(14)], cfg, [42])
+        b = mc.build_view_set([sample_image(14)], cfg, [43])
         assert [v.plan for v in a.views] != [v.plan for v in b.views]
 
 
@@ -199,3 +202,105 @@ class TestResize:
         out = mc.resize_bilinear(img, 32, 16)
         assert out.min() >= img.min() - 1e-12
         assert out.max() <= img.max() + 1e-12
+
+
+# One view at a time, as the renderer's formulas were first written. The
+# memory order of each intermediate is part of the reference: a resized view
+# is W-major, and ``mean`` sums in memory order.
+
+
+def ref_resize(img, out_h, out_w):
+    H, W = img.shape[:2]
+    if (H, W) == (out_h, out_w):
+        return img.copy()
+
+    def axis_coords(n_src, n_dst):
+        pos = mc.pixel_centers(n_src, n_dst)
+        lo = np.floor(pos).astype(int)
+        hi = np.minimum(lo + 1, n_src - 1)
+        return lo, hi, pos - lo
+
+    y0, y1, wy = axis_coords(H, out_h)
+    x0, x1, wx = axis_coords(W, out_w)
+    wy = wy[:, None, None]
+    wx = wx[None, :, None]
+    top = img[y0][:, x0] * (1 - wx) + img[y0][:, x1] * wx
+    bot = img[y1][:, x0] * (1 - wx) + img[y1][:, x1] * wx
+    return top * (1 - wy) + bot * wy
+
+
+def ref_apply_plan(image, plan):
+    crop = image[plan.top:plan.top + plan.height, plan.left:plan.left + plan.width]
+    out = ref_resize(crop, plan.target[0], plan.target[1])
+    if plan.flip:
+        out = out[:, ::-1].copy()
+    if plan.brightness != 1.0:
+        out = out * plan.brightness
+    if plan.contrast != 1.0:
+        m = out.mean()
+        out = (out - m) * plan.contrast + m
+    return np.clip(out, 0.0, 1.0)
+
+
+def random_plan(rng, hw, target):
+    H, W = hw
+    th, tw = target
+    # a quarter of the crops take the target size on an axis, when it fits
+    h = min(th, H) if rng.random() < 0.25 else int(rng.integers(2, H + 1))
+    w = min(tw, W) if rng.random() < 0.25 else int(rng.integers(2, W + 1))
+    jitter = [1.0 if rng.random() < 0.25 else rng.uniform(0.6, 1.4) for _ in range(2)]
+    return mc.CropPlan(int(rng.integers(0, H - h + 1)), int(rng.integers(0, W - w + 1)), h, w,
+                       (H, W), target, bool(rng.random() < 0.5), *jitter)
+
+
+class TestRenderer:
+    def test_equals_the_one_view_formulas_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        count = same = 0
+        for trial in range(120):
+            images = [rng.random((int(rng.integers(24, 48)), int(rng.integers(12, 28)), 3))
+                      for _ in range(3)]
+            target = [(32, 16), (24, 12), (16, 8), images[0].shape[:2]][trial % 4]
+            owners = rng.integers(0, 3, size=int(rng.integers(1, 9)))
+            plans = [random_plan(rng, images[o].shape[:2], target) for o in owners]
+            got = mc.render(images, plans, owners)
+            want = np.stack([ref_apply_plan(images[o], p) for o, p in zip(owners, plans)])
+            assert got.shape == want.shape and np.array_equal(got, want), trial
+            count += len(plans)
+            same += sum((p.height, p.width) == target for p in plans)
+        assert count >= 500 and same >= 20
+
+    def test_resize_equals_the_formula(self):
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            img = rng.normal(size=(int(rng.integers(1, 40)), int(rng.integers(1, 40)), 3))
+            size = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+            assert np.array_equal(mc.resize_bilinear(img, *size), ref_resize(img, *size))
+        batch = rng.normal(size=(5, 20, 10, 3))  # unclipped: values outside [0, 1] stay
+        assert np.array_equal(mc.resize_batch(batch, 32, 16),
+                              np.stack([ref_resize(im, 32, 16) for im in batch]))
+
+    def test_build_batch_equals_the_formulas_per_view(self):
+        bb = vit.BackboneConfig(image_h=32, image_w=16, patch_size=4, embed_dim=8, depth=1,
+                                heads=2, num_parts=3, proj_dim=8).validate()
+        crop = mc.MulticropConfig(num_areas=3, global_size=(32, 16), local_size=(24, 12),
+                                  pos_mode="crop")
+        ds = sd.generate(sd.SyntheticSpec(num_identities=6, images_per_identity=2,
+                                          image_h=32, image_w=16), seed=5)
+        tr = distill.Pretrainer(bb, crop, distill.PretrainConfig(steps=1, batch_size=6),
+                                ds.images, seed=0)
+        indices = [4, 0, 7, 11, 2, 9]
+        globs, locs, loc_part, b, j, rects = tr.build_batch(indices)
+        want_g, want_l = [], []
+        for i in indices:
+            rng = np.random.default_rng(tr._view_seed(i))
+            image = ds.images[i]
+            for _ in range(crop.num_globals):
+                want_g.append(ref_apply_plan(image, mc.global_plan(image.shape[:2], rng, crop)))
+            for area in mc.define_areas(3):
+                for _ in range(j):
+                    want_l.append(ref_apply_plan(image, mc.local_plan(image.shape[:2], area,
+                                                                      rng, crop)))
+        assert (len(globs), len(locs)) == (12, 54)
+        assert np.array_equal(globs, np.stack(want_g))
+        assert np.array_equal(locs, np.stack(want_l))

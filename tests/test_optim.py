@@ -96,6 +96,57 @@ def test_weight_decay_skips_biases_norms_tokens_and_positions():
         assert not optim._no_decay(name, params[name])
 
 
+def test_in_place_updates_equal_the_out_of_place_formulas():
+    # AdamW.step and clip_grad_norm write moments, parameters and gradients
+    # in place; over several clipped steps every array must equal the
+    # out-of-place formulas bit for bit
+    rng = np.random.default_rng(5)
+    cfg = vit.BackboneConfig(image_h=8, image_w=4, embed_dim=8, depth=1, heads=2,
+                             num_parts=2, proj_dim=4).validate()
+    params = vit.NetworkParams.init(cfg, rng)
+    opt = optim.AdamW(params.items(), lr=0.05, weight_decay=0.01)
+    b1, b2, eps, lr, wd = 0.9, 0.999, 1e-8, 0.05, 0.01
+    data = params.state()
+    m = {n: np.zeros_like(a) for n, a in data.items()}
+    v = {n: np.zeros_like(a) for n, a in data.items()}
+    for t in range(1, 7):
+        grads = {n: rng.normal(size=a.shape) * 3.0 for n, a in data.items()}
+        for n, p in params.items():
+            p.grad = grads[n].copy()
+        max_norm = 1.0 if t % 2 else 1e6  # clip on odd steps only
+        norm = optim.clip_grad_norm(params.tensors(), max_norm)
+        opt.step()
+        want = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        assert norm == want
+        if want > max_norm:
+            grads = {n: g * (max_norm / (want + 1e-12)) for n, g in grads.items()}
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for n, p in params.items():
+            g = grads[n]
+            m[n] = b1 * m[n] + (1 - b1) * g
+            v[n] = b2 * v[n] + (1 - b2) * g * g
+            update = (m[n] / bc1) / (np.sqrt(v[n] / bc2) + eps)
+            if not optim._no_decay(n, p):
+                update = update + wd * data[n]
+            data[n] = data[n] - lr * update
+            assert np.array_equal(p.grad, g), n
+            assert np.array_equal(opt._m[n], m[n]) and np.array_equal(opt._v[n], v[n]), n
+            assert np.array_equal(p.data, data[n]), n
+
+
+def test_leaf_gradients_are_writeable_and_unshared():
+    # clipping scales gradients in place: two leaves handed one array by
+    # ``add``, or a read-only array, would be scaled twice or fail
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    T.sum_(a + b).backward()
+    assert a.grad.flags.writeable and b.grad.flags.writeable
+    assert not np.shares_memory(a.grad, b.grad)
+    optim.clip_grad_norm([a, b], 1.0)
+    np.testing.assert_allclose(np.concatenate([a.grad, b.grad]), 1 / math.sqrt(6), rtol=1e-12)
+    T.clear_tape()
+
+
 def test_warmup_cosine_lr_shape():
     base, final, warmup, total = 1e-3, 1e-5, 10, 100
     lrs = [optim.warmup_cosine_lr(s, total, base, warmup, final) for s in range(total + 1)]

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 
 import numpy as np
 import pytest
@@ -523,6 +524,39 @@ class TestCheckpoint:
             arr = loaded.tensors[name]
             assert arr.dtype == np.float64
             assert arr.tobytes() == params[name].data.tobytes()
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        ckpt.save_checkpoint(path, {"w": np.ones(3)}, extra={"step": 1})
+        real_open = open
+
+        class DiskFull:
+            """A file whose writes fail once the header is written."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 3:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(ckpt, "open", lambda p, mode: DiskFull(real_open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            ckpt.save_checkpoint(path, {"w": np.full(3, 2.0)}, extra={"step": 2})
+        monkeypatch.undo()
+        loaded = ckpt.load_checkpoint(path)
+        assert loaded.extra == {"step": 1}
+        assert np.array_equal(loaded.tensors["w"], np.ones(3))
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]  # no temporary left
 
     def test_version_mismatch_raises(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
