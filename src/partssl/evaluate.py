@@ -2,9 +2,12 @@
 standard same-identity-same-camera gallery exclusion, plus ranking reports.
 
 Ranking is purely ordinal: any strictly monotone transform of the distances
-yields identical metrics. Ties break by gallery index (stable argsort) for
-reproducibility. Distances are computed one block of query rows at a time,
-so no |Q| x |G| matrix is held.
+yields identical metrics. Ties break by gallery index, and NaN ranks last:
+the order of a stable argsort, for reproducibility. AP and CMC need only the
+ranks of a query's positives, so ``evaluate`` sorts each row's values once
+and counts the entries below each positive by binary search, instead of
+argsorting the row. Distances are computed one block of query rows at a
+time, so no |Q| x |G| matrix is held.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import numpy as np
 # at multiples of 48 reproduce the rows of the one-call product bit for bit
 # (single-threaded BLAS). 48 was the fastest at N = 3000: its 1.2 MB arrays
 # stay in the allocator's heap, where larger ones were mapped and page-faulted
-# afresh in every block (CHANGES.md).
+# afresh in every block (CHANGES.md). With the positive-only ranking it still
+# is: evaluate took 196, 177, 188 and 198 ms with 32, 48, 96 and 144 rows
+# (medians of 14 interleaved runs, one BLAS thread).
 BLOCK_ROWS = 48
 
 
@@ -70,9 +75,14 @@ def pairwise_blocks(queries, gallery):
     small-matrix kernel, and each rounds differently from the gemm kernel."""
     q, g = _float_pair(queries, gallery)
     gg = (g * g).sum(axis=1)
-    bounds = list(range(0, max(1, len(q) // BLOCK_ROWS) * BLOCK_ROWS, BLOCK_ROWS)) + [len(q)]
-    for start, stop in zip(bounds, bounds[1:]):
+    for start, stop in _block_bounds(len(q)):
         yield start, _dist(q[start:stop], g, gg)
+
+
+def _block_bounds(n_q):
+    """(start, stop) of each query block of ``pairwise_blocks``."""
+    bounds = list(range(0, max(1, n_q // BLOCK_ROWS) * BLOCK_ROWS, BLOCK_ROWS)) + [n_q]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _float_pair(queries, gallery):
@@ -91,21 +101,6 @@ def _dist(q, g, gg):
     sq -= 2.0 * q @ g.T
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq, out=sq)
-
-
-def _argsort_rows(dist):
-    """Per-row argsort, ties (and NaN) broken by gallery index.
-
-    The default sort is not stable, but on a row whose sorted values rise
-    strictly the permutation is unique; only the other rows are sorted again
-    with a stable sort."""
-    order = np.argsort(dist, axis=1)
-    ranked = np.empty_like(dist)
-    for row, idx, out in zip(dist, order, ranked):  # faster than take_along_axis
-        np.take(row, idx, out=out)
-    for r in np.flatnonzero(~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)):
-        order[r] = np.argsort(dist[r], kind="stable")
-    return order
 
 
 @dataclass
@@ -128,38 +123,78 @@ def evaluate(index, max_rank=None):
     n_q, n_g = len(index.query), len(index.gallery)
     if max_rank is None:
         max_rank = min(50, n_g)
+    elif max_rank < 1:
+        raise EvalError("max_rank must be at least 1, got %d" % max_rank)
     max_rank = min(max_rank, n_g)
+    # a query's positives and exclusions are all members of its identity:
+    # the gallery indices by_id[first[q]:first[q] + count[q]]
+    by_id = np.argsort(index.g_ids, kind="stable")
+    sorted_ids = index.g_ids[by_id]
+    first = np.searchsorted(sorted_ids, index.q_ids, "left")
+    count = np.searchsorted(sorted_ids, index.q_ids, "right") - first
     aps = np.zeros(n_q)
     valid = np.zeros(n_q, dtype=bool)
-    cmc_hits = np.zeros(max_rank)
+    first_hits = []  # each valid query's first positive, as a 0-based kept rank
     for start, dist in pairwise_blocks(index.query, index.gallery):
-        order = _argsort_rows(dist)
-        rows = slice(start, start + len(dist))
-        same = index.g_ids[order] == index.q_ids[rows, None]
-        keep = ~(same & (index.g_cams[order] == index.q_cams[rows, None]))
-        n_keep = keep.sum(axis=1)
-        # each query's matches over its kept entries in rank order, grouped by
-        # length so every row is summed exactly as it would be on its own
-        for n in np.unique(n_keep):
-            group = np.flatnonzero(n_keep == n)
-            matches = same[group][keep[group]].reshape(len(group), n).astype(np.float64)
-            hits = matches.cumsum(axis=1)
-            n_pos = matches.sum(axis=1)
-            has = n_pos > 0
-            found = np.minimum(hits[has, :max_rank], 1.0)
-            cmc_hits[:found.shape[1]] += found.sum(axis=0)
-            cmc_hits[found.shape[1]:] += has.sum()  # later ranks already contain the hit
-            hits /= np.arange(1, n + 1)  # precision at each rank
-            hits *= matches
-            hit_rows = start + group[has]
-            aps[hit_rows] = hits[has].sum(axis=1) / n_pos[has]
-            valid[hit_rows] = True
+        nb = len(dist)
+        rows = slice(start, start + nb)
+        # the block's members, row by row: row[m] is member m's query row
+        cnt = count[rows]
+        ends = np.cumsum(cnt)
+        begins = ends - cnt
+        row = np.repeat(np.arange(nb), cnt)
+        member = by_id[np.arange(len(row)) + np.repeat(first[rows] - begins, cnt)]
+        d = dist[row, member]
+        excl = index.g_cams[member] == index.q_cams[rows][row]
+        # rank among all entries = entries with a smaller (distance, index)
+        # key, NaN largest: the values below d, counted in the sorted row,
+        # plus the equal values at lower indices. Only a member whose sorted
+        # successor is not above it can have those; its row is ranked again
+        # by a stable argsort
+        srt = np.sort(dist, axis=1)
+        rank = np.empty(len(row), dtype=np.intp)
+        for r, a, b in zip(range(nb), begins.tolist(), ends.tolist()):
+            if a < b:
+                rank[a:b] = srt[r].searchsorted(d[a:b])
+        nxt = rank + 1
+        tied = nxt < n_g
+        tied[tied] = ~(srt[row[tied], nxt[tied]] > d[tied])  # also true for NaN
+        for r in np.unique(row[tied]).tolist():
+            inv = np.empty(n_g, dtype=np.intp)
+            inv[np.argsort(dist[r], kind="stable")] = np.arange(n_g)
+            rank[begins[r]:ends[r]] = inv[member[begins[r]:ends[r]]]
+        # each row's members in rank order (row itself stays sorted); a
+        # positive's kept rank leaves out the excluded members ahead of it
+        o = np.argsort(row * n_g + rank)
+        rank, excl = rank[o], excl[o]
+        n_excl = np.bincount(row[excl], minlength=nb)
+        excl_before = np.cumsum(excl) - excl - np.repeat(np.cumsum(n_excl) - n_excl, cnt)
+        kept = (rank - excl_before)[~excl]
+        prow = row[~excl]
+        n_pos = np.bincount(prow, minlength=nb)
+        k = np.arange(1, len(kept) + 1) - np.repeat(np.cumsum(n_pos) - n_pos, n_pos)
+        first_hits.append(kept[k == 1])
+        # AP sums precision k / r_k at each positive's place in a dense row
+        # of the query's n_keep kept entries, grouped by n_keep, so every row
+        # is summed exactly as it would be on its own
+        prec = k / (kept + 1)
+        n_keep = n_g - n_excl
+        has = n_pos > 0
+        for n in np.unique(n_keep[has]).tolist():
+            in_group = has & (n_keep == n)
+            group = np.flatnonzero(in_group)
+            sel = in_group[prow]
+            dense = np.zeros((len(group), n))
+            dense[(np.cumsum(in_group) - 1)[prow[sel]], kept[sel]] = prec[sel]
+            aps[start + group] = dense.sum(axis=1) / n_pos[group]
+        valid[rows] = has
     n_valid = int(valid.sum())
     if not n_valid:
         raise EvalError("no query has a valid gallery positive after exclusion")
+    hits = np.concatenate(first_hits)
     return EvalResult(
         mean_ap=float(np.mean(aps[valid])),
-        cmc=cmc_hits / n_valid,
+        cmc=np.bincount(hits[hits < max_rank], minlength=max_rank).cumsum() / n_valid,
         num_valid_queries=n_valid,
         num_excluded_queries=n_q - n_valid,
     )
@@ -174,9 +209,28 @@ class RankEntry:
 
 def ranking_list(index, query_index, top_k):
     """Top-k gallery entries for one query, closest first, with match flags."""
-    if not 0 <= query_index < len(index.query):
-        raise EvalError("query index %d out of range" % query_index)
-    dist = pairwise_dist(index.query[query_index:query_index + 1], index.gallery)[0]
+    return _ranking(index, query_index, _blocked_rows(index, [query_index])[query_index], top_k)
+
+
+def _blocked_rows(index, query_indices):
+    """{query index: distance row}, each row cut from its ``pairwise_blocks``
+    block, so it holds the bits ``evaluate`` ranks (a lone row would go
+    through gemv, which rounds differently); each block is computed once."""
+    for qi in query_indices:
+        if not 0 <= qi < len(index.query):
+            raise EvalError("query index %d out of range" % qi)
+    q, g = _float_pair(index.query, index.gallery)
+    gg = (g * g).sum(axis=1)
+    rows = {}
+    for start, stop in _block_bounds(len(q)):
+        wanted = [qi for qi in query_indices if start <= qi < stop]
+        if wanted:
+            dist = _dist(q[start:stop], g, gg)
+            rows.update((qi, dist[qi - start]) for qi in wanted)
+    return rows
+
+
+def _ranking(index, query_index, dist, top_k):
     order = np.argsort(dist, kind="stable")
     keep = ~((index.g_ids[order] == index.q_ids[query_index])
              & (index.g_cams[order] == index.q_cams[query_index]))
@@ -192,10 +246,11 @@ def ranking_list(index, query_index, top_k):
 
 def render_ranking_report(index, query_indices, top_k):
     """Plain-text ranking lists for the given queries."""
+    rows = _blocked_rows(index, query_indices)
     lines = []
     for qi in query_indices:
         lines.append("query %d (id %d, cam %d)" % (qi, index.q_ids[qi], index.q_cams[qi]))
-        for r, e in enumerate(ranking_list(index, qi, top_k), 1):
+        for r, e in enumerate(_ranking(index, qi, rows[qi], top_k), 1):
             lines.append("  rank %2d: gallery %3d id %3d dist %.4f %s"
                          % (r, e.gallery_index, index.g_ids[e.gallery_index],
                             e.distance, "MATCH" if e.match else ""))

@@ -319,4 +319,20 @@ def load_embeddings(path):
     bad = np.nonzero(~np.isfinite(matrix))[0]
     if len(bad):
         raise vit.ConfigError("%s line %d: embedding vector is not finite" % (path, bad[0] + 1))
-    return matrix, np.asarray(ids), np.asarray(cams)
+    return matrix, _labels(path, "identity", ids), _labels(path, "camera", cams)
+
+
+def _labels(path, name, values):
+    """The labels as int64, if each is a JSON integer in int64's range.
+
+    numpy would truncate 1.5 and read true as 1, and a string, null, list or
+    larger integer would fail inside evaluate."""
+    try:
+        if all(type(x) is int for x in values):  # bool is a subclass of int
+            return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        pass
+    bad = next(n for n, x in enumerate(values)
+               if type(x) is not int or not -2 ** 63 <= x < 2 ** 63)
+    raise vit.ConfigError("%s line %d: %s %s is not an integer label"
+                          % (path, bad + 1, name, json.dumps(values[bad])))

@@ -215,6 +215,23 @@ class TestEvalMode:
         err = capsys.readouterr().err
         assert err.startswith("config error") and "%s line 6" % dump in err, err
 
+    @pytest.mark.parametrize("label", ['"x"', "null", "[1]", str(10 ** 30), "1.5"])
+    def test_label_that_is_not_an_integer_exits_1(self, tmp_path, capsys, label):
+        from partssl.finetune import dump_embeddings
+        dump = tmp_path / "emb.jsonl"
+        dump_embeddings(str(dump), np.random.default_rng(4).normal(size=(8, 4)),
+                        np.arange(8) // 2, np.arange(8) % 2)
+        lines = dump.read_text().splitlines()
+        lines[4] = lines[4].replace('"identity": 2', '"identity": %s' % label)
+        dump.write_text("\n".join(lines) + "\n")
+        cfg_file = tmp_path / "eval.cfg"
+        cfg_file.write_text("eval.embeddings = %s\n" % dump)
+        out = tmp_path / "out"
+        assert cli.main(["eval", "--config", str(cfg_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "%s line 5: identity" % dump in err, err
+        assert not (out / "metrics.txt").exists()
+
     def test_truncated_dump_exits_1(self, tmp_path, capsys):
         from partssl.finetune import dump_embeddings
         dump = tmp_path / "emb.jsonl"

@@ -76,6 +76,75 @@ def reference_evaluate(index, max_rank=None):
     return float(np.mean(aps)), np.mean(cmc_rows, axis=0), len(aps), excluded
 
 
+def argsort_evaluate(index, max_rank=None):
+    """``evaluate`` as it was before it ranked only the positives: each
+    block's rows argsorted (again stably where a row has ties or NaN), then
+    every row's matches in rank order, summed in groups of equal length."""
+    n_q, n_g = len(index.query), len(index.gallery)
+    if max_rank is None:
+        max_rank = min(50, n_g)
+    max_rank = min(max_rank, n_g)
+    aps = np.zeros(n_q)
+    valid = np.zeros(n_q, dtype=bool)
+    cmc_hits = np.zeros(max_rank)
+    for start, dist in ev.pairwise_blocks(index.query, index.gallery):
+        order = np.argsort(dist, axis=1)
+        ranked = np.take_along_axis(dist, order, axis=1)
+        for r in np.flatnonzero(~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)):
+            order[r] = np.argsort(dist[r], kind="stable")
+        rows = slice(start, start + len(dist))
+        same = index.g_ids[order] == index.q_ids[rows, None]
+        keep = ~(same & (index.g_cams[order] == index.q_cams[rows, None]))
+        n_keep = keep.sum(axis=1)
+        for n in np.unique(n_keep):
+            group = np.flatnonzero(n_keep == n)
+            matches = same[group][keep[group]].reshape(len(group), n).astype(np.float64)
+            hits = matches.cumsum(axis=1)
+            n_pos = matches.sum(axis=1)
+            has = n_pos > 0
+            found = np.minimum(hits[has, :max_rank], 1.0)
+            cmc_hits[:found.shape[1]] += found.sum(axis=0)
+            cmc_hits[found.shape[1]:] += has.sum()
+            hits /= np.arange(1, n + 1)
+            hits *= matches
+            aps[start + group[has]] = hits[has].sum(axis=1) / n_pos[has]
+            valid[start + group[has]] = True
+    n_valid = int(valid.sum())
+    if not n_valid:
+        raise ev.EvalError("no query has a valid gallery positive after exclusion")
+    return float(np.mean(aps[valid])), cmc_hits / n_valid, n_valid, n_q - n_valid
+
+
+def oracle_instance(rng):
+    """A random index with the cases the positive-only ranking must get
+    right: exact ties, inf and NaN distances, queries off the gallery or of
+    identities it lacks, whole blocks without a positive, any max_rank."""
+    n_g = int(rng.integers(1, 120))
+    n_q = int(rng.integers(1, 3 * ev.BLOCK_ROWS + 8))
+    dim = int(rng.integers(1, 5))
+    n_ids, n_cams = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+    gallery = rng.normal(size=(n_g, dim))
+    if rng.random() < 0.5:  # rounded: many distances tie exactly
+        gallery = np.round(gallery, int(rng.integers(0, 2)))
+    g_ids, g_cams = rng.integers(0, n_ids, n_g), rng.integers(0, n_cams, n_g)
+    if rng.random() < 0.4:  # queries are gallery rows, as in the CLI
+        pick = rng.integers(0, n_g, n_q)
+        query, q_ids, q_cams = gallery[pick], g_ids[pick], g_cams[pick]
+    else:
+        query = np.round(rng.normal(size=(n_q, dim)), int(rng.integers(0, 3)))
+        q_ids = rng.integers(0, n_ids + 3, n_q)  # some identities are not in the gallery
+        q_cams = rng.integers(0, n_cams, n_q)
+    if rng.random() < 0.2:  # squares overflow: inf and NaN distances
+        gallery = gallery.copy()
+        gallery[rng.random(n_g) < 0.2] *= 1e200
+        query = query * np.where(rng.random(n_q) < 0.2, 1e200, 1.0)[:, None]
+    if n_q > ev.BLOCK_ROWS and rng.random() < 0.3:  # a block of excluded queries
+        q_ids = q_ids.copy()
+        q_ids[:ev.BLOCK_ROWS] = n_ids + 5
+    max_rank = None if rng.random() < 0.1 else int(rng.integers(1, n_g + 10))
+    return ev.RetrievalIndex(query, q_ids, q_cams, gallery, g_ids, g_cams), max_rank
+
+
 def random_index(rng, n_q=10, n_g=40, dim=4, n_ids=6, n_cams=3):
     return ev.RetrievalIndex(
         query=rng.normal(size=(n_q, dim)),
@@ -272,13 +341,41 @@ class TestEvaluate:
         assert res.mean_ap == 0.5
         np.testing.assert_array_equal(res.cmc, [0.0, 1.0, 1.0])
 
-    def test_argsort_rows_is_the_stable_argsort(self):
-        rng = np.random.default_rng(5)
-        dist = rng.integers(0, 6, size=(40, 30)).astype(np.float64)  # many ties
-        dist[3, 7] = dist[9, 0] = np.nan
-        dist[12] = rng.permutation(30)  # a row without ties
-        np.testing.assert_array_equal(ev._argsort_rows(dist),
-                                      np.argsort(dist, axis=1, kind="stable"))
+    def test_equals_the_argsort_ranking_on_random_instances(self):
+        rng = np.random.default_rng(17)
+        seen = dict(ties=0, nan=0, inf=0, short=0, excluded_block=0, raised=0)
+        for _ in range(450):
+            index, max_rank = oracle_instance(rng)
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    want = argsort_evaluate(index, max_rank)
+                except ev.EvalError:
+                    seen["raised"] += 1
+                    with pytest.raises(ev.EvalError, match="no query has a valid"):
+                        ev.evaluate(index, max_rank)
+                    continue
+                res = ev.evaluate(index, max_rank)
+                dist = ev.pairwise_dist(index.query, index.gallery)
+            assert res.mean_ap == want[0]
+            np.testing.assert_array_equal(res.cmc, want[1])
+            assert (res.num_valid_queries, res.num_excluded_queries) == want[2:]
+            srt = np.sort(dist, axis=1)
+            seen["ties"] += bool((srt[:, 1:] == srt[:, :-1]).any())
+            seen["nan"] += bool(np.isnan(dist).any())
+            seen["inf"] += bool(np.isinf(dist).any())
+            n_excl = ((index.g_ids == index.q_ids[:, None])
+                      & (index.g_cams == index.q_cams[:, None])).sum(axis=1)
+            seen["short"] += bool((len(index.gallery) - n_excl < len(res.cmc)).any())
+            seen["excluded_block"] += bool(len(index.query) > ev.BLOCK_ROWS
+                                           and (index.q_ids[:ev.BLOCK_ROWS]
+                                                > index.g_ids.max()).all())
+        assert 450 - seen["raised"] >= 300 and min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("max_rank", [0, -2])
+    def test_max_rank_below_one_refused(self, max_rank):
+        # 0 gave an empty curve whose rank(1) failed; -2 a numpy error
+        with pytest.raises(ev.EvalError, match="max_rank must be at least 1, got %d" % max_rank):
+            ev.evaluate(random_index(np.random.default_rng(12)), max_rank=max_rank)
 
     def test_non_finite_rows_refused(self):
         rng = np.random.default_rng(6)
@@ -345,6 +442,23 @@ class TestRankingList:
         assert "query 0" in text and "rank" in text
         assert len(text.splitlines()) == sum(1 + len(ev.ranking_list(index, q, 5))
                                              for q in (0, 1))
+
+    @pytest.mark.parametrize("qi", [ev.BLOCK_ROWS + ev.BLOCK_ROWS // 2, 2 * ev.BLOCK_ROWS + 5])
+    def test_report_ranks_the_blocked_rows(self, qi):
+        # the middle of the second block, and a row past the last multiple of
+        # BLOCK_ROWS, which the last block takes; one row alone goes through
+        # gemv, which rounds differently from the blocks evaluate ranks
+        rng = np.random.default_rng(qi)
+        index = random_index(rng, n_q=2 * ev.BLOCK_ROWS + 9, n_g=203, dim=24)
+        blocked = np.concatenate([d for _, d in ev.pairwise_blocks(index.query, index.gallery)])
+        entries = ev.ranking_list(index, qi, len(index.gallery))
+        assert [e.distance for e in entries] == blocked[qi, [e.gallery_index for e in entries]].tolist()
+        keep = ~((index.g_ids == index.q_ids[qi]) & (index.g_cams == index.q_cams[qi]))
+        order = np.argsort(blocked[qi], kind="stable")
+        assert [e.gallery_index for e in entries] == order[keep[order]].tolist()
+        report = ev.render_ranking_report(index, [qi, 3], top_k=len(index.gallery))
+        assert report.splitlines()[1].endswith("dist %.4f %s" % (
+            entries[0].distance, "MATCH" if entries[0].match else ""))
 
     def test_bad_query_index(self):
         with pytest.raises(ev.EvalError):

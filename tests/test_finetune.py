@@ -372,3 +372,26 @@ class TestEmbeddingDump:
         path.write_text("")
         with pytest.raises(vit.ConfigError, match="no embedding records"):
             ft.load_embeddings(str(path))
+
+    @pytest.mark.parametrize("field", ["identity", "camera"])
+    @pytest.mark.parametrize("label", ['"x"', "null", "[1]", "true", "1.5", str(10 ** 30),
+                                      str(2 ** 63)])
+    def test_label_that_is_not_an_int64_is_config_error(self, tmp_path, field, label):
+        # numpy read 1.5 as 1 and true as 1; the others failed in evaluate
+        path = tmp_path / "emb.jsonl"
+        ft.dump_embeddings(path, np.random.default_rng(14).normal(size=(6, 5)),
+                           np.arange(6), np.zeros(6))
+        lines = path.read_text().splitlines()
+        before = {"identity": '"identity": 2', "camera": '"camera": 0'}[field]
+        lines[2] = lines[2].replace(before, '"%s": %s' % (field, label))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(vit.ConfigError,
+                           match=r"emb.jsonl line 3: %s .* is not an integer label" % field):
+            ft.load_embeddings(str(path))
+
+    def test_labels_at_the_int64_bounds_load(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        ft.dump_embeddings(path, np.zeros((2, 3)), [-2 ** 63, 2 ** 63 - 1], [0, -1])
+        _, ids, cams = ft.load_embeddings(str(path))
+        assert ids.dtype == cams.dtype == np.int64
+        assert ids.tolist() == [-2 ** 63, 2 ** 63 - 1] and cams.tolist() == [0, -1]
