@@ -7,14 +7,15 @@ ground truth is strictly an external measurement.
 from __future__ import annotations
 
 import json
+import math
 import os
-from collections import deque
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .evaluate import pairwise_blocks
+from .evaluate import block_bounds, sq_dist
 from .finetune import extract_embeddings, forward_embeddings, id_loss, pk_batch
 from .optim import AdamW
 from .tensor import Tensor
@@ -44,29 +45,98 @@ def _l2n(x, eps=1e-12):
 
 
 def dbscan(features, eps, min_points):
-    """Plain O(n^2) density clustering with Euclidean distances, taken one
-    block of rows at a time."""
+    """Plain O(n^2) density clustering with Euclidean distances.
+
+    The labels are those of a breadth-first search over the rows in index
+    order, computed with array operations on ``neighbour_pairs``: a point
+    with at least ``min_points`` neighbours (itself included) is core; a
+    cluster is a component of the core-core graph, numbered in the order of
+    its smallest core index; a border point joins the first cluster that
+    reaches it, the smallest among its core neighbours'."""
+    n = len(features)
+    lo, hi = neighbour_pairs(features, eps)
+    degree = np.bincount(lo, minlength=n) + np.bincount(hi[hi != lo], minlength=n)
+    core = degree >= min_points
+    root, _ = _components(n, *(e[core[lo] & core[hi]] for e in (lo, hi)))
+    roots = np.unique(root[core])
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[core] = np.searchsorted(roots, root[core])
+    # border points: the smallest cluster id among their core neighbours
+    border = np.full(n, len(roots), dtype=np.int64)
+    for a, b in ((lo, hi), (hi, lo)):
+        claim = core[a] & ~core[b]
+        np.minimum.at(border, b[claim], labels[a[claim]])
+    claimed = ~core & (border < len(roots))
+    labels[claimed] = border[claimed]
+    return PseudoLabeling(assignments=labels, num_clusters=len(roots))
+
+
+def neighbour_pairs(features, eps):
+    """(lo, hi): every pair of rows lo <= hi at a Euclidean distance of at
+    most eps, stored once, a row with itself included when its computed
+    distance is.
+
+    Each block of ``evaluate.BLOCK_ROWS`` rows takes its squared distances to
+    the columns from its own start onward, an upper triangle, so the
+    relation is symmetric by construction. When n mod 16 is 0 or 8 these
+    squares equal the full rows of ``evaluate.pairwise_blocks``, which are
+    then symmetric too (one BLAS thread); otherwise the gemm edge columns
+    of late blocks can differ from both halves of that matrix in the last
+    bits. A pair is a neighbour when its square is at most
+    ``_sq_threshold(eps)``, which holds exactly when its distance is."""
     x = np.asarray(features, dtype=np.float64)
     n = len(x)
-    neighbors = []
-    for _, d in pairwise_blocks(x, x):
-        neighbors.extend(np.flatnonzero(row) for row in d <= eps)
-    core = np.array([len(nb) >= min_points for nb in neighbors])
-    labels = np.full(n, -1, dtype=np.int64)
-    cluster = 0
-    for i in range(n):
-        if labels[i] != -1 or not core[i]:
-            continue
-        labels[i] = cluster
-        queue = deque(neighbors[i])
-        while queue:
-            j = queue.popleft()
-            if labels[j] == -1:
-                labels[j] = cluster
-                if core[j]:
-                    queue.extend(neighbors[j])
-        cluster += 1
-    return PseudoLabeling(assignments=labels, num_clusters=cluster)
+    thr = _sq_threshold(eps)
+    gg = (x * x).sum(axis=1)
+    lo, hi = [], []
+    for start, stop in block_bounds(n):
+        near = np.flatnonzero(sq_dist(x[start:stop], x[start:], gg[start:]) <= thr)
+        r, c = np.divmod(near, n - start)
+        upper = c >= r
+        lo.append(r[upper] + start)
+        hi.append(c[upper] + start)
+    return np.concatenate(lo), np.concatenate(hi)
+
+
+def _sq_threshold(eps):
+    """The largest double t with sqrt(max(t, 0)) <= eps, so that for every
+    square sq, ``sq <= t`` exactly when its distance is at most eps: NaN
+    (no pair) for a negative or NaN eps, inf (every pair but NaN) for an
+    infinite one, else a few ulp steps from eps * eps."""
+    eps = float(eps)
+    if not eps >= 0.0:
+        return math.nan
+    if eps == math.inf:
+        return math.inf
+    t = min(eps * eps, sys.float_info.max)
+    while math.sqrt(t) > eps:  # ends by t = 0 at the latest
+        t = math.nextafter(t, 0.0)
+    while math.sqrt(math.nextafter(t, math.inf)) <= eps:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+def _components(n, a, b):
+    """(root, rounds): each node's component root, its smallest node index,
+    for the undirected edges a[k] - b[k] over nodes 0 .. n-1. Each round
+    hooks every root onto the smallest root across its edges, then jumps
+    pointers until every node points at a root; it stops when no edge joins
+    two roots."""
+    parent = np.arange(n)
+    rounds = 0
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            return parent, rounds
+        rounds += 1
+        ra, rb = ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
 
 
 def cluster(features, eps=0.5, min_points=4):

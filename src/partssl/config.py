@@ -116,6 +116,9 @@ _BOUNDS = (
     ("finetune.ids_per_batch", 2, math.inf), ("finetune.samples_per_id", 2, math.inf),
     ("cluster.epochs", 1, math.inf), ("cluster.ids_per_batch", 1, math.inf),
     ("cluster.samples_per_id", 1, math.inf), ("eval.max_rank", 1, math.inf),
+    # a negative or NaN radius holds no pair, and min_points < 1 makes every
+    # point core, an outlier included
+    ("cluster.eps", 0.0, math.inf), ("cluster.min_points", 1, math.inf),
 )
 
 MODES = ("pretrain", "finetune", "uda", "usl", "eval", "visualize", "ablate")

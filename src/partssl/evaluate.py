@@ -1,13 +1,20 @@
 """Retrieval metrics: pairwise distances, CMC rank-k and mAP under the
 standard same-identity-same-camera gallery exclusion, plus ranking reports.
 
-Ranking is purely ordinal: any strictly monotone transform of the distances
-yields identical metrics. Ties break by gallery index, and NaN ranks last:
-the order of a stable argsort, for reproducibility. AP and CMC need only the
-ranks of a query's positives, so ``evaluate`` sorts each row's values once
-and counts the entries below each positive by binary search, instead of
-argsorting the row. Distances are computed one block of query rows at a
-time, so no |Q| x |G| matrix is held.
+Ranking is purely ordinal: the metrics depend on the order of the distances
+alone. Ties break by gallery index, and NaN ranks last: the order of a
+stable argsort, for reproducibility. AP and CMC need only the ranks of a
+query's positives, so ``evaluate`` sorts each row's values once and counts
+the entries below each positive by binary search, instead of argsorting the
+row. Distances are computed one block of query rows at a time, so no
+|Q| x |G| matrix is held.
+
+The blocks hold squared distances, and ``evaluate`` sorts and searches the
+squares. The root is monotone on doubles but not strictly so: two distinct
+squares can share a root, and then tie as distances. So ``evaluate`` roots
+only each positive and its two sorted neighbours; a row where a neighbour's
+root equals the positive's, or is NaN, is ranked again by a stable argsort
+of its roots. The ranks are those of the rooted distances, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,26 +67,21 @@ class RetrievalIndex:
                                 % (len(bad), nm, bad[0]))
 
 
-def pairwise_dist(queries, gallery):
-    """Euclidean distance matrix (|Q|, |G|)."""
-    q, g = _float_pair(queries, gallery)
-    return _dist(q, g, (g * g).sum(axis=1))
-
-
 def pairwise_blocks(queries, gallery):
-    """Yield ``(start, pairwise_dist(queries[start:stop], gallery))`` over
-    blocks of ``BLOCK_ROWS`` query rows; the rows equal the one-call matrix's.
+    """Yield ``(start, sq_dist(queries[start:stop], gallery, ...))``: the
+    squared distances of blocks of ``BLOCK_ROWS`` query rows, equal to the
+    rows of the one-call matrix. ``_dist`` takes their root.
 
     The last block also takes the remaining rows, so no block is short: a
     1-row product goes through BLAS gemv and a small one through OpenBLAS's
     small-matrix kernel, and each rounds differently from the gemm kernel."""
     q, g = _float_pair(queries, gallery)
     gg = (g * g).sum(axis=1)
-    for start, stop in _block_bounds(len(q)):
-        yield start, _dist(q[start:stop], g, gg)
+    for start, stop in block_bounds(len(q)):
+        yield start, sq_dist(q[start:stop], g, gg)
 
 
-def _block_bounds(n_q):
+def block_bounds(n_q):
     """(start, stop) of each query block of ``pairwise_blocks``."""
     bounds = list(range(0, max(1, n_q // BLOCK_ROWS) * BLOCK_ROWS, BLOCK_ROWS)) + [n_q]
     return list(zip(bounds, bounds[1:]))
@@ -93,14 +95,19 @@ def _float_pair(queries, gallery):
     return q, g
 
 
-def _dist(q, g, gg):
-    """Distances from q to g, given the squared norms ``gg`` of g's rows."""
+def sq_dist(q, g, gg):
+    """Squared distances (|q|² + |g|²) - 2 q.g from q to g, given the squared
+    norms ``gg`` of g's rows; rounding can leave them slightly negative."""
     sq = (q * q).sum(axis=1)[:, None] + gg[None, :]
     # this is (2q) @ g.T: q @ g.T with q the same array as g would go
     # through syrk, whose rounding differs from gemm's
     sq -= 2.0 * q @ g.T
-    np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq, out=sq)
+    return sq
+
+
+def _dist(sq):
+    """Euclidean distances from squared ones: sqrt(max(sq, 0)), NaN kept."""
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 @dataclass
@@ -135,8 +142,8 @@ def evaluate(index, max_rank=None):
     aps = np.zeros(n_q)
     valid = np.zeros(n_q, dtype=bool)
     first_hits = []  # each valid query's first positive, as a 0-based kept rank
-    for start, dist in pairwise_blocks(index.query, index.gallery):
-        nb = len(dist)
+    for start, sq in pairwise_blocks(index.query, index.gallery):
+        nb = len(sq)
         rows = slice(start, start + nb)
         # the block's members, row by row: row[m] is member m's query row
         cnt = count[rows]
@@ -144,24 +151,27 @@ def evaluate(index, max_rank=None):
         begins = ends - cnt
         row = np.repeat(np.arange(nb), cnt)
         member = by_id[np.arange(len(row)) + np.repeat(first[rows] - begins, cnt)]
-        d = dist[row, member]
+        s = sq[row, member]
         excl = index.g_cams[member] == index.q_cams[rows][row]
         # rank among all entries = entries with a smaller (distance, index)
-        # key, NaN largest: the values below d, counted in the sorted row,
-        # plus the equal values at lower indices. Only a member whose sorted
-        # successor is not above it can have those; its row is ranked again
-        # by a stable argsort
-        srt = np.sort(dist, axis=1)
+        # key, NaN largest. The squares below s, counted in the sorted row,
+        # have roots at most the member's own; they are all below it unless
+        # the sorted predecessor's root equals it. The squares above s have
+        # roots above it unless the sorted successor's does not (equal, or
+        # NaN). Only a member with such a neighbour can have a tie; its row
+        # is ranked again by a stable argsort of the roots
+        srt = np.sort(sq, axis=1)
         rank = np.empty(len(row), dtype=np.intp)
         for r, a, b in zip(range(nb), begins.tolist(), ends.tolist()):
             if a < b:
-                rank[a:b] = srt[r].searchsorted(d[a:b])
-        nxt = rank + 1
-        tied = nxt < n_g
-        tied[tied] = ~(srt[row[tied], nxt[tied]] > d[tied])  # also true for NaN
+                rank[a:b] = srt[r].searchsorted(s[a:b])
+        d = _dist(s)
+        prv = _dist(srt[row, np.maximum(rank - 1, 0)])
+        nxt = _dist(srt[row, np.minimum(rank + 1, n_g - 1)])
+        tied = ((rank > 0) & (prv == d)) | ((rank + 1 < n_g) & ~(nxt > d))  # also for NaN
         for r in np.unique(row[tied]).tolist():
             inv = np.empty(n_g, dtype=np.intp)
-            inv[np.argsort(dist[r], kind="stable")] = np.arange(n_g)
+            inv[np.argsort(_dist(sq[r]), kind="stable")] = np.arange(n_g)
             rank[begins[r]:ends[r]] = inv[member[begins[r]:ends[r]]]
         # each row's members in rank order (row itself stays sorted); a
         # positive's kept rank leaves out the excluded members ahead of it
@@ -222,10 +232,10 @@ def _blocked_rows(index, query_indices):
     q, g = _float_pair(index.query, index.gallery)
     gg = (g * g).sum(axis=1)
     rows = {}
-    for start, stop in _block_bounds(len(q)):
+    for start, stop in block_bounds(len(q)):
         wanted = [qi for qi in query_indices if start <= qi < stop]
         if wanted:
-            dist = _dist(q[start:stop], g, gg)
+            dist = _dist(sq_dist(q[start:stop], g, gg))
             rows.update((qi, dist[qi - start]) for qi in wanted)
     return rows
 

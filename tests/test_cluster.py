@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from collections import deque
 
@@ -26,7 +27,13 @@ def reference_dbscan(x, eps, min_points):
     n = len(x)
     sq = (x * x).sum(axis=1)[:, None] + (x * x).sum(axis=1)[None, :] - 2.0 * x @ x.T
     d = np.sqrt(np.maximum(sq, 0.0))
-    neighbors = [np.where(d[i] <= eps)[0] for i in range(n)]
+    return bfs_labels([np.where(d[i] <= eps)[0] for i in range(n)], min_points)
+
+
+def bfs_labels(neighbors, min_points):
+    """(labels, clusters) of the breadth-first search that ``dbscan`` ran
+    before it labelled with array operations."""
+    n = len(neighbors)
     core = np.array([len(nb) >= min_points for nb in neighbors])
     labels = np.full(n, -1, dtype=np.int64)
     cluster = 0
@@ -45,6 +52,13 @@ def reference_dbscan(x, eps, min_points):
     return labels, cluster
 
 
+def pair_lists(n, lo, hi):
+    """Each row's neighbour list from the pairs lo <= hi, stored once."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[lo, hi] = adj[hi, lo] = True
+    return [np.flatnonzero(row) for row in adj]
+
+
 class TestCluster:
     def test_blocked_dbscan_equals_the_full_matrix_reference(self):
         # more than two blocks of rows, with exact duplicates; a point count
@@ -56,12 +70,84 @@ class TestCluster:
         pts[rng.integers(0, n, 40)] = pts[rng.integers(0, n, 40)]
         x = cl._l2n(pts)
         # a radius that is one of the distances: the point at it is a neighbour
-        at_fifth = float(np.sort(ev.pairwise_dist(x, x)[0])[4])
+        at_fifth = float(np.sort(ev._dist(next(ev.pairwise_blocks(x, x))[1][0]))[4])
         for eps, min_points in ((at_fifth, 5), (0.1, 2), (0.2, 4), (0.35, 4), (0.6, 8)):
             labeling = cl.dbscan(x, eps, min_points)
             labels, clusters = reference_dbscan(x, eps, min_points)
             np.testing.assert_array_equal(labeling.assignments, labels)
             assert labeling.num_clusters == clusters
+
+    def test_square_threshold_decides_as_the_root_does(self):
+        rng = np.random.default_rng(8)
+        x = cl._l2n(rng.normal(size=(60, 8)))
+        from_data = float(ev._dist(next(ev.pairwise_blocks(x, x))[1][3, 17]))
+        for eps in (0.0, 1e-300, 0.1, 0.35, 0.5, from_data, 2.0, math.inf, 1e200):
+            thr = cl._sq_threshold(eps)
+            sq = [eps * eps]
+            for _ in range(3):
+                sq = [math.nextafter(sq[0], -math.inf)] + sq + [math.nextafter(sq[-1], math.inf)]
+            sq = np.array(sq + [-1e-17, -math.inf, 0.0, math.inf, math.nan])
+            np.testing.assert_array_equal(sq <= thr, ev._dist(sq) <= eps, err_msg=repr(eps))
+            if math.isfinite(eps):  # a few ulp steps from eps * eps
+                steps = np.array([thr, min(eps * eps, sys.float_info.max)]).view(np.int64)
+                assert abs(int(steps[0]) - int(steps[1])) <= 4, eps
+        for eps in (-1.0, -1e-300, -math.inf, math.nan):
+            assert math.isnan(cl._sq_threshold(eps))
+            lo, hi = cl.neighbour_pairs(x, eps)
+            assert len(lo) == len(hi) == 0
+            assert cl.dbscan(x, eps, 1).num_clusters == 0
+        lo, hi = cl.neighbour_pairs(x, math.inf)
+        assert len(lo) == 60 * 61 // 2 and (lo <= hi).all()
+
+    def test_array_labels_equal_the_breadth_first_search(self):
+        # the search runs on the implementation's own pairs, so the two
+        # agree bit for bit whatever BLAS threads do to the distances
+        rng = np.random.default_rng(9)
+        seen = dict(duplicates=0, eps_zero=0, min_points_one=0, all_outliers=0, odd_n=0,
+                    border=0)
+        for _ in range(240):
+            n = int(rng.integers(2, 130))
+            x = rng.normal(size=(n, int(rng.integers(1, 6))))
+            if rng.random() < 0.5:
+                x = np.round(x, int(rng.integers(0, 2)))
+            if rng.random() < 0.3:
+                x[rng.integers(0, n, n // 3)] = x[rng.integers(0, n, n // 3)]
+            pick = rng.random()
+            if pick < 0.15:
+                eps = 0.0
+            elif pick < 0.3:
+                eps = float(rng.uniform(0.0, 0.05))
+            else:
+                _, sq = next(ev.pairwise_blocks(x, x))
+                eps = float(ev._dist(sq)[0, rng.integers(0, n)]) * rng.uniform(0.3, 1.0)
+            min_points = int(rng.integers(1, 8))
+            labeling = cl.dbscan(x, eps, min_points)
+            lo, hi = cl.neighbour_pairs(x, eps)
+            labels, clusters = bfs_labels(pair_lists(n, lo, hi), min_points)
+            np.testing.assert_array_equal(labeling.assignments, labels)
+            assert labeling.num_clusters == clusters
+            seen["duplicates"] += len(np.unique(x, axis=0)) < n
+            seen["eps_zero"] += eps == 0.0
+            seen["min_points_one"] += min_points == 1
+            seen["all_outliers"] += clusters == 0
+            seen["odd_n"] += n % 16 != 0
+            degree = np.bincount(np.concatenate([lo, hi[hi != lo]]), minlength=n)
+            seen["border"] += bool(((labels >= 0) & (degree < min_points)).any())
+        assert min(seen.values()) >= 10, seen
+
+    def test_shuffled_chain_joins_in_logarithmic_rounds(self):
+        # hooking each root onto its smallest neighbouring root leaves only
+        # the local minima of a chain of trees as roots, so each round at
+        # least halves a chain: at most ceil(log2 n) rounds (7-8 measured)
+        n = 3000
+        order = np.random.default_rng(10).permutation(n)
+        x = np.zeros((n, 2))
+        x[order, 0] = np.arange(n) * 0.01  # 0.01 apart on a line
+        labeling = cl.dbscan(x, 0.015, 3)
+        assert labeling.num_clusters == 1 and (labeling.assignments == 0).all()
+        root, rounds = cl._components(n, *cl.neighbour_pairs(x, 0.015))
+        assert (root == 0).all()
+        assert 1 <= rounds <= math.ceil(math.log2(n)), rounds
 
     def test_peak_memory_holds_no_full_matrix(self):
         # one n x n matrix and its temporaries peaked at 96.5 MB here

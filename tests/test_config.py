@@ -118,7 +118,9 @@ class TestValidation:
                                       "data.train_images_per_identity = 0", "data.cameras = 0",
                                       "backbone.num_parts = 6\ncrops.num_areas = 6",
                                       "distill.ema_start = 1.5", "distill.ema_end = -0.1",
-                                      "crops.views_per_area = -1"])
+                                      "crops.views_per_area = -1",
+                                      "cluster.eps = -1", "cluster.eps = nan",
+                                      "cluster.min_points = 0"])
     def test_unusable_value_rejected_at_load(self, line, tmp_path, capsys):
         key = line.splitlines()[-1].split(" = ")[0]
         with pytest.raises(ConfigError, match=key):

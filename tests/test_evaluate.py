@@ -39,8 +39,8 @@ def brute_force_eval(index, max_rank):
 
 
 def reference_dist(queries, gallery):
-    """The one-call distance matrix, as ``pairwise_dist`` computed it before
-    ``evaluate`` worked in query-row blocks."""
+    """The one-call distance matrix, as it was computed before ``evaluate``
+    worked in query-row blocks."""
     q = np.asarray(queries, dtype=np.float64)
     g = np.asarray(gallery, dtype=np.float64)
     sq = (q * q).sum(axis=1)[:, None] + (g * g).sum(axis=1)[None, :] - 2.0 * q @ g.T
@@ -87,7 +87,8 @@ def argsort_evaluate(index, max_rank=None):
     aps = np.zeros(n_q)
     valid = np.zeros(n_q, dtype=bool)
     cmc_hits = np.zeros(max_rank)
-    for start, dist in ev.pairwise_blocks(index.query, index.gallery):
+    for start, sq in ev.pairwise_blocks(index.query, index.gallery):
+        dist = ev._dist(sq)
         order = np.argsort(dist, axis=1)
         ranked = np.take_along_axis(dist, order, axis=1)
         for r in np.flatnonzero(~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)):
@@ -117,8 +118,9 @@ def argsort_evaluate(index, max_rank=None):
 
 def oracle_instance(rng):
     """A random index with the cases the positive-only ranking must get
-    right: exact ties, inf and NaN distances, queries off the gallery or of
-    identities it lacks, whole blocks without a positive, any max_rank."""
+    right: exact ties, inf and NaN distances, distinct squares that share a
+    root, queries off the gallery or of identities it lacks, whole blocks
+    without a positive, any max_rank."""
     n_g = int(rng.integers(1, 120))
     n_q = int(rng.integers(1, 3 * ev.BLOCK_ROWS + 8))
     dim = int(rng.integers(1, 5))
@@ -134,10 +136,17 @@ def oracle_instance(rng):
         query = np.round(rng.normal(size=(n_q, dim)), int(rng.integers(0, 3)))
         q_ids = rng.integers(0, n_ids + 3, n_q)  # some identities are not in the gallery
         q_cams = rng.integers(0, n_cams, n_q)
-    if rng.random() < 0.2:  # squares overflow: inf and NaN distances
+    scale = rng.random()
+    if scale < 0.2:  # squares overflow: inf and NaN distances
         gallery = gallery.copy()
         gallery[rng.random(n_g) < 0.2] *= 1e200
         query = query * np.where(rng.random(n_q) < 0.2, 1e200, 1.0)[:, None]
+    elif scale < 0.32:  # near-duplicates a few ulps apart: distinct squares, one root
+        gallery = gallery[rng.integers(0, n_g, n_g)]
+        gallery = gallery + rng.integers(-3, 4, gallery.shape) * np.spacing(gallery)
+    elif scale < 0.48:  # squares that underflow (subnormal or 0), or overflow to inf and NaN
+        scale = 1e-160 if rng.random() < 0.5 else 1e154
+        query, gallery = query * scale, gallery * scale
     if n_q > ev.BLOCK_ROWS and rng.random() < 0.3:  # a block of excluded queries
         q_ids = q_ids.copy()
         q_ids[:ev.BLOCK_ROWS] = n_ids + 5
@@ -156,23 +165,34 @@ def random_index(rng, n_q=10, n_g=40, dim=4, n_ids=6, n_cams=3):
     )
 
 
+def blocked_dist(queries, gallery):
+    """The distance matrix that ``evaluate`` ranks, from the blocks' squares."""
+    return ev._dist(np.concatenate([sq for _, sq in ev.pairwise_blocks(queries, gallery)]))
+
+
 class TestPairwiseDist:
     def test_identical_vectors_zero(self):
         x = np.ones((3, 4))
-        np.testing.assert_allclose(ev.pairwise_dist(x, x).diagonal(), 0.0, atol=1e-9)
+        np.testing.assert_allclose(blocked_dist(x, x).diagonal(), 0.0, atol=1e-9)
 
     def test_three_four_five(self):
-        d = ev.pairwise_dist(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))
+        d = blocked_dist(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))
         assert d[0, 0] == pytest.approx(5.0, abs=1e-12)
+        _, sq = next(ev.pairwise_blocks(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])))
+        assert sq[0, 0] == pytest.approx(25.0, abs=1e-12)
 
     def test_symmetry(self):
         x = np.random.default_rng(0).normal(size=(6, 3))
-        d = ev.pairwise_dist(x, x)
+        d = blocked_dist(x, x)
         np.testing.assert_allclose(d, d.T, atol=1e-9)
 
     def test_dim_mismatch(self):
         with pytest.raises(ev.EvalError):
-            ev.pairwise_dist(np.zeros((2, 3)), np.zeros((2, 4)))
+            blocked_dist(np.zeros((2, 3)), np.zeros((2, 4)))
+
+    def test_root_clamps_negative_squares_and_keeps_nan(self):
+        d = ev._dist(np.array([-1e-17, -np.inf, 0.0, 4.0, np.inf, np.nan]))
+        np.testing.assert_array_equal(d, [0.0, 0.0, 0.0, 2.0, np.inf, np.nan])
 
 
 class TestPairwiseBlocks:
@@ -188,13 +208,14 @@ class TestPairwiseBlocks:
         assert sum(len(d) for _, d in blocks) == n_q
         # no short block: 1 row would take BLAS gemv, whose rounding differs
         assert min(len(d) for _, d in blocks) >= min(n_q, ev.BLOCK_ROWS)
-        np.testing.assert_array_equal(np.concatenate([d for _, d in blocks]),
+        np.testing.assert_array_equal(ev._dist(np.concatenate([d for _, d in blocks])),
                                       reference_dist(q, g))
 
-    def test_pairwise_dist_equals_the_reference(self):
+    def test_blocks_of_one_set_equal_the_reference(self):
+        # q and g the same array: the product must not go through syrk
         x = np.random.default_rng(3).normal(size=(130, 7))
-        np.testing.assert_array_equal(ev.pairwise_dist(x, x), reference_dist(x, x))
-        np.testing.assert_array_equal(ev.pairwise_dist(x[:50], x[50:]),
+        np.testing.assert_array_equal(blocked_dist(x, x), reference_dist(x, x))
+        np.testing.assert_array_equal(blocked_dist(x[:50], x[50:]),
                                       reference_dist(x[:50], x[50:]))
 
 
@@ -343,7 +364,8 @@ class TestEvaluate:
 
     def test_equals_the_argsort_ranking_on_random_instances(self):
         rng = np.random.default_rng(17)
-        seen = dict(ties=0, nan=0, inf=0, short=0, excluded_block=0, raised=0)
+        seen = dict(ties=0, nan=0, inf=0, shared_root=0, underflow=0, overflow=0, short=0,
+                    excluded_block=0, raised=0)
         for _ in range(450):
             index, max_rank = oracle_instance(rng)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -355,14 +377,21 @@ class TestEvaluate:
                         ev.evaluate(index, max_rank)
                     continue
                 res = ev.evaluate(index, max_rank)
-                dist = ev.pairwise_dist(index.query, index.gallery)
+                sq = np.sort(np.concatenate(
+                    [b for _, b in ev.pairwise_blocks(index.query, index.gallery)]), axis=1)
+                dist = ev._dist(sq)
             assert res.mean_ap == want[0]
             np.testing.assert_array_equal(res.cmc, want[1])
             assert (res.num_valid_queries, res.num_excluded_queries) == want[2:]
-            srt = np.sort(dist, axis=1)
-            seen["ties"] += bool((srt[:, 1:] == srt[:, :-1]).any())
+            seen["ties"] += bool((dist[:, 1:] == dist[:, :-1]).any())
             seen["nan"] += bool(np.isnan(dist).any())
             seen["inf"] += bool(np.isinf(dist).any())
+            seen["shared_root"] += bool(((sq[:, 1:] > sq[:, :-1])
+                                         & (dist[:, 1:] == dist[:, :-1])).any())
+            tiny = 0 < np.abs(index.gallery).max() < 1e-150
+            seen["underflow"] += bool(tiny and (np.abs(sq) < np.finfo(float).tiny).all())
+            seen["overflow"] += bool(np.abs(index.gallery).max() < 1e156
+                                     and not np.isfinite(sq).all())
             n_excl = ((index.g_ids == index.q_ids[:, None])
                       & (index.g_cams == index.q_cams[:, None])).sum(axis=1)
             seen["short"] += bool((len(index.gallery) - n_excl < len(res.cmc)).any())
@@ -418,7 +447,7 @@ class TestRankingList:
 
     def test_top1_is_argmin(self):
         index = self.make_index()
-        d = ev.pairwise_dist(index.query, index.gallery)
+        d = blocked_dist(index.query, index.gallery)
         for qi in range(4):
             keep = ~((index.g_ids == index.q_ids[qi]) & (index.g_cams == index.q_cams[qi]))
             masked = np.where(keep, d[qi], np.inf)
@@ -450,7 +479,7 @@ class TestRankingList:
         # gemv, which rounds differently from the blocks evaluate ranks
         rng = np.random.default_rng(qi)
         index = random_index(rng, n_q=2 * ev.BLOCK_ROWS + 9, n_g=203, dim=24)
-        blocked = np.concatenate([d for _, d in ev.pairwise_blocks(index.query, index.gallery)])
+        blocked = blocked_dist(index.query, index.gallery)
         entries = ev.ranking_list(index, qi, len(index.gallery))
         assert [e.distance for e in entries] == blocked[qi, [e.gallery_index for e in entries]].tolist()
         keep = ~((index.g_ids == index.q_ids[qi]) & (index.g_cams == index.q_cams[qi]))
