@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -64,6 +65,16 @@ def save_checkpoint(path, tensors, config=None, extra=None):
     return path
 
 
+def _is_count(x):
+    return type(x) is int and x >= 0  # JSON true/false are not counts
+
+
+def _is_entry(ent):
+    return (isinstance(ent, dict) and isinstance(ent.get("name"), str)
+            and isinstance(ent.get("shape"), list) and all(map(_is_count, ent["shape"]))
+            and _is_count(ent.get("offset")))
+
+
 def load_checkpoint(path):
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -77,14 +88,22 @@ def load_checkpoint(path):
         header = json.loads(blob[start - hlen:start].decode("utf-8"))
     except (struct.error, ValueError) as exc:  # also JSON and UTF-8 errors
         raise CheckpointError("%s: truncated or corrupt header: %s" % (path, exc)) from None
+    if not isinstance(header, dict):
+        raise CheckpointError("%s: the header is not a JSON object" % path)
     if header.get("version") != VERSION:
         raise CheckpointError(
             "%s: checkpoint version %s, this build reads version %d"
             % (path, header.get("version"), VERSION))
+    entries = header.get("tensors")
+    if not isinstance(entries, list) or not all(map(_is_entry, entries)):
+        raise CheckpointError("%s: the header's tensors are not a list of entries with a "
+                              "name, a shape of ints >= 0 and an offset >= 0" % path)
+    if not all(isinstance(header.get(k, {}), dict) for k in ("config", "extra")):
+        raise CheckpointError("%s: the header's config and extra are not JSON objects" % path)
     tensors = {}
-    for ent in header["tensors"]:
+    for ent in entries:
         shape = tuple(ent["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         offset = start + ent["offset"]
         if offset + 8 * count > len(blob):
             raise CheckpointError("%s: tensor %r runs past the end of the file (truncated?)"

@@ -25,7 +25,7 @@ from .cluster import AdaptTrainer, cluster_purity
 from .config import ConfigError, RunConfig
 from .distill import Pretrainer
 from .finetune import (FUSION_STRATEGIES, FinetuneTrainer, dump_embeddings,
-                       extract_embeddings, fused_dim, load_embeddings)
+                       extract_embeddings, extract_workers, fused_dim, load_embeddings)
 from .tensor import ShapeError
 
 
@@ -365,6 +365,7 @@ _RUNNERS = {
 def run(cfg):
     """Dispatch one validated RunConfig; returns a result summary dict."""
     cfg.validate()
+    extract_workers()  # fail on a bad PARTSSL_WORKERS before any output
     if cfg.data.kind == "dir" and cfg.mode != "eval":
         sd.manifest_path(cfg.data.path)  # fail before any output is written
     out = _prepare_out(cfg)

@@ -198,9 +198,9 @@ def prototype_contrastive_loss(features, labels, bank, temperature=0.05):
     return id_loss(sims * (1.0 / temperature), labs)
 
 
-def extract_all_features(params, images, fusion="mean_all", batch_size=32, workers=0):
+def extract_all_features(params, images, fusion="mean_all"):
     """One fused embedding per image, eval mode (no head, raw fusion)."""
-    return extract_embeddings(params, None, images, fusion, batch_size, workers)
+    return extract_embeddings(params, None, images, fusion)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,13 @@ class RunConfig:
             raise ConfigError("mode: %r is not one of %s" % (self.mode, "/".join(MODES)))
         self.backbone.validate()
         values = {key: value for key, _obj, _name, value in _iter_keys(self)}
+        for key, value in values.items():
+            # resolved.cfg must read back as this run: '#' would start a
+            # comment there, a line break end the line, and edge spaces be cut
+            if isinstance(value, str) and ("#" in value or len(value.splitlines()) > 1
+                                           or value != value.strip()):
+                raise ConfigError("%s: %r cannot be written to a config file ('#', a line "
+                                  "break or edge whitespace)" % (key, value))
         for key, low, high in _BOUNDS:
             if not low <= values[key] <= high:
                 span = ">= %s" % low if high == math.inf else "in %s .. %s" % (low, high)
@@ -200,10 +207,6 @@ def to_text(cfg):
             line += "    # " + comment
         lines.append(line)
     return "\n".join(lines) + "\n"
-
-
-def default_text():
-    return to_text(RunConfig())
 
 
 def from_mapping(mapping):

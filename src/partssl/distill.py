@@ -222,22 +222,18 @@ def total_loss(outputs, raw_sums=False):
     return total, breakdown
 
 
-def excess_loss(outputs, breakdown, raw_sums=False):
+def excess_loss(outputs, breakdown):
     """``total_loss`` with every term's H(teacher, student) replaced by
     KL(teacher || student): the matching error net of target sharpness.
 
-    Each teacher view enters every component equally often, so a component's
-    teacher-entropy share is its term count (1 when normalized) times the
-    mean entropy of that token's teacher distributions.
+    Each teacher view enters every component equally often, so a normalized
+    component's teacher-entropy share is the mean entropy of that token's
+    teacher distributions.
     """
-    _, m, l, j = outputs.dims
-    if raw_sums:
-        n_cls, n_part, scale = cls_term_count(m, l, j), part_term_count(m, j), 1.0
-    else:
-        n_cls, n_part, scale = 1, 1, 1.0 / l
-    excess = breakdown["cls"] - n_cls * distribution_entropy(outputs.t_cls)
+    scale = 1.0 / outputs.dims[2]
+    excess = breakdown["cls"] - distribution_entropy(outputs.t_cls)
     for i, p in enumerate(breakdown["parts"]):
-        excess += scale * (p - n_part * distribution_entropy(outputs.t_part[:, i]))
+        excess += scale * (p - distribution_entropy(outputs.t_part[:, i]))
     return excess
 
 

@@ -75,7 +75,10 @@ def pairwise_blocks(queries, gallery):
     The last block also takes the remaining rows, so no block is short: a
     1-row product goes through BLAS gemv and a small one through OpenBLAS's
     small-matrix kernel, and each rounds differently from the gemm kernel."""
-    q, g = _float_pair(queries, gallery)
+    q = np.asarray(queries, dtype=np.float64)
+    g = np.asarray(gallery, dtype=np.float64)
+    if q.shape[-1] != g.shape[-1]:
+        raise EvalError("dim mismatch: %s vs %s" % (q.shape, g.shape))
     gg = (g * g).sum(axis=1)
     for start, stop in block_bounds(len(q)):
         yield start, sq_dist(q[start:stop], g, gg)
@@ -85,14 +88,6 @@ def block_bounds(n_q):
     """(start, stop) of each query block of ``pairwise_blocks``."""
     bounds = list(range(0, max(1, n_q // BLOCK_ROWS) * BLOCK_ROWS, BLOCK_ROWS)) + [n_q]
     return list(zip(bounds, bounds[1:]))
-
-
-def _float_pair(queries, gallery):
-    q = np.asarray(queries, dtype=np.float64)
-    g = np.asarray(gallery, dtype=np.float64)
-    if q.shape[-1] != g.shape[-1]:
-        raise EvalError("dim mismatch: %s vs %s" % (q.shape, g.shape))
-    return q, g
 
 
 def sq_dist(q, g, gg):
@@ -225,18 +220,17 @@ def ranking_list(index, query_index, top_k):
 def _blocked_rows(index, query_indices):
     """{query index: distance row}, each row cut from its ``pairwise_blocks``
     block, so it holds the bits ``evaluate`` ranks (a lone row would go
-    through gemv, which rounds differently); each block is computed once."""
+    through gemv, which rounds differently). The walk stops after the block
+    that holds the last wanted query."""
     for qi in query_indices:
         if not 0 <= qi < len(index.query):
             raise EvalError("query index %d out of range" % qi)
-    q, g = _float_pair(index.query, index.gallery)
-    gg = (g * g).sum(axis=1)
     rows = {}
-    for start, stop in block_bounds(len(q)):
-        wanted = [qi for qi in query_indices if start <= qi < stop]
-        if wanted:
-            dist = _dist(sq_dist(q[start:stop], g, gg))
-            rows.update((qi, dist[qi - start]) for qi in wanted)
+    for start, sq in pairwise_blocks(index.query, index.gallery):
+        stop = start + len(sq)
+        rows.update((qi, _dist(sq[qi - start])) for qi in query_indices if start <= qi < stop)
+        if stop > max(query_indices, default=-1):
+            break
     return rows
 
 

@@ -22,6 +22,7 @@ from .optim import AdamW, warmup_cosine_lr
 from .tensor import Tensor
 
 FUSION_STRATEGIES = ("concat_all", "mean_all", "concat_cls_meanpart")
+EXTRACT_BATCH = 32  # images per forward pass of ``extract_embeddings``
 
 
 class FusionError(ValueError):
@@ -243,19 +244,27 @@ class FinetuneTrainer:
         return self.log
 
 
-def extract_embeddings(params, head, images, fusion, batch_size=32, workers=0):
+def extract_workers():
+    """The extractor's thread count: ``PARTSSL_WORKERS``, 1 when unset."""
+    raw = os.environ.get("PARTSSL_WORKERS", "1")
+    if not (raw.strip().isdecimal() and int(raw) > 0):
+        raise vit.ConfigError("PARTSSL_WORKERS must be a positive integer, got %r" % raw)
+    return int(raw)
+
+
+def extract_embeddings(params, head, images, fusion):
     """Eval-mode post-batchnorm embeddings, or the raw fused features when
-    ``head`` is None; never touches the classifier. Chunks of ``batch_size``
-    images run on ``workers`` threads (0 -> ``PARTSSL_WORKERS``, default 1)."""
+    ``head`` is None; never touches the classifier. Chunks of
+    ``EXTRACT_BATCH`` images run on ``extract_workers()`` threads."""
     images = np.asarray(images, dtype=np.float64)
-    chunks = [images[i:i + batch_size] for i in range(0, len(images), batch_size)]
+    chunks = [images[i:i + EXTRACT_BATCH] for i in range(0, len(images), EXTRACT_BATCH)]
 
     def one(chunk):
         with T.no_grad():
             feats = forward_embeddings(params, chunk, fusion)
             return (feats if head is None else head.embed(feats, training=False)).data
 
-    workers = workers or int(os.environ.get("PARTSSL_WORKERS", "1"))
+    workers = extract_workers()
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outs = list(pool.map(one, chunks))

@@ -101,7 +101,6 @@ class CropPlan:
 
 @dataclass
 class View:
-    image: np.ndarray
     area_index: int          # 0 for global views, 1..L for locals
     plan: CropPlan
 
@@ -112,10 +111,6 @@ class ViewSet:
     locals: list             # View per local crop, image-major, areas in order
     global_pixels: np.ndarray  # the globals' images stacked: (len(globals), *global_size, C)
     local_pixels: np.ndarray   # the locals' images stacked: (len(locals), *local_size, C)
-
-    @property
-    def views(self):
-        return self.globals + self.locals
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +209,6 @@ def resize_batch(images, out_h, out_w):
     return _resample(images, plans, np.arange(len(plans)))[0]
 
 
-def resize_bilinear(img, out_h, out_w):
-    """Pixel-center-aligned bilinear resize of an (H,W,C) float image (no
-    clipping)."""
-    return resize_batch([np.asarray(img, dtype=np.float64)], out_h, out_w)[0]
-
-
-def apply_plan(image, plan):
-    """Crop, resize, then photometric ops; output clipped to [0, 1]."""
-    return render([image], [plan], [0])[0]
-
-
 def _photometric(cfg, rng):
     flip = bool(rng.random() < cfg.flip_p)
     brightness = 1.0 + rng.uniform(-cfg.brightness, cfg.brightness) if cfg.brightness else 1.0
@@ -277,16 +261,9 @@ def local_plan(hw, area, rng, cfg):
     return CropPlan(top, left, h, w, (H, W), cfg.local_size, *_photometric(cfg, rng))
 
 
-def sample_global(image, rng, cfg):
-    """One global view of ``image``: its plan and pixels."""
-    plan = global_plan(np.shape(image)[:2], rng, cfg)
-    return View(apply_plan(image, plan), 0, plan)
-
-
 def sample_local(image, area, area_index, rng, cfg):
-    """One local view of ``image`` inside ``area``: its plan and pixels."""
-    plan = local_plan(np.shape(image)[:2], area, rng, cfg)
-    return View(apply_plan(image, plan), area_index, plan)
+    """One local view of ``image`` inside ``area``, unrendered."""
+    return View(area_index, local_plan(np.shape(image)[:2], area, rng, cfg))
 
 
 def build_view_set(images, cfg, seeds):
@@ -306,7 +283,7 @@ def build_view_set(images, cfg, seeds):
 
     def views(specs):
         pixels = render(images, [p for p, _, _ in specs], [n for _, _, n in specs])
-        return [View(px, i, p) for px, (p, i, _) in zip(pixels, specs)], pixels
+        return [View(i, p) for p, i, _ in specs], pixels
 
     (globs, glob_pixels), (locs, loc_pixels) = views(globs), views(locs)
     return ViewSet(globs, locs, glob_pixels, loc_pixels)

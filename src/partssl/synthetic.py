@@ -243,16 +243,40 @@ def manifest_path(in_dir):
     return path
 
 
+_MANIFEST_TYPES = {"id": int, "camera": int, "path": str, "mask_path": str}
+
+
 def load_dataset(in_dir):
+    """The dataset of a directory written by ``save_dataset``. A manifest line
+    that is not such a record, or names an image that is unreadable or of
+    another size than the first, is a config error naming the line; a
+    missing file is an OSError."""
     images, ids, cams, masks = [], [], [], []
-    with open(manifest_path(in_dir)) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            img, maxval = read_pnm(os.path.join(in_dir, rec["path"]))
+    path = manifest_path(in_dir)
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                rec = json.loads(line)
+                if not (isinstance(rec, dict)
+                        and all(type(rec.get(k)) is t for k, t in _MANIFEST_TYPES.items())):
+                    raise ValueError("not a record of an int id and camera, and a path and "
+                                     "mask_path")
+                img, maxval = read_pnm(os.path.join(in_dir, rec["path"]))
+                mask = read_pnm(os.path.join(in_dir, rec["mask_path"]))[0]
+                if img.ndim != 3 or mask.shape != img.shape[:2]:
+                    raise ValueError("%s is not an RGB image with a mask of its size"
+                                     % rec["path"])
+                if images and img.shape != images[0].shape:
+                    raise ValueError("image %s is %dx%d, the first is %dx%d"
+                                     % (rec["path"], *img.shape[:2], *images[0].shape[:2]))
+            except ValueError as exc:  # also JSON and PNM errors
+                raise ConfigError("%s line %d: %s" % (path, lineno, exc)) from None
             images.append(img.astype(np.float64) / maxval)
-            masks.append(read_pnm(os.path.join(in_dir, rec["mask_path"]))[0].astype(np.int8))
+            masks.append(mask.astype(np.int8))
             ids.append(rec["id"])
             cams.append(rec["camera"])
+    if not images:
+        raise ConfigError("%s: lists no images" % path)
     images = np.array(images)
     h, w = images.shape[1:3]
     spec = SyntheticSpec(num_identities=len(set(ids)), cameras=len(set(cams)),

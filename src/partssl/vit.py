@@ -240,11 +240,6 @@ def pos_embed_matrices(cfg, view_gh, view_gw, rects, mirrors):
     return kron.reshape(len(top), view_gh * view_gw, gh * gw)
 
 
-def pos_embed_matrix(cfg, view_gh, view_gw, rect=(0.0, 0.0, 1.0, 1.0), mirror=False):
-    """One view's (view_gh*view_gw, gh*gw) matrix of ``pos_embed_matrices``."""
-    return pos_embed_matrices(cfg, view_gh, view_gw, [rect], [mirror])[0]
-
-
 def patchify(images, cfg, params, rects=None, mirrors=None):
     """Project patches to embeddings and add (interpolated) positions.
 
@@ -266,7 +261,7 @@ def patchify(images, cfg, params, rects=None, mirrors=None):
     elif vg == cfg.grid:
         pos = params["pos_embed"]  # exact identity at canonical resolution
     else:
-        pos = Tensor(pos_embed_matrix(cfg, *vg)) @ params["pos_embed"]
+        pos = Tensor(pos_embed_matrices(cfg, *vg, [(0, 0, 1, 1)], [False])[0]) @ params["pos_embed"]
     return emb + pos
 
 

@@ -340,6 +340,21 @@ class TestDatasetSplit:
         assert len(dir_train) == 24 and len(dir_test) == 0
 
 
+    def test_corrupt_directory_exits_1(self, tmp_path, capsys):
+        whole, _ = cli.build_datasets(micro_cfg(tmp_path))
+        sd.save_dataset(whole, str(tmp_path / "data"))
+        manifest = tmp_path / "data" / "manifest.jsonl"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(lines[:2] + ["{id: 1}\n"] + lines[3:]))
+        cfg = micro_cfg(tmp_path)
+        cfg.data.kind = "dir"
+        cfg.data.path = str(tmp_path / "data")
+        cfg_path = cfgmod.save_config(cfg, str(tmp_path / "dir.cfg"))
+        assert cli.main(["pretrain", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s line 3: Expecting" % manifest), err
+
+
 class TestDirectoryIsolation:
     def test_runs_only_write_their_own_directories(self, pipeline, tmp_path):
         pre_out = pipeline["pre_cfg"].out_dir
@@ -369,6 +384,25 @@ class TestMainEntry:
                             "out_dir = %s\n" % (tmp_path / "out"))
         assert cli.main(["--config", str(cfg_file)]) == 2
         assert "runtime error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["runs#b", "runs\nb", "runs "])
+    def test_unwritable_string_exits_1_before_writing(self, tmp_path, capsys, name):
+        # resolved.cfg would read each back as "runs"
+        out = tmp_path / name
+        assert cli.main(["pretrain", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out_dir") and repr(str(out)) in err, err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", ["abc", "0"])
+    def test_bad_worker_count_exits_1_before_writing(self, tmp_path, capsys, monkeypatch,
+                                                     workers):
+        monkeypatch.setenv("PARTSSL_WORKERS", workers)
+        assert cli.main(["finetune", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: PARTSSL_WORKERS must be a positive integer, "
+                              "got %r" % workers), err
+        assert list(tmp_path.iterdir()) == []
 
     def test_cli_overrides(self, tmp_path, capsys):
         assert cli.main(["pretrain", "--seed", "7", "--out", str(tmp_path / "o"),

@@ -8,6 +8,7 @@ import pytest
 
 from partssl import cluster as cl
 from partssl import evaluate as ev
+from partssl import finetune as ft
 from partssl import synthetic as sd
 from partssl import tensor as T
 from partssl import vit
@@ -288,19 +289,24 @@ class TestExtractFeatures:
                                  depth=1, heads=2, num_parts=2, proj_dim=8).validate()
         return vit.NetworkParams.init(cfg, np.random.default_rng(0))
 
-    def test_shape_and_determinism(self):
+    def test_shape_and_determinism(self, monkeypatch):
         params = self.make_net()
         imgs = np.random.default_rng(1).random((10, 16, 8, 3))
-        a = cl.extract_all_features(params, imgs, fusion="mean_all", batch_size=4)
-        b = cl.extract_all_features(params, imgs, fusion="mean_all", batch_size=3)
+        monkeypatch.setattr(ft, "EXTRACT_BATCH", 4)
+        a = cl.extract_all_features(params, imgs, fusion="mean_all")
+        monkeypatch.setattr(ft, "EXTRACT_BATCH", 3)
+        b = cl.extract_all_features(params, imgs, fusion="mean_all")
         assert a.shape == (10, 8)  # mean_all keeps embed_dim
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_worker_threads_match_serial(self, monkeypatch):
         params = self.make_net()
         imgs = np.random.default_rng(2).random((12, 16, 8, 3))
-        serial = cl.extract_all_features(params, imgs, batch_size=4, workers=1)
-        threaded = cl.extract_all_features(params, imgs, batch_size=4, workers=3)
+        monkeypatch.setattr(ft, "EXTRACT_BATCH", 4)
+        monkeypatch.setenv("PARTSSL_WORKERS", "1")
+        serial = cl.extract_all_features(params, imgs)
+        monkeypatch.setenv("PARTSSL_WORKERS", "3")
+        threaded = cl.extract_all_features(params, imgs)
         np.testing.assert_allclose(serial, threaded, atol=1e-12)
 
 

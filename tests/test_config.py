@@ -33,7 +33,7 @@ class TestRoundTrip:
         assert back.crops.global_scale == (0.5, 0.9)
 
     def test_every_emitted_key_parses(self):
-        text = cfgmod.default_text()
+        text = cfgmod.to_text(RunConfig())
         keys = [l.split("=")[0].strip() for l in text.splitlines()
                 if "=" in l and not l.startswith("#")]
         assert len(keys) == len(set(keys))

@@ -489,6 +489,17 @@ class TestRankingList:
         assert report.splitlines()[1].endswith("dist %.4f %s" % (
             entries[0].distance, "MATCH" if entries[0].match else ""))
 
+    def test_report_stops_after_the_last_wanted_block(self, monkeypatch):
+        index = random_index(np.random.default_rng(11), n_q=3 * ev.BLOCK_ROWS + 5, n_g=30)
+        blocks = []
+        real = ev.sq_dist
+        monkeypatch.setattr(ev, "sq_dist", lambda q, g, gg: blocks.append(len(q)) or real(q, g, gg))
+        ev.render_ranking_report(index, [0, 1, 2, 3], top_k=5)  # the eval job's report
+        assert blocks == [ev.BLOCK_ROWS]
+        blocks.clear()
+        ev.ranking_list(index, ev.BLOCK_ROWS + 1, 5)
+        assert blocks == [ev.BLOCK_ROWS, ev.BLOCK_ROWS]  # the last block, 53 rows, is not
+
     def test_bad_query_index(self):
         with pytest.raises(ev.EvalError):
             ev.ranking_list(self.make_index(), 99, 5)

@@ -70,7 +70,7 @@ class TestFusion:
         cfg = small_cfg()
         params = vit.NetworkParams.init(cfg, np.random.default_rng(4))
         images = np.random.default_rng(5).random((3, 20, 12, 3))
-        resized = np.stack([mc.resize_bilinear(im, 16, 8) for im in images])
+        resized = np.stack([mc.resize_batch([im], 16, 8)[0] for im in images])
         flip = np.array([True, False, True])
         with T.no_grad():
             got = ft.forward_embeddings(params, images, "concat_all", flip)
@@ -285,7 +285,7 @@ class TestFinetuneTrainer:
         assert np.isfinite(emb).all()
         assert emb.shape == (6, ft.fused_dim(trainer.ft.fusion, 2, 16))
 
-    def test_threaded_extraction_bit_identical_at_default_backbone(self):
+    def test_threaded_extraction_bit_identical_at_default_backbone(self, monkeypatch):
         # 4-image chunks of 132 tokens: attention, gelu and layer_norm each
         # run several blocks per call, so shared scratch would show here
         cfg = vit.BackboneConfig().validate()
@@ -293,10 +293,11 @@ class TestFinetuneTrainer:
         params = vit.NetworkParams.init(cfg, np.random.default_rng(5))
         images = sd.generate(sd.SyntheticSpec(num_identities=6, images_per_identity=4),
                              seed=5).images
-        serial = ft.extract_embeddings(params, None, images, "concat_all", batch_size=4,
-                                       workers=1)
-        threaded = ft.extract_embeddings(params, None, images, "concat_all", batch_size=4,
-                                         workers=2)
+        monkeypatch.setattr(ft, "EXTRACT_BATCH", 4)
+        monkeypatch.setenv("PARTSSL_WORKERS", "1")
+        serial = ft.extract_embeddings(params, None, images, "concat_all")
+        monkeypatch.setenv("PARTSSL_WORKERS", "2")
+        threaded = ft.extract_embeddings(params, None, images, "concat_all")
         assert serial.shape == (24, 4 * cfg.embed_dim)
         assert np.array_equal(serial, threaded)
 

@@ -70,25 +70,25 @@ class TestGlobalSampler:
     def test_full_scale_returns_whole_image(self):
         img = sample_image()
         cfg = self.cfg(global_scale=(1.0, 1.0), flip_p=0.0, brightness=0.0, contrast=0.0)
-        view = mc.sample_global(img, np.random.default_rng(0), cfg)
+        vs = mc.build_view_set([img], cfg, [0])
+        view = vs.globals[0]
         assert (view.plan.top, view.plan.left) == (0, 0)
         assert (view.plan.height, view.plan.width) == img.shape[:2]
-        np.testing.assert_allclose(view.image, img, atol=1e-12)
+        np.testing.assert_allclose(vs.global_pixels[0], img, atol=1e-12)
 
     def test_crop_rects_stay_in_bounds(self):
         img = sample_image(1)
         cfg = self.cfg()
         rng = np.random.default_rng(2)
-        for _ in range(1000):
-            v = mc.sample_global(img, rng, cfg)
-            p = v.plan
+        plans = [mc.global_plan(img.shape[:2], rng, cfg) for _ in range(1000)]
+        for p in plans:
             assert 0 <= p.top and p.top + p.height <= img.shape[0]
             assert 0 <= p.left and p.left + p.width <= img.shape[1]
-            assert v.image.shape == (32, 16, 3)
+        assert mc.render([img], plans, [0] * len(plans)).shape == (1000, 32, 16, 3)
 
     def test_degenerate_image_raises(self):
         with pytest.raises(mc.AreaError):
-            mc.sample_global(np.zeros((1, 8, 3)), np.random.default_rng(0), self.cfg())
+            mc.build_view_set([np.zeros((1, 8, 3))], self.cfg(), [0])
 
 
 class TestLocalSampler:
@@ -145,8 +145,8 @@ class TestLocalSampler:
     def test_local_view_resized_to_local_size(self):
         img = sample_image(10, h=64, w=32)
         cfg = self.cfg(local_size=(24, 12))
-        v = mc.sample_local(img, mc.define_areas(3)[0], 1, np.random.default_rng(1), cfg)
-        assert v.image.shape == (24, 12, 3)
+        vs = mc.build_view_set([img], cfg, [1])
+        assert vs.local_pixels.shape == (9, 24, 12, 3)
 
 
 class TestViewSet:
@@ -155,7 +155,7 @@ class TestViewSet:
         vs = mc.build_view_set([sample_image(11)], cfg, [0])
         assert len(vs.globals) == 2
         assert len(vs.locals) == 9
-        assert len(vs.views) == 11  # M + L*J = 2 + 3*3
+        assert (len(vs.global_pixels), len(vs.local_pixels)) == (2, 9)  # M + L*J = 2 + 3*3
 
     def test_count_contract_across_configs(self):
         img = sample_image(12, h=40, w=20)
@@ -164,7 +164,8 @@ class TestViewSet:
                 cfg = mc.MulticropConfig(num_globals=m, num_areas=L,
                                          global_size=(32, 16), local_size=(16, 8))
                 vs = mc.build_view_set([img], cfg, [3])
-                assert len(vs.views) == m + L * cfg.resolve_j()
+                assert len(vs.globals) + len(vs.locals) == m + L * cfg.resolve_j()
+                assert len(vs.global_pixels) + len(vs.local_pixels) == m + L * cfg.resolve_j()
 
     def test_local_layouts_carry_their_area_index(self):
         cfg = mc.MulticropConfig(global_size=(32, 16), local_size=(16, 8))
@@ -176,30 +177,30 @@ class TestViewSet:
         cfg = mc.MulticropConfig(global_size=(32, 16), local_size=(16, 8))
         a = mc.build_view_set([sample_image(14)], cfg, [42])
         b = mc.build_view_set([sample_image(14)], cfg, [42])
-        assert [v.plan for v in a.views] == [v.plan for v in b.views]
-        for va, vb in zip(a.views, b.views):
-            np.testing.assert_array_equal(va.image, vb.image)
+        assert [v.plan for v in a.globals + a.locals] == [v.plan for v in b.globals + b.locals]
+        np.testing.assert_array_equal(a.global_pixels, b.global_pixels)
+        np.testing.assert_array_equal(a.local_pixels, b.local_pixels)
 
     def test_different_seed_differs(self):
         cfg = mc.MulticropConfig(global_size=(32, 16), local_size=(16, 8))
         a = mc.build_view_set([sample_image(14)], cfg, [42])
         b = mc.build_view_set([sample_image(14)], cfg, [43])
-        assert [v.plan for v in a.views] != [v.plan for v in b.views]
+        assert [v.plan for v in a.globals + a.locals] != [v.plan for v in b.globals + b.locals]
 
 
 class TestResize:
     def test_identity(self):
         img = sample_image(16)
-        np.testing.assert_array_equal(mc.resize_bilinear(img, 32, 16), img)
+        np.testing.assert_array_equal(mc.resize_batch([img], 32, 16)[0], img)
 
     def test_constant_image_stays_constant(self):
         img = np.full((20, 10, 3), 0.37)
-        out = mc.resize_bilinear(img, 13, 7)
+        out = mc.resize_batch([img], 13, 7)[0]
         np.testing.assert_allclose(out, 0.37, atol=1e-12)
 
     def test_upscale_preserves_range(self):
         img = sample_image(17, h=8, w=4)
-        out = mc.resize_bilinear(img, 32, 16)
+        out = mc.resize_batch([img], 32, 16)[0]
         assert out.min() >= img.min() - 1e-12
         assert out.max() <= img.max() + 1e-12
 
@@ -229,7 +230,7 @@ def ref_resize(img, out_h, out_w):
     return top * (1 - wy) + bot * wy
 
 
-def ref_apply_plan(image, plan):
+def ref_render_view(image, plan):
     crop = image[plan.top:plan.top + plan.height, plan.left:plan.left + plan.width]
     out = ref_resize(crop, plan.target[0], plan.target[1])
     if plan.flip:
@@ -264,7 +265,7 @@ class TestRenderer:
             owners = rng.integers(0, 3, size=int(rng.integers(1, 9)))
             plans = [random_plan(rng, images[o].shape[:2], target) for o in owners]
             got = mc.render(images, plans, owners)
-            want = np.stack([ref_apply_plan(images[o], p) for o, p in zip(owners, plans)])
+            want = np.stack([ref_render_view(images[o], p) for o, p in zip(owners, plans)])
             assert got.shape == want.shape and np.array_equal(got, want), trial
             count += len(plans)
             same += sum((p.height, p.width) == target for p in plans)
@@ -275,7 +276,7 @@ class TestRenderer:
         for _ in range(50):
             img = rng.normal(size=(int(rng.integers(1, 40)), int(rng.integers(1, 40)), 3))
             size = int(rng.integers(1, 40)), int(rng.integers(1, 40))
-            assert np.array_equal(mc.resize_bilinear(img, *size), ref_resize(img, *size))
+            assert np.array_equal(mc.resize_batch([img], *size)[0], ref_resize(img, *size))
         batch = rng.normal(size=(5, 20, 10, 3))  # unclipped: values outside [0, 1] stay
         assert np.array_equal(mc.resize_batch(batch, 32, 16),
                               np.stack([ref_resize(im, 32, 16) for im in batch]))
@@ -296,10 +297,10 @@ class TestRenderer:
             rng = np.random.default_rng(tr._view_seed(i))
             image = ds.images[i]
             for _ in range(crop.num_globals):
-                want_g.append(ref_apply_plan(image, mc.global_plan(image.shape[:2], rng, crop)))
+                want_g.append(ref_render_view(image, mc.global_plan(image.shape[:2], rng, crop)))
             for area in mc.define_areas(3):
                 for _ in range(j):
-                    want_l.append(ref_apply_plan(image, mc.local_plan(image.shape[:2], area,
+                    want_l.append(ref_render_view(image, mc.local_plan(image.shape[:2], area,
                                                                       rng, crop)))
         assert (len(globs), len(locs)) == (12, 54)
         assert np.array_equal(globs, np.stack(want_g))

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -124,3 +127,34 @@ class TestRasterIO:
         back, back_max = sd.read_pnm(path)
         assert back_max == maxval
         np.testing.assert_array_equal(back, ints)
+
+    @pytest.mark.parametrize("fault", ["not-json", "no-id", "no-camera", "no-path", "no-mask_path",
+                                       "string-id", "not-pnm", "other-size", "no-lines"])
+    def test_corrupt_directory_is_config_error(self, tmp_path, fault):
+        ds = sd.generate(small_spec(num_identities=2, images_per_identity=2), seed=9)
+        root = tmp_path / "data"
+        sd.save_dataset(ds, root)
+        manifest = root / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        if fault == "not-json":
+            lines[1] = "{id: 1}"
+        elif fault.startswith("no-") and fault != "no-lines":
+            rec = json.loads(lines[1])
+            del rec[fault[3:]]
+            lines[1] = json.dumps(rec)
+        elif fault == "string-id":
+            lines[1] = lines[1].replace('"id": 0', '"id": "0"')
+        elif fault == "not-pnm":
+            (root / "img_0001.ppm").write_bytes(b"GIF89a\n")
+        elif fault == "other-size":
+            sd.write_pnm(root / "img_0001.ppm", np.zeros((8, 8, 3), dtype=np.uint16), 65535)
+            sd.write_pnm(root / "mask_0001.pgm", np.zeros((8, 8), dtype=np.uint8), 255)
+        else:
+            lines = []
+        manifest.write_text("".join(line + "\n" for line in lines))
+        message = {"not-json": " line 2: Expecting property name",
+                   "not-pnm": " line 2: .*img_0001.ppm: not a binary PGM/PPM",
+                   "other-size": " line 2: image img_0001.ppm is 8x8, the first is 32x16",
+                   "no-lines": ": lists no images"}.get(fault, " line 2: not a record of an int id")
+        with pytest.raises(sd.ConfigError, match=re.escape(str(manifest)) + message):
+            sd.load_dataset(root)

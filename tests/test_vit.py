@@ -1,5 +1,7 @@
 import contextlib
 import errno
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -63,7 +65,7 @@ class TestPatchify:
         out = vit.patchify(np.zeros((8, 8, 3)), cfg, params)  # 2x2 grid vs 4x2 canonical
         assert out.shape == (1, 4, cfg.embed_dim)
         # rows of the interpolation matrix are convex combinations
-        m = vit.pos_embed_matrix(cfg, 2, 2)
+        m = vit.pos_embed_matrices(cfg, 2, 2, [(0.0, 0.0, 1.0, 1.0)], [False])[0]
         np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
         assert (m >= 0).all()
 
@@ -111,16 +113,23 @@ class TestPositionMatrices:
         for src in range(2, 13):
             basis = np.eye(src)[:, None, :]  # (src, 1, src): channel c is pixel c
             for dst in range(1, 13):
-                resized = mc.resize_bilinear(basis, dst, 1)[:, 0, :]
+                resized = mc.resize_batch([basis], dst, 1)[0, :, 0, :]
                 weights = vit._interp_weights(src, dst, whole, whole + 1.0, flat)[0]
                 assert np.array_equal(resized, weights), (src, dst)
 
     def test_single_view_matrix_is_one_row_of_the_batch(self):
         cfg = tiny_cfg()
-        rect = (0.25, 0.1, 0.5, 0.8)
-        batch = vit.pos_embed_matrices(cfg, 2, 2, [(0.0, 0.0, 1.0, 1.0), rect], [False, True])
-        assert np.array_equal(vit.pos_embed_matrix(cfg, 2, 2), batch[0])
-        assert np.array_equal(vit.pos_embed_matrix(cfg, 2, 2, rect, mirror=True), batch[1])
+        whole, rect = (0.0, 0.0, 1.0, 1.0), (0.25, 0.1, 0.5, 0.8)
+        batch = vit.pos_embed_matrices(cfg, 2, 2, [whole, rect], [False, True])
+        assert np.array_equal(vit.pos_embed_matrices(cfg, 2, 2, [whole], [False])[0], batch[0])
+        assert np.array_equal(vit.pos_embed_matrices(cfg, 2, 2, [rect], [True])[0], batch[1])
+        # patchify without rects (stretch) positions a view by the whole rect's row
+        params = make_params(cfg)
+        images = np.random.default_rng(3).random((2, 8, 8, 3))
+        patches = T.Tensor(vit.extract_patches(images, cfg.patch_size))
+        want = (T.linear(patches, params["patch_proj.w"], params["patch_proj.b"])
+                + T.Tensor(batch[0]) @ params["pos_embed"])
+        assert np.array_equal(vit.patchify(images, cfg, params).data, want.data)
 
 
 class TestAssemble:
@@ -564,6 +573,20 @@ class TestCheckpoint:
         ckpt.save_checkpoint(path, {"w": np.ones(3)})
         monkeypatch.setattr(ckpt, "VERSION", 1)
         with pytest.raises(ckpt.CheckpointError, match="version"):
+            ckpt.load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [
+        [1, 2],
+        {"version": 1},
+        {"version": 1, "tensors": [{"name": "w", "shape": "ab", "offset": 0}]},
+        {"version": 1, "tensors": [{"name": "w", "shape": [1], "offset": -8}]},
+        {"version": 1, "tensors": [], "extra": ["stage"]},
+    ], ids=["not-an-object", "no-tensors", "string-shape", "negative-offset", "list-extra"])
+    def test_malformed_header_raises(self, tmp_path, header):
+        path = tmp_path / "model.ckpt"
+        text = json.dumps(header).encode("utf-8")
+        path.write_bytes(ckpt.MAGIC + struct.pack("<Q", len(text)) + text + np.ones(2).tobytes())
+        with pytest.raises(ckpt.CheckpointError, match="header"):
             ckpt.load_checkpoint(path)
 
     def test_bad_magic_raises(self, tmp_path):
