@@ -48,6 +48,19 @@ def build_datasets(cfg):
     return _split_by_identity(ds, d.test_images_per_identity)
 
 
+def _splits(cfg, test_needed):
+    """``build_datasets``, with an empty split that the mode needs refused
+    before anything is trained: every training mode needs train images, and
+    finetune (so also ablate) test images too."""
+    train, test = build_datasets(cfg)
+    if len(train) == 0 or (test_needed and len(test) == 0):
+        raise ConfigError("mode %s needs a non-empty train%s split; data.test_images_per_identity"
+                          " = %d leaves %d train and %d test images"
+                          % (cfg.mode, " and test" if test_needed else "",
+                             cfg.data.test_images_per_identity, len(train), len(test)))
+    return train, test
+
+
 def _take(ds, rows):
     rows = np.asarray(rows, dtype=int)
     return sd.SyntheticDataset(images=ds.images[rows], ids=ds.ids[rows],
@@ -130,7 +143,7 @@ def _fresh_log(out):
 
 
 def run_pretrain(cfg, out):
-    train, _ = build_datasets(cfg)
+    train, _ = _splits(cfg, test_needed=False)
     log_path = _fresh_log(out)
     trainer = Pretrainer(cfg.backbone, cfg.crops, cfg.distill, train.images,
                          seed=cfg.seed, log_path=log_path)
@@ -166,7 +179,7 @@ def _finetune_network(cfg):
 
 
 def run_finetune(cfg, out):
-    train, test = build_datasets(cfg)
+    train, test = _splits(cfg, test_needed=True)
     params = _finetune_network(cfg)
     log_path = _fresh_log(out)
     trainer = FinetuneTrainer(params, cfg.finetune, train.images, train.ids,
@@ -197,7 +210,7 @@ def run_adapt(cfg, out):
         raise ConfigError("mode %s requires init_checkpoint" % cfg.mode)
     stage, prefix = ("finetune", "network") if cfg.mode == "uda" else ("pretrain", "teacher")
     params = _load_network(cfg, _open_checkpoint(cfg, cfg.init_checkpoint, stage), prefix)
-    train, test = build_datasets(cfg)
+    train, _ = _splits(cfg, test_needed=False)
     trainer = AdaptTrainer(params, cfg.cluster, train.images, seed=cfg.seed, out_dir=out)
     history = trainer.run()
     ckpt_path = os.path.join(out, "checkpoint.bin")
@@ -206,14 +219,6 @@ def run_adapt(cfg, out):
                             "fusion": cfg.cluster.fusion},
                     extra={"stage": "adapt", "mode": cfg.mode, "seed": cfg.seed})
     purity = cluster_purity(history[-1].labeling, train.ids)  # external measurement
-    stats_path = os.path.join(out, "adapt_log.jsonl")
-    with open(stats_path, "w") as fh:
-        for h in history:
-            fh.write(json.dumps({"epoch": h.epoch, "mean_loss": h.mean_loss,
-                                 "grad_norm_mean": h.grad_norm_mean,
-                                 "grad_norm_max": h.grad_norm_max,
-                                 "clusters": h.num_clusters,
-                                 "outliers": h.num_outliers}) + "\n")
     return {"checkpoint": ckpt_path, "epochs": len(history),
             "final_purity": purity, "snapshots": out}
 
@@ -293,6 +298,7 @@ def run_visualize(cfg, out):
 
 
 def run_ablate(cfg, out):
+    _splits(cfg, test_needed=True)  # every row fine-tunes and evaluates
     rows = []
     if cfg.ablation.axis == "areas":
         header = ("L", "J", "mAP", "rank1")

@@ -153,9 +153,10 @@ def cluster(features, eps=0.5, min_points=4):
 class PrototypeBank:
     """Normalized cluster-mean features with momentum updates."""
 
-    def __init__(self, prototypes, momentum=0.2):
+    momentum = 0.2
+
+    def __init__(self, prototypes):
         self.prototypes = np.asarray(prototypes, dtype=np.float64)
-        self.momentum = momentum
 
     def __len__(self):
         return len(self.prototypes)
@@ -167,7 +168,7 @@ class PrototypeBank:
         self.prototypes[label] = _l2n(mixed)
 
 
-def build_prototypes(features, labeling, norm_floor=1e-6):
+def build_prototypes(features, labeling):
     """Prototype_c = normalize(mean of member features)."""
     protos = []
     for c in range(labeling.num_clusters):
@@ -176,7 +177,7 @@ def build_prototypes(features, labeling, norm_floor=1e-6):
             raise ClusterError("cluster %d is empty" % c)
         mean = _l2n(np.asarray(features, dtype=np.float64)[rows]).mean(axis=0)
         norm = np.linalg.norm(mean)
-        if norm < norm_floor:
+        if norm < 1e-6:
             raise ClusterError("cluster %d mean is degenerate (norm %.2e)" % (c, norm))
         protos.append(mean / norm)
     return PrototypeBank(np.array(protos))
@@ -226,8 +227,6 @@ class EpochStats:
     mean_loss: float
     grad_norm_mean: float  # pre-clip gradient norms of the epoch's steps
     grad_norm_max: float
-    num_clusters: int
-    num_outliers: int
 
 
 class AdaptTrainer:
@@ -240,6 +239,9 @@ class AdaptTrainer:
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC105]))
         self.optimizer = AdamW(params.items(), lr=cl_cfg.lr)
         self.out_dir = out_dir
+        # one record per epoch, appended as the epoch ends: a run that stops
+        # in a later epoch keeps the finished epochs' records
+        self.log_path = os.path.join(out_dir, "adapt_log.jsonl") if out_dir else None
         self.history = []
 
     def run_epoch(self, epoch):
@@ -275,15 +277,21 @@ class AdaptTrainer:
                 bank.update(int(lab), fresh[r])
         stats = EpochStats(epoch=epoch, labeling=labeling, mean_loss=float(np.mean(losses)),
                            grad_norm_mean=float(np.mean(norms)),
-                           grad_norm_max=float(np.max(norms)),
-                           num_clusters=labeling.num_clusters,
-                           num_outliers=labeling.num_outliers)
+                           grad_norm_max=float(np.max(norms)))
         self.history.append(stats)
+        if self.log_path:
+            with open(self.log_path, "a") as fh:
+                fh.write(json.dumps({"epoch": epoch, "mean_loss": stats.mean_loss,
+                                     "grad_norm_mean": stats.grad_norm_mean,
+                                     "grad_norm_max": stats.grad_norm_max,
+                                     "clusters": labeling.num_clusters,
+                                     "outliers": labeling.num_outliers}) + "\n")
         return stats
 
-    def run(self, epochs=None):
-        epochs = self.cl.epochs if epochs is None else epochs
-        for e in range(epochs):
+    def run(self):
+        if self.log_path and os.path.exists(self.log_path):
+            os.remove(self.log_path)  # a rerun into one directory starts its log over
+        for e in range(self.cl.epochs):
             self.run_epoch(e)
         return self.history
 

@@ -95,9 +95,9 @@ class RunConfig:
         p = self.backbone.patch_size
         for key in ("global_size", "local_size"):
             h, w = getattr(self.crops, key)
-            if h % p or w % p:
-                raise ConfigError("crops.%s: %dx%d not divisible by backbone.patch_size %d"
-                                  % (key, h, w, p))
+            if h % p or w % p or min(h, w) < p:
+                raise ConfigError("crops.%s: %dx%d not a positive multiple of "
+                                  "backbone.patch_size %d" % (key, h, w, p))
         if not -1 <= self.visualize.layer < self.backbone.depth:
             raise ConfigError("visualize.layer: expected -1 .. %d (backbone.depth - 1), got %d"
                               % (self.backbone.depth - 1, self.visualize.layer))
@@ -115,13 +115,22 @@ class RunConfig:
 # (key, lowest, highest) of the counts and ranges that a run can use
 _BOUNDS = (
     ("data.num_identities", 1, math.inf), ("data.train_images_per_identity", 1, math.inf),
-    ("data.cameras", 1, math.inf), ("crops.num_globals", 1, math.inf),
+    ("data.test_images_per_identity", 0, math.inf),
+    ("data.cameras", 1, math.inf), ("backbone.embed_dim", 1, math.inf),
+    ("backbone.depth", 0, math.inf), ("crops.num_globals", 1, math.inf),
     ("crops.num_areas", 1, 5), ("crops.views_per_area", 0, math.inf),
-    ("distill.batch_size", 1, math.inf),
+    # probabilities and jitter strengths (a factor 1 +- 1 reaches zero)
+    ("crops.flip_p", 0.0, 1.0), ("crops.brightness", 0.0, 1.0),
+    ("crops.contrast", 0.0, 1.0),
+    ("distill.steps", 0, math.inf), ("distill.batch_size", 1, math.inf),
+    ("distill.lr", 0.0, math.inf), ("distill.clip_grad", 0.0, math.inf),  # 0 = no clipping
+    ("distill.center_momentum", 0.0, 1.0),
     ("distill.ema_start", 0.0, 1.0), ("distill.ema_end", 0.0, 1.0),
+    ("finetune.steps", 0, math.inf), ("finetune.lr", 0.0, math.inf),
     # a triplet batch needs positives and negatives
     ("finetune.ids_per_batch", 2, math.inf), ("finetune.samples_per_id", 2, math.inf),
-    ("cluster.epochs", 1, math.inf), ("cluster.ids_per_batch", 1, math.inf),
+    ("cluster.epochs", 1, math.inf), ("cluster.steps_per_epoch", 0, math.inf),
+    ("cluster.lr", 0.0, math.inf), ("cluster.ids_per_batch", 1, math.inf),
     ("cluster.samples_per_id", 1, math.inf), ("eval.max_rank", 1, math.inf),
     # a negative or NaN radius holds no pair, and min_points < 1 makes every
     # point core, an outlier included

@@ -190,15 +190,6 @@ def _part_losses(outputs, normalize=True):
     return loss * (-1.0 / (b * (part_term_count(m, j) if normalize else 1)))
 
 
-def part_loss(outputs, part_index, normalize=True):
-    """Distillation loss for one part token (1-based index): local-to-global
-    matching plus cross-global matching."""
-    l = outputs.dims[2]
-    if not 1 <= part_index <= l:
-        raise DistillError("part index %d outside 1..%d" % (part_index, l))
-    return _part_losses(outputs, normalize)[part_index - 1]
-
-
 def cls_loss(outputs, normalize=True):
     """[CLS] distillation: every local view and cross-global pairs."""
     b, m, l, j = outputs.dims
@@ -317,53 +308,43 @@ class Pretrainer:
         return np.random.SeedSequence([self.seed, self.step_count, int(image_index)])
 
     def build_batch(self, indices):
-        """The global views and the local views, each stacked image-major and
-        in ``build_view_set`` order (locals area by area)."""
-        vs = build_view_set([self.images[i] for i in indices], self.crop_cfg,
-                            [self._view_seed(i) for i in indices])
-        loc_part = np.asarray([v.area_index for v in vs.locals])
-        if self.crop_cfg.pos_mode == "crop":
-            batch_rects = (
-                [v.plan.rect_frac for v in vs.globals],
-                [v.plan.flip for v in vs.globals],
-                [v.plan.rect_frac for v in vs.locals],
-                [v.plan.flip for v in vs.locals],
-            )
-        else:
-            batch_rects = (None, None, None, None)
-        return (vs.global_pixels, vs.local_pixels, loc_part, len(indices),
-                self.crop_cfg.resolve_j(), batch_rects)
+        """The ``ViewSet`` of the images at ``indices``: globals and locals
+        each stacked image-major, locals area by area (``build_view_set``
+        order); image n's views replay from ``_view_seed(indices[n])``."""
+        return build_view_set([self.images[i] for i in indices], self.crop_cfg,
+                              [self._view_seed(i) for i in indices])
 
     # -- forward ----------------------------------------------------------
 
-    def _global_logits(self, params, globs, rects):
-        """Head logits of the global views: [CLS] (B*M, K), parts (B*M, L, K)."""
-        parts = vit.all_parts(len(globs), self.cfg.num_parts)
-        cls_out, part_out = vit.forward_tokens(globs, parts, params,
-                                               rects=rects[0], mirrors=rects[1])
+    def _logits(self, params, pixels, views, part_index):
+        """Head logits of ``views``, [CLS] (V, K) and parts (V, P, K); in
+        ``crop`` mode the views' plans position their patches."""
+        plans = [v.plan for v in views] if self.crop_cfg.pos_mode == "crop" else None
+        cls_out, part_out = vit.forward_tokens(pixels, part_index, params, plans=plans)
         return vit.project(cls_out, params, "head_cls"), vit.project(part_out, params, "head_part")
 
-    def _student_forward(self, globs, locs, loc_part, b, j, rects):
-        L = self.cfg.num_parts
-        m = self.crop_cfg.num_globals
+    def _student_forward(self, vs):
+        L, m = self.cfg.num_parts, self.crop_cfg.num_globals
+        b = len(vs.globals) // m
+        j = len(vs.locals) // (b * L)
         inv_tau = 1.0 / self.pre_cfg.temperatures.tau_s
-        cls_g, part_g = self._global_logits(self.student, globs, rects[:2])
+        cls_g, part_g = self._logits(self.student, vs.global_pixels, vs.globals,
+                                     vit.all_parts(b * m, L))
         s_cls_g = T.reshape(T.log_softmax(cls_g * inv_tau), (b, m, -1))
         s_part_g = T.transpose(T.reshape(T.log_softmax(part_g * inv_tau), (b, m, L, -1)),
                                (0, 2, 1, 3))
-        cls_out, part_out = vit.forward_tokens(locs, loc_part[:, None], self.student,
-                                               rects=rects[2], mirrors=rects[3])
-        cls_l = vit.project(cls_out, self.student, "head_cls")
+        cls_l, part_l = self._logits(self.student, vs.local_pixels, vs.locals,
+                                     [[v.area_index] for v in vs.locals])
         s_cls_l = T.reshape(T.log_softmax(cls_l * inv_tau), (b, L, j, -1))
-        part_l = vit.project(part_out, self.student, "head_part")
         s_part_l = T.reshape(T.log_softmax(part_l * inv_tau), (b, L, j, -1))
         return s_cls_g, s_cls_l, s_part_g, s_part_l
 
-    def _teacher_forward(self, globs, b, tau_t, rects):
-        L = self.cfg.num_parts
-        m = self.crop_cfg.num_globals
+    def _teacher_forward(self, vs, tau_t):
+        L, m = self.cfg.num_parts, self.crop_cfg.num_globals
+        b = len(vs.globals) // m
         with T.no_grad():
-            cls_logits, part_logits = self._global_logits(self.teacher, globs, rects)
+            cls_logits, part_logits = self._logits(self.teacher, vs.global_pixels, vs.globals,
+                                                   vit.all_parts(b * m, L))
         cls_np = cls_logits.data
         part_np = part_logits.data  # (B*M, L, K)
         c_cls = c_part = None
@@ -376,18 +357,14 @@ class Pretrainer:
 
     # -- one optimization step ---------------------------------------------
 
-    def pretrain_step(self, indices=None):
+    def pretrain_step(self):
         pc = self.pre_cfg
         step = self.step_count
-        if indices is None:
-            indices = self._next_batch_indices()
-        globs, locs, loc_part, b, j, rects = self.build_batch(indices)
+        vs = self.build_batch(self._next_batch_indices())
         tau_t = pc.temperatures.teacher_at(step, pc.steps)
 
-        t_cls, t_part, cls_logits_np, part_logits_np = self._teacher_forward(
-            globs, b, tau_t, rects[:2])
-        s_cls_g, s_cls_l, s_part_g, s_part_l = self._student_forward(
-            globs, locs, loc_part, b, j, rects)
+        t_cls, t_part, cls_logits_np, part_logits_np = self._teacher_forward(vs, tau_t)
+        s_cls_g, s_cls_l, s_part_g, s_part_l = self._student_forward(vs)
         outputs = DistillOutputs(t_cls=t_cls, t_part=t_part, s_cls_g=s_cls_g,
                                  s_cls_l=s_cls_l, s_part_g=s_part_g, s_part_l=s_part_l)
         loss, breakdown = total_loss(outputs)
@@ -421,8 +398,8 @@ class Pretrainer:
             "teacher_entropy": t_cls_ent,
             "teacher_part_entropy": t_part_ent,
             "excess_loss": excess_loss(outputs, breakdown),
-            "teacher_views": int(globs.shape[0]),
-            "student_views": int(globs.shape[0] + locs.shape[0]),
+            "teacher_views": len(vs.globals),
+            "student_views": len(vs.globals) + len(vs.locals),
         }
         self.log.append(record)
         if self.log_path:
@@ -431,8 +408,7 @@ class Pretrainer:
         self.step_count += 1
         return record
 
-    def run(self, steps=None):
-        steps = self.pre_cfg.steps if steps is None else steps
-        while self.step_count < steps:
+    def run(self):
+        while self.step_count < self.pre_cfg.steps:
             self.pretrain_step()
         return self.log

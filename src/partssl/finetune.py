@@ -62,11 +62,9 @@ def fuse(cls_out, part_outs, strategy):
 class ReidHead:
     """Feature batchnorm followed by a bias-free linear identity classifier."""
 
-    def __init__(self, dim, num_ids, rng, bn_momentum=0.1, eps=1e-5):
-        self.dim = dim
-        self.num_ids = num_ids
-        self.eps = eps
-        self.bn_momentum = bn_momentum
+    bn_momentum, eps = 0.1, 1e-5  # running-statistics update, variance floor
+
+    def __init__(self, dim, num_ids, rng):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
         self.classifier = Tensor(rng.normal(0, 1.0 / np.sqrt(dim), (dim, num_ids)),
@@ -237,9 +235,8 @@ class FinetuneTrainer:
         self.step_count += 1
         return rec
 
-    def run(self, steps=None):
-        steps = self.ft.steps if steps is None else steps
-        while self.step_count < steps:
+    def run(self):
+        while self.step_count < self.ft.steps:
             self.finetune_step()
         return self.log
 

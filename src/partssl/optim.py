@@ -21,11 +21,11 @@ def _no_decay(name, tensor):
 class AdamW:
     """Adam with decoupled weight decay on weight matrices only."""
 
-    def __init__(self, named_params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    b1, b2, eps = 0.9, 0.999, 1e-8  # moment decays, denominator floor
+
+    def __init__(self, named_params, lr=1e-3, weight_decay=0.0):
         self.params = list(named_params)  # [(name, Tensor)]
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = {n: np.zeros_like(p.data) for n, p in self.params}

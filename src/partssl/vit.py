@@ -44,9 +44,10 @@ class BackboneConfig:
         for key in ("patch_size", "heads"):  # both divide below
             if getattr(self, key) < 1:
                 raise ConfigError("backbone.%s must be >= 1, got %d" % (key, getattr(self, key)))
-        if self.image_h % self.patch_size or self.image_w % self.patch_size:
+        if (self.image_h % self.patch_size or self.image_w % self.patch_size
+                or min(self.image_h, self.image_w) < self.patch_size):
             raise ConfigError(
-                "image %dx%d not divisible by patch size %d"
+                "backbone.image_h x image_w: %dx%d not a positive multiple of patch_size %d"
                 % (self.image_h, self.image_w, self.patch_size))
         if self.embed_dim % self.heads:
             raise ConfigError("embed_dim %d not divisible by heads %d" % (self.embed_dim, self.heads))
@@ -223,41 +224,41 @@ def _interp_weights(src, dst, lo_frac, hi_frac, mirror):
     return (1.0 - w) * (cols == lo) + w * (cols == np.minimum(lo + 1, src - 1))
 
 
-def pos_embed_matrices(cfg, view_gh, view_gw, rects, mirrors):
+def pos_embed_matrices(cfg, view_gh, view_gw, rect_fracs, flips):
     """(V, view_gh*view_gw, gh*gw) interpolations from the canonical
     pos-embed grid to each view's grid.
 
-    ``rects`` = per-view (top, left, height, width) fractions of the source
-    image map each view onto the matching sub-rectangle of the canonical grid
-    instead of stretching it over the whole grid. Each matrix is the
-    Kronecker product of the view's row and column interpolations.
+    ``rect_fracs`` = per-view (top, left, height, width) fractions of the
+    source image map each view onto the matching sub-rectangle of the
+    canonical grid instead of stretching it over the whole grid; ``flips``
+    mirror a view's columns. Each matrix is the Kronecker product of the
+    view's row and column interpolations.
     """
     gh, gw = cfg.grid
-    top, left, h, w = np.asarray(rects, dtype=T.DTYPE).reshape(-1, 4).T
+    top, left, h, w = np.asarray(rect_fracs, dtype=T.DTYPE).reshape(-1, 4).T
     my = _interp_weights(gh, view_gh, top, top + h, np.zeros(len(top), dtype=bool))
-    mx = _interp_weights(gw, view_gw, left, left + w, np.asarray(mirrors, dtype=bool))
+    mx = _interp_weights(gw, view_gw, left, left + w, np.asarray(flips, dtype=bool))
     kron = my[:, :, None, :, None] * mx[:, None, :, None, :]
     return kron.reshape(len(top), view_gh * view_gw, gh * gw)
 
 
-def patchify(images, cfg, params, rects=None, mirrors=None):
+def patchify(images, cfg, params, plans=None):
     """Project patches to embeddings and add (interpolated) positions.
 
-    With ``rects`` (per-view source rectangles as (top, left, h, w) fractions)
-    positions are crop-aware: each view gets the sub-grid it was cut from.
-    Without it, views are treated as whole images (stretch interpolation),
+    With ``plans`` (one ``CropPlan`` per view) positions are crop-aware: each
+    view gets the sub-grid of its plan's ``rect_frac``, mirrored if it flips.
+    Without them, views are treated as whole images (stretch interpolation),
     which is exact (identity) at the canonical resolution.
     """
     images = np.asarray(images, dtype=T.DTYPE)
     if images.ndim == 3:
         images = images[None]
-    B, H, W, _ = images.shape
-    vg = patch_grid(H, W, cfg.patch_size)
+    vg = patch_grid(images.shape[1], images.shape[2], cfg.patch_size)
     patches = Tensor(extract_patches(images, cfg.patch_size))
     emb = T.linear(patches, params["patch_proj.w"], params["patch_proj.b"])
-    if rects is not None:
-        mirrors = mirrors if mirrors is not None else [False] * B
-        pos = Tensor(pos_embed_matrices(cfg, *vg, rects, mirrors)) @ params["pos_embed"]
+    if plans is not None:
+        mats = pos_embed_matrices(cfg, *vg, [p.rect_frac for p in plans], [p.flip for p in plans])
+        pos = Tensor(mats) @ params["pos_embed"]
     elif vg == cfg.grid:
         pos = params["pos_embed"]  # exact identity at canonical resolution
     else:
@@ -328,12 +329,13 @@ def project(x, params, head):
     return T.linear(hid, params[pre + "w4"], params[pre + "b4"])
 
 
-def forward_tokens(images, part_index, params, probs_out=None, rects=None, mirrors=None):
+def forward_tokens(images, part_index, params, probs_out=None, plans=None):
     """Encoder pass; returns [CLS] outputs (B, C) and part outputs (B, P, C),
-    ordered as in ``part_index``. The last block computes only these 1 + P
-    tokens, so its ``probs_out`` entry is (B, heads, 1 + P, S)."""
+    ordered as in ``part_index``. ``plans`` (one ``CropPlan`` per view, or
+    None) position the patches as in ``patchify``. The last block computes
+    only these 1 + P tokens, so its ``probs_out`` entry is (B, heads, 1 + P, S)."""
     n = 1 + np.shape(part_index)[1]
-    patches = patchify(images, params.cfg, params, rects=rects, mirrors=mirrors)
+    patches = patchify(images, params.cfg, params, plans)
     out = encode(assemble(patches, part_index, params), params, probs_out=probs_out, rows=n)
     return out[:, 0, :], out[:, 1:n, :]
 

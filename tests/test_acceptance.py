@@ -135,23 +135,21 @@ class TestCriterion1Gradients:
         assert trainer.student.num_params() <= 10_000
         for p in trainer.student.tensors():  # healthier scale for probing
             p.data = p.data * 1.0
-        globs, locs, loc_part, b, j, rects = trainer.build_batch([0])
-        t_cls, t_part, _, _ = trainer._teacher_forward(globs, b, 0.07, rects[:2])
+        vs = trainer.build_batch([0])
+        t_cls, t_part, _, _ = trainer._teacher_forward(vs, 0.07)
 
         def distill_loss(params):
-            s_cls_g, s_cls_l, s_part_g, s_part_l = trainer._student_forward(
-                globs, locs, loc_part, b, j, rects)
+            s_cls_g, s_cls_l, s_part_g, s_part_l = trainer._student_forward(vs)
             out = distill.DistillOutputs(t_cls, t_part, s_cls_g, s_cls_l,
                                          s_part_g, s_part_l)
             total, _ = distill.total_loss(out)
             return total
 
         def part_only(params):
-            s_cls_g, s_cls_l, s_part_g, s_part_l = trainer._student_forward(
-                globs, locs, loc_part, b, j, rects)
+            s_cls_g, s_cls_l, s_part_g, s_part_l = trainer._student_forward(vs)
             out = distill.DistillOutputs(t_cls, t_part, s_cls_g, s_cls_l,
                                          s_part_g, s_part_l)
-            return distill.part_loss(out, 1)
+            return distill._part_losses(out)[0]
 
         check_tensors = [trainer.student[n] for n in
                          ("cls_token", "part_tokens", "blocks.0.attn.wq",

@@ -339,6 +339,32 @@ class TestDatasetSplit:
         dir_train, dir_test = cli.build_datasets(dir_cfg)
         assert len(dir_train) == 24 and len(dir_test) == 0
 
+    def test_empty_test_split_exits_1_before_training(self, tmp_path, capsys):
+        # with no test image there is nothing to evaluate: refused before training
+        cfg = micro_cfg(tmp_path, "finetune")
+        cfg.data.test_images_per_identity = 0
+        path = cfgmod.save_config(cfg, str(tmp_path / "ft.cfg"))
+        assert cli.main(["finetune", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mode finetune needs a non-empty train and test "
+                              "split; data.test_images_per_identity = 0 leaves 16 train and "
+                              "0 test images"), err
+        assert not os.path.exists(os.path.join(cfg.out_dir, "loss_log.jsonl"))
+
+    @pytest.mark.parametrize("mode", ["pretrain", "finetune"])
+    def test_directory_without_train_images_exits_1(self, tmp_path, capsys, mode):
+        # every identity holds only test_images_per_identity images
+        _, test = cli.build_datasets(micro_cfg(tmp_path))
+        sd.save_dataset(test, str(tmp_path / "data"))
+        cfg = micro_cfg(tmp_path, mode)
+        cfg.data.kind = "dir"
+        cfg.data.path = str(tmp_path / "data")
+        path = cfgmod.save_config(cfg, str(tmp_path / "dir.cfg"))
+        assert cli.main([mode, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mode %s needs" % mode), err
+        assert "data.test_images_per_identity = 2 leaves 0 train and 8 test images" in err
+        assert not os.path.exists(os.path.join(cfg.out_dir, "loss_log.jsonl"))
 
     def test_corrupt_directory_exits_1(self, tmp_path, capsys):
         whole, _ = cli.build_datasets(micro_cfg(tmp_path))

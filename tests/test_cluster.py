@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import tracemalloc
@@ -230,7 +231,7 @@ class TestPrototypes:
 
     def test_momentum_update_preserves_unit_norm(self):
         rng = np.random.default_rng(5)
-        bank = cl.PrototypeBank(cl._l2n(rng.normal(size=(4, 8))), momentum=0.2)
+        bank = cl.PrototypeBank(cl._l2n(rng.normal(size=(4, 8))))
         for _ in range(20):
             bank.update(int(rng.integers(0, 4)), rng.normal(size=8))
             np.testing.assert_allclose(np.linalg.norm(bank.prototypes, axis=1), 1.0, atol=1e-12)
@@ -331,6 +332,32 @@ class TestAdaptTrainer:
         for e in range(2):
             assert (tmp_path / ("pseudo_labels_epoch%d.jsonl" % e)).exists()
 
+    def test_log_keeps_the_epochs_before_a_failure(self, tmp_path, monkeypatch):
+        # each epoch appends its record as it ends, so a run that stops in
+        # epoch 1 still explains epoch 0
+        trainer, _ = self.setup_trainer(tmp_path, epochs=2)
+        calls = []
+        real = cl.cluster
+
+        def fail_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise cl.ClusterError("all points are outliers")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cl, "cluster", fail_second)
+        with pytest.raises(vit.ConfigError, match="cluster.eps"):
+            trainer.run()
+        lines = (tmp_path / "adapt_log.jsonl").read_text().splitlines()
+        assert len(lines) == 1
+        rec = json.loads(lines[0])
+        stats = trainer.history[0]
+        assert rec == {"epoch": 0, "mean_loss": stats.mean_loss,
+                       "grad_norm_mean": stats.grad_norm_mean,
+                       "grad_norm_max": stats.grad_norm_max,
+                       "clusters": stats.labeling.num_clusters,
+                       "outliers": stats.labeling.num_outliers}
+
     def test_losses_finite(self):
         trainer, _ = self.setup_trainer(epochs=2)
         hist = trainer.run()
@@ -344,7 +371,7 @@ class TestAdaptTrainer:
         before = trainer.params["blocks.0.attn.wq"].data.copy()
         hist = trainer.run()
         for stats in hist:
-            assert stats.num_clusters >= 2
+            assert stats.labeling.num_clusters >= 2
             assert stats.mean_loss > 0.0
             assert 0.0 < stats.grad_norm_mean <= stats.grad_norm_max
         assert np.abs(trainer.params["blocks.0.attn.wq"].data - before).max() > 1e-4

@@ -184,7 +184,7 @@ class TestLossStructure:
                 assert len(breakdown["parts"]) == l
                 for i, p in enumerate(breakdown["parts"], start=1):
                     assert p == pytest.approx(oracle[i], rel=1e-12)
-                    assert distill.part_loss(out, i, normalize=not raw_sums).item() == p
+                    assert distill._part_losses(out, normalize=not raw_sums)[i - 1].item() == p
 
     def test_excess_loss_is_weighted_kl(self):
         rng = np.random.default_rng(8)
@@ -203,13 +203,13 @@ class TestLossStructure:
         hot = np.zeros((1, 1, 1, 4))
         hot[..., 2] = 1.0
         out.t_part = hot
-        loss = distill.part_loss(out, 1, normalize=False)
+        loss = distill._part_losses(out, normalize=False)[0]
         expected = -out.s_part_l.data[0, 0, 0, 2]  # single local term, M(M-1)=0
         assert loss.item() == pytest.approx(expected, rel=1e-12)
 
     def test_uniform_teacher_student_gives_log_k(self):
         out = make_outputs(np.random.default_rng(3), b=2, m=2, l=3, j=3, k=16, uniform=True)
-        per_term = distill.part_loss(out, 2).item()
+        per_term = distill._part_losses(out)[1].item()
         assert per_term == pytest.approx(math.log(16), rel=1e-12)
         total, _ = distill.total_loss(out)
         assert total.item() == pytest.approx(2 * math.log(16), rel=1e-12)
@@ -222,13 +222,6 @@ class TestLossStructure:
         t, s = out.t_cls[0], out.s_cls_g.data[0]
         expected = -(t[0] * s[1]).sum() - (t[1] * s[0]).sum()
         assert loss.item() == pytest.approx(expected, rel=1e-12)
-
-    def test_part_index_validation(self):
-        out = make_outputs(np.random.default_rng(5), b=1, m=2, l=2, j=2, k=4)
-        with pytest.raises(distill.DistillError):
-            distill.part_loss(out, 0)
-        with pytest.raises(distill.DistillError):
-            distill.part_loss(out, 3)
 
     def test_gradient_check_on_toy_losses(self):
         rng = np.random.default_rng(6)
@@ -411,19 +404,19 @@ class TestPretrainer:
 
     def test_build_batch_stacks_view_sets_in_order(self):
         tr = tiny_trainer(steps=1)
-        tr.crop_cfg.pos_mode = "crop"
         indices = [3, 0, 5]
-        globs, locs, loc_part, b, j, rects = tr.build_batch(indices)
+        batch = tr.build_batch(indices)
         sets = [mc.build_view_set([tr.images[i]], tr.crop_cfg, [tr._view_seed(i)])
                 for i in indices]
         loc_views = [v for vs in sets for v in vs.locals]
-        assert (b, j) == (3, 1)
-        np.testing.assert_array_equal(globs, np.concatenate([vs.global_pixels for vs in sets]))
-        np.testing.assert_array_equal(locs, np.concatenate([vs.local_pixels for vs in sets]))
-        np.testing.assert_array_equal(loc_part, [v.area_index for v in loc_views])
-        assert list(loc_part) == [1, 2] * 3
-        assert rects[2] == [v.plan.rect_frac for v in loc_views]
-        assert rects[3] == [v.plan.flip for v in loc_views]
+        assert (len(batch.globals), len(batch.locals)) == (3 * 2, 3 * 2 * 1)  # B*M, B*L*J
+        np.testing.assert_array_equal(batch.global_pixels,
+                                      np.concatenate([vs.global_pixels for vs in sets]))
+        np.testing.assert_array_equal(batch.local_pixels,
+                                      np.concatenate([vs.local_pixels for vs in sets]))
+        assert [v.area_index for v in batch.locals] == [1, 2] * 3
+        assert [v.plan for v in batch.locals] == [v.plan for v in loc_views]
+        assert [v.plan for v in batch.globals] == [v.plan for vs in sets for v in vs.globals]
 
     def test_student_matches_teacher_better_over_time(self):
         # raw loss tracks the drifting target entropy early on; the excess

@@ -291,7 +291,8 @@ class TestRenderer:
         tr = distill.Pretrainer(bb, crop, distill.PretrainConfig(steps=1, batch_size=6),
                                 ds.images, seed=0)
         indices = [4, 0, 7, 11, 2, 9]
-        globs, locs, loc_part, b, j, rects = tr.build_batch(indices)
+        vs = tr.build_batch(indices)
+        globs, locs, j = vs.global_pixels, vs.local_pixels, crop.resolve_j()
         want_g, want_l = [], []
         for i in indices:
             rng = np.random.default_rng(tr._view_seed(i))

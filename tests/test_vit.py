@@ -131,6 +131,30 @@ class TestPositionMatrices:
                 + T.Tensor(batch[0]) @ params["pos_embed"])
         assert np.array_equal(vit.patchify(images, cfg, params).data, want.data)
 
+    def test_patchify_positions_each_view_by_its_plan(self):
+        # crop-aware positions: each view's rows are those of its own plan's
+        # rect and flip, bit for bit; without plans every view is stretched
+        cfg = tiny_cfg(image_h=32, image_w=16)
+        params = make_params(cfg)
+        images = np.random.default_rng(4).random((3, 12, 8, 3))
+        plans = [mc.CropPlan(top, left, h, w, (32, 16), (12, 8), flip, 1.0, 1.0)
+                 for top, left, h, w, flip in ((0, 0, 32, 16, False), (4, 2, 12, 10, True),
+                                               (20, 0, 9, 16, False))]
+        got = vit.patchify(images, cfg, params, plans).data
+        patches = T.Tensor(vit.extract_patches(images, cfg.patch_size))
+        emb = T.linear(patches, params["patch_proj.w"], params["patch_proj.b"]).data
+
+        def positions(rect, flip):
+            mat = vit.pos_embed_matrices(cfg, 3, 2, [rect], [flip])[0]
+            return (T.Tensor(mat) @ params["pos_embed"]).data
+
+        for k, plan in enumerate(plans):
+            assert np.array_equal(got[k], emb[k] + positions(plan.rect_frac, plan.flip))
+        stretch = emb + positions((0, 0, 1, 1), False)
+        assert np.array_equal(vit.patchify(images, cfg, params).data, stretch)
+        assert np.array_equal(got[0], stretch[0])  # the whole image, unflipped
+        assert not np.array_equal(got[1:], stretch[1:])
+
 
 class TestAssemble:
     def test_global_layout_token_count(self):
