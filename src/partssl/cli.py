@@ -49,15 +49,20 @@ def build_datasets(cfg):
 
 
 def _splits(cfg, test_needed):
-    """``build_datasets``, with an empty split that the mode needs refused
+    """``build_datasets``, with a split that the mode cannot use refused
     before anything is trained: every training mode needs train images, and
-    finetune (so also ablate) test images too."""
+    finetune (so also ablate) test images and two train identities too."""
     train, test = build_datasets(cfg)
     if len(train) == 0 or (test_needed and len(test) == 0):
         raise ConfigError("mode %s needs a non-empty train%s split; data.test_images_per_identity"
                           " = %d leaves %d train and %d test images"
                           % (cfg.mode, " and test" if test_needed else "",
                              cfg.data.test_images_per_identity, len(train), len(test)))
+    n_ids = len(np.unique(train.ids))
+    if test_needed and n_ids < 2:
+        raise ConfigError("mode %s fine-tunes on at least 2 train identities, got %d "
+                          "(data.num_identities = %d)"
+                          % (cfg.mode, n_ids, cfg.data.num_identities))
     return train, test
 
 
@@ -90,25 +95,28 @@ def query_gallery_index(embeddings, ds):
 # checkpoint glue
 
 
-def _network_state(prefix, params):
-    return {prefix + "." + k: v for k, v in params.state().items()}
+def _state_tensors(**holders):
+    """Each holder's ``state()`` (a network's or the centers'), its names
+    under the keyword's prefix."""
+    return {key + "." + k: v for key, holder in holders.items()
+            for k, v in holder.state().items()}
 
 
-def _load_network(cfg, ckpt, prefix, params=None):
-    """The checkpoint's ``prefix`` network, into ``params`` or a fresh one."""
-    if params is None:
-        params = vit.NetworkParams.init(cfg.backbone, np.random.default_rng(0),
+def _load_state(cfg, ckpt, prefix, holder=None):
+    """The checkpoint's ``prefix`` state, into ``holder`` or a fresh network."""
+    if holder is None:
+        holder = vit.NetworkParams.init(cfg.backbone, np.random.default_rng(0),
                                         requires_grad=True)
     state = {k[len(prefix) + 1:]: v for k, v in ckpt.tensors.items()
              if k.startswith(prefix + ".")}
     if not state:
-        raise CheckpointError("checkpoint has no %r network" % prefix)
+        raise CheckpointError("checkpoint has no %r state" % prefix)
     try:
-        params.load_state(state)
+        holder.load_state(state)
     except (KeyError, ShapeError) as exc:  # e.g. written with other head names
-        raise CheckpointError("checkpoint %r network does not fit this backbone: %s"
+        raise CheckpointError("checkpoint %r state does not fit this backbone: %s"
                               % (prefix, exc.args[0])) from None
-    return params
+    return holder
 
 
 def _open_checkpoint(cfg, path, stage=None):
@@ -149,16 +157,16 @@ def run_pretrain(cfg, out):
                          seed=cfg.seed, log_path=log_path)
     if cfg.resume:
         ckpt = _open_checkpoint(cfg, cfg.resume, "pretrain")
-        _load_network(cfg, ckpt, "student", trainer.student)
-        _load_network(cfg, ckpt, "teacher", trainer.teacher)
-        trainer.center.load({r: ckpt.tensors["center." + r] for r in trainer.center.centers})
-        trainer.step_count = int(ckpt.extra.get("step", 0))
+        for prefix in ("student", "teacher", "center"):
+            _load_state(cfg, ckpt, prefix, getattr(trainer, prefix))
+        step = ckpt.extra.get("step")
+        if type(step) is not int or step < 0:  # JSON true/false are not steps
+            raise CheckpointError("checkpoint extra.step must be an integer >= 0, got %s"
+                                  % json.dumps(step))
+        trainer.step_count = step
     trainer.run()
-    tensors = {}
-    tensors.update(_network_state("student", trainer.student))
-    tensors.update(_network_state("teacher", trainer.teacher))
-    for role, vec in trainer.center.state().items():
-        tensors["center." + role] = vec
+    tensors = _state_tensors(student=trainer.student, teacher=trainer.teacher,
+                             center=trainer.center)
     path = os.path.join(out, "checkpoint.bin")
     save_checkpoint(path, tensors,
                     config={"backbone": dataclasses.asdict(cfg.backbone),
@@ -173,7 +181,7 @@ def _finetune_network(cfg):
     if cfg.init_checkpoint:
         ckpt = _open_checkpoint(cfg, cfg.init_checkpoint, "pretrain")
         # the momentum-averaged network is the one carried downstream
-        return _load_network(cfg, ckpt, "teacher")
+        return _load_state(cfg, ckpt, "teacher")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x1717]))
     return vit.NetworkParams.init(cfg.backbone, rng, requires_grad=True)
 
@@ -189,7 +197,7 @@ def run_finetune(cfg, out):
     dump_path = os.path.join(out, "embeddings.jsonl")
     dump_embeddings(dump_path, emb, test.ids, test.cams)
     result = ev.evaluate(query_gallery_index(emb, test), max_rank=cfg.eval.max_rank)
-    tensors = _network_state("network", params)
+    tensors = _state_tensors(network=params)
     tensors.update({k: v for k, v in trainer.head.state().items()})
     ckpt_path = os.path.join(out, "checkpoint.bin")
     save_checkpoint(ckpt_path, tensors,
@@ -209,12 +217,12 @@ def run_adapt(cfg, out):
     if not cfg.init_checkpoint:
         raise ConfigError("mode %s requires init_checkpoint" % cfg.mode)
     stage, prefix = ("finetune", "network") if cfg.mode == "uda" else ("pretrain", "teacher")
-    params = _load_network(cfg, _open_checkpoint(cfg, cfg.init_checkpoint, stage), prefix)
+    params = _load_state(cfg, _open_checkpoint(cfg, cfg.init_checkpoint, stage), prefix)
     train, _ = _splits(cfg, test_needed=False)
     trainer = AdaptTrainer(params, cfg.cluster, train.images, seed=cfg.seed, out_dir=out)
     history = trainer.run()
     ckpt_path = os.path.join(out, "checkpoint.bin")
-    save_checkpoint(ckpt_path, _network_state("network", params),
+    save_checkpoint(ckpt_path, _state_tensors(network=params),
                     config={"backbone": dataclasses.asdict(cfg.backbone),
                             "fusion": cfg.cluster.fusion},
                     extra={"stage": "adapt", "mode": cfg.mode, "seed": cfg.seed})
@@ -229,7 +237,10 @@ def run_eval(cfg, out):
     emb, ids, cams = load_embeddings(cfg.eval.embeddings)
     index = ev.RetrievalIndex(query=emb, q_ids=ids, q_cams=cams,
                               gallery=emb, g_ids=ids, g_cams=cams)
-    result = ev.evaluate(index, max_rank=cfg.eval.max_rank)
+    try:
+        result = ev.evaluate(index, max_rank=cfg.eval.max_rank)
+    except ev.EvalError as exc:  # e.g. no identity seen by two cameras
+        raise ConfigError("%s: %s" % (cfg.eval.embeddings, exc)) from None
     metrics_path = _write_metrics(os.path.join(out, "metrics.txt"), result)
     report = ev.render_ranking_report(index, list(range(min(4, len(emb)))), top_k=5)
     report_path = os.path.join(out, "ranking_report.txt")
@@ -264,7 +275,7 @@ def run_visualize(cfg, out):
         raise ConfigError("mode visualize requires init_checkpoint")
     ckpt = _open_checkpoint(cfg, cfg.init_checkpoint)
     prefix = "teacher" if any(k.startswith("teacher.") for k in ckpt.tensors) else "network"
-    params = _load_network(cfg, ckpt, prefix)
+    params = _load_state(cfg, ckpt, prefix)
     _, test = build_datasets(cfg)
     idx = cfg.visualize.image_index
     if not 0 <= idx < len(test):

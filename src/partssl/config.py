@@ -8,9 +8,8 @@ to an identical run either way.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .cluster import ClusterConfig
 from .distill import PretrainConfig
@@ -107,8 +106,12 @@ class RunConfig:
             raise ConfigError("data.num_identities: the synthetic palette pool encodes at most "
                               "%d identities, got %d"
                               % (COLORS_PER_BAND ** 3, self.data.num_identities))
-        # re-runs the temperature invariant checks
-        self.distill.temperatures = dataclasses.replace(self.distill.temperatures)
+        tau_s, tau_t = self.distill.tau_s, self.distill.tau_t
+        if not tau_s > 0:
+            raise ConfigError("distill.tau_s must be > 0, got %s" % tau_s)
+        if not 0 < tau_t <= tau_s:  # the teacher is the sharper one
+            raise ConfigError("distill.tau_t must be in (0, distill.tau_s = %s], got %s"
+                              % (tau_s, tau_t))
         return self
 
 
@@ -157,16 +160,12 @@ _COMMENTS = {
 
 
 def _iter_keys(obj, prefix=""):
-    """Yield (flat_key, holder_object, attr_name, value) in emission order.
-
-    A dataclass-valued field of RunConfig is a section; a dataclass-valued
-    field inside a section (``distill.temperatures``) puts its own fields
-    under that section's prefix.
-    """
+    """Yield (flat_key, holder_object, attr_name, value) in emission order;
+    a dataclass-valued field of RunConfig is a section."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if dataclasses.is_dataclass(value):
-            yield from _iter_keys(value, prefix or f.name + ".")
+        if is_dataclass(value):
+            yield from _iter_keys(value, f.name + ".")
         else:
             yield prefix + f.name, obj, f.name, value
 

@@ -12,7 +12,7 @@ is the audit trail for that claim.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,58 +27,38 @@ class DistillError(ValueError):
     pass
 
 
-@dataclass
-class Temperatures:
-    tau_s: float = 0.1
-    tau_t: float = 0.04
-
-    def __post_init__(self):
-        if self.tau_s <= 0 or self.tau_t <= 0:
-            raise DistillError("temperatures must be positive")
-        if self.tau_t > self.tau_s:
-            raise DistillError("teacher temperature must not exceed student temperature")
-
-    def teacher_at(self, step, total_steps):
-        """tau_t after a linear warmup from 0.04 over the first 10% of steps."""
-        warm = int(0.1 * total_steps)
-        if warm <= 0 or step >= warm:
-            return self.tau_t
-        return 0.04 + step / warm * (self.tau_t - 0.04)
-
-
-@dataclass
-class EmaSchedule:
-    start: float = 0.996
-    end: float = 1.0
-    total_steps: int = 1000
-
-    def value(self, step):
-        return cosine_ramp(step, self.total_steps, self.start, self.end)
-
-
 class CenterState:
-    """Per-head-role running means of teacher logits (collapse guard)."""
+    """Running means of the teacher's logits, one row per token, row 0 for
+    [CLS] (collapse guard). Each [PART] has its own row although the head is
+    shared: a constant per-part offset would survive one shared center, which
+    reopens the collapse door that centering exists to close."""
 
-    def __init__(self, dim, roles, momentum=0.9):
+    def __init__(self, num_parts, dim, momentum=0.9):
         self.momentum = momentum
-        self.centers = {r: np.zeros(dim) for r in roles}
+        self.centers = np.zeros((1 + num_parts, dim))
+        self.names = ["cls"] + ["part%d" % i for i in range(1, num_parts + 1)]
 
-    def update(self, role, teacher_logits):
-        logits = np.asarray(teacher_logits, dtype=np.float64).reshape(-1, self.centers[role].shape[0])
+    def update(self, teacher_logits):
+        """One step's update from every view's stacked logits, (N, 1 + L, K)."""
+        logits = np.asarray(teacher_logits, dtype=np.float64).reshape((-1,) + self.centers.shape)
         if logits.shape[0] == 0:
             raise DistillError("CenterState.update: empty batch")
         m = self.momentum
-        self.centers[role] = m * self.centers[role] + (1.0 - m) * logits.mean(axis=0)
-
-    def get(self, role):
-        return self.centers[role]
+        self.centers = m * self.centers + (1.0 - m) * logits.mean(axis=0)
 
     def state(self):
-        return {r: c.copy() for r, c in self.centers.items()}
+        """Checkpoint tensors: one row each, named ``cls`` and ``part<i>``."""
+        return {name: row.copy() for name, row in zip(self.names, self.centers)}
 
-    def load(self, state):
-        for r in self.centers:
-            self.centers[r] = np.asarray(state[r], dtype=np.float64).copy()
+    def load_state(self, state):
+        """The rows of a ``state()`` dict, each checked by name and shape."""
+        for name in self.names:
+            if name not in state:
+                raise KeyError("missing center %r in state" % name)
+            if np.shape(state[name]) != self.centers.shape[1:]:
+                raise T.ShapeError("load_state: center %s expects %s, got %s"
+                                   % (name, self.centers.shape[1:], np.shape(state[name])))
+        self.centers = np.stack([np.asarray(state[n], dtype=np.float64) for n in self.names])
 
 
 def sharpen(logits, tau, center=None):
@@ -259,18 +239,23 @@ class PretrainConfig:
     centering: bool = True
     ema_start: float = 0.996
     ema_end: float = 1.0
-    temperatures: Temperatures = field(default_factory=Temperatures)
+    tau_s: float = 0.1
+    tau_t: float = 0.04
 
+    def teacher_tau(self, step):
+        """tau_t after a linear warmup from 0.04 over the first 10% of steps."""
+        warm = int(0.1 * self.steps)
+        if warm <= 0 or step >= warm:
+            return self.tau_t
+        return 0.04 + step / warm * (self.tau_t - 0.04)
 
-def center_roles(cfg):
-    # one center per part token although the head is shared: a constant
-    # per-part output offset would survive a single shared center,
-    # which reopens the collapse door that centering exists to close
-    return ["cls"] + ["part%d" % i for i in range(1, cfg.num_parts + 1)]
+    def ema(self, step):
+        """Teacher momentum: a cosine from ema_start at step 0 to ema_end."""
+        return cosine_ramp(step, self.steps, self.ema_start, self.ema_end)
 
 
 class Pretrainer:
-    """Owns both networks, the optimizer, schedules and centering state."""
+    """Owns both networks, the optimizer and the centering state."""
 
     def __init__(self, backbone_cfg, crop_cfg, pre_cfg, images, seed, log_path=None):
         if backbone_cfg.num_parts != crop_cfg.num_areas:
@@ -285,9 +270,8 @@ class Pretrainer:
         self.student = vit.NetworkParams.init(backbone_cfg, rng, requires_grad=True)
         self.teacher = self.student.clone(requires_grad=False)
         self.optimizer = AdamW(self.student.items(), lr=pre_cfg.lr, weight_decay=0.01)
-        self.center = CenterState(backbone_cfg.proj_dim, center_roles(backbone_cfg),
+        self.center = CenterState(backbone_cfg.num_parts, backbone_cfg.proj_dim,
                                   momentum=pre_cfg.center_momentum)
-        self.ema = EmaSchedule(pre_cfg.ema_start, pre_cfg.ema_end, pre_cfg.steps)
         self.step_count = 0
         self.order_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0BDE8]))
         self._order = []
@@ -316,25 +300,25 @@ class Pretrainer:
 
     # -- forward ----------------------------------------------------------
 
-    def _logits(self, params, pixels, views, part_index):
-        """Head logits of ``views``, [CLS] (V, K) and parts (V, P, K); in
-        ``crop`` mode the views' plans position their patches."""
-        plans = [v.plan for v in views] if self.crop_cfg.pos_mode == "crop" else None
-        cls_out, part_out = vit.forward_tokens(pixels, part_index, params, plans=plans)
+    def _logits(self, params, pixels, plans, part_index):
+        """Head logits of the views cut by ``plans``, [CLS] (V, K) and parts
+        (V, P, K); in ``crop`` mode the plans also position their patches."""
+        positioned = plans if self.crop_cfg.pos_mode == "crop" else None
+        cls_out, part_out = vit.forward_tokens(pixels, part_index, params, plans=positioned)
         return vit.project(cls_out, params, "head_cls"), vit.project(part_out, params, "head_part")
 
     def _student_forward(self, vs):
         L, m = self.cfg.num_parts, self.crop_cfg.num_globals
         b = len(vs.globals) // m
         j = len(vs.locals) // (b * L)
-        inv_tau = 1.0 / self.pre_cfg.temperatures.tau_s
+        inv_tau = 1.0 / self.pre_cfg.tau_s
         cls_g, part_g = self._logits(self.student, vs.global_pixels, vs.globals,
                                      vit.all_parts(b * m, L))
         s_cls_g = T.reshape(T.log_softmax(cls_g * inv_tau), (b, m, -1))
         s_part_g = T.transpose(T.reshape(T.log_softmax(part_g * inv_tau), (b, m, L, -1)),
                                (0, 2, 1, 3))
         cls_l, part_l = self._logits(self.student, vs.local_pixels, vs.locals,
-                                     [[v.area_index] for v in vs.locals])
+                                     [[p.area] for p in vs.locals])
         s_cls_l = T.reshape(T.log_softmax(cls_l * inv_tau), (b, L, j, -1))
         s_part_l = T.reshape(T.log_softmax(part_l * inv_tau), (b, L, j, -1))
         return s_cls_g, s_cls_l, s_part_g, s_part_l
@@ -345,12 +329,9 @@ class Pretrainer:
         with T.no_grad():
             cls_logits, part_logits = self._logits(self.teacher, vs.global_pixels, vs.globals,
                                                    vit.all_parts(b * m, L))
-        cls_np = cls_logits.data
-        part_np = part_logits.data  # (B*M, L, K)
-        c_cls = c_part = None
-        if self.pre_cfg.centering:
-            c_cls = self.center.get("cls")
-            c_part = np.stack([self.center.get("part%d" % i) for i in range(1, L + 1)])
+        cls_np, part_np = cls_logits.data, part_logits.data  # (B*M, K), (B*M, L, K)
+        c_cls, c_part = ((self.center.centers[0], self.center.centers[1:])
+                         if self.pre_cfg.centering else (None, None))
         t_cls = sharpen(cls_np, tau_t, c_cls).reshape(b, m, -1)
         t_part = sharpen(part_np, tau_t, c_part).reshape(b, m, L, -1).transpose(0, 2, 1, 3)
         return t_cls, t_part, cls_np, part_np
@@ -361,7 +342,7 @@ class Pretrainer:
         pc = self.pre_cfg
         step = self.step_count
         vs = self.build_batch(self._next_batch_indices())
-        tau_t = pc.temperatures.teacher_at(step, pc.steps)
+        tau_t = pc.teacher_tau(step)
 
         t_cls, t_part, cls_logits_np, part_logits_np = self._teacher_forward(vs, tau_t)
         s_cls_g, s_cls_l, s_part_g, s_part_l = self._student_forward(vs)
@@ -369,18 +350,16 @@ class Pretrainer:
                                  s_cls_l=s_cls_l, s_part_g=s_part_g, s_part_l=s_part_l)
         loss, breakdown = total_loss(outputs)
 
-        lam = self.ema.value(step)
+        lam = pc.ema(step)
         self.optimizer.lr = warmup_cosine_lr(step, pc.steps, pc.lr, int(0.1 * pc.steps),
                                              pc.lr * 0.01)
         grad_norm = self.optimizer.minimize(
             loss, pc.clip_grad, "step %d (lambda=%.6f tau_t=%.4f center_norm=%.4f)"
-            % (step, lam, tau_t, np.linalg.norm(self.center.get("cls"))))
+            % (step, lam, tau_t, np.linalg.norm(self.center.centers[0])))
 
         ema_update(self.student, self.teacher, lam)
 
-        self.center.update("cls", cls_logits_np)
-        for i in range(self.cfg.num_parts):
-            self.center.update("part%d" % (i + 1), part_logits_np[:, i])
+        self.center.update(np.concatenate([cls_logits_np[:, None], part_logits_np], axis=1))
 
         t_cls_ent = distribution_entropy(t_cls)
         t_part_ent = distribution_entropy(t_part)

@@ -91,6 +91,7 @@ class CropPlan:
     flip: bool
     brightness: float
     contrast: float
+    area: int = 0            # 0 for global views, 1..L for locals
 
     @property
     def rect_frac(self):
@@ -100,15 +101,9 @@ class CropPlan:
 
 
 @dataclass
-class View:
-    area_index: int          # 0 for global views, 1..L for locals
-    plan: CropPlan
-
-
-@dataclass
 class ViewSet:
-    globals: list            # View per global crop, image-major
-    locals: list             # View per local crop, image-major, areas in order
+    globals: list            # CropPlan per global crop, image-major
+    locals: list             # CropPlan per local crop, image-major, areas in order
     global_pixels: np.ndarray  # the globals' images stacked: (len(globals), *global_size, C)
     local_pixels: np.ndarray   # the locals' images stacked: (len(locals), *local_size, C)
 
@@ -238,8 +233,8 @@ def global_plan(hw, rng, cfg):
     return CropPlan(top, left, ch, cw, (H, W), cfg.global_size, *_photometric(cfg, rng))
 
 
-def local_plan(hw, area, rng, cfg):
-    """Random crop constrained to one area's rows, capped at 40% image area."""
+def local_plan(hw, area, index, rng, cfg):
+    """Random crop in the rows of ``area``, local area ``index`` (1..L), capped at 40%."""
     H, W = hw
     row_lo = int(math.ceil(area.top_frac * H))
     row_hi = int(math.floor(area.bottom_frac * H))
@@ -258,32 +253,23 @@ def local_plan(hw, area, rng, cfg):
     w = max(w, 2)
     top = int(rng.integers(row_lo, row_hi - h + 1))
     left = int(rng.integers(0, W - w + 1))
-    return CropPlan(top, left, h, w, (H, W), cfg.local_size, *_photometric(cfg, rng))
-
-
-def sample_local(image, area, area_index, rng, cfg):
-    """One local view of ``image`` inside ``area``, unrendered."""
-    return View(area_index, local_plan(np.shape(image)[:2], area, rng, cfg))
+    return CropPlan(top, left, h, w, (H, W), cfg.local_size, *_photometric(cfg, rng), index)
 
 
 def build_view_set(images, cfg, seeds):
-    """M global + L*J local views of every image, image-major, each with its
-    crop plan. Image n's plans replay from ``seeds[n]``; the views of each
+    """M global + L*J local crop plans of every image, image-major, with
+    their views. Image n's plans replay from ``seeds[n]``; the views of each
     size are rendered in one call."""
     images = [np.asarray(im, dtype=np.float64) for im in images]
     areas = define_areas(cfg.num_areas)
     j = cfg.resolve_j()
-    globs, locs = [], []  # (plan, area index, image index)
-    for n, (image, seed) in enumerate(zip(images, seeds)):
+    globs, locs = [], []
+    for image, seed in zip(images, seeds):
         rng = np.random.default_rng(seed)
         hw = image.shape[:2]
-        globs += [(global_plan(hw, rng, cfg), 0, n) for _ in range(cfg.num_globals)]
+        globs += [global_plan(hw, rng, cfg) for _ in range(cfg.num_globals)]
         for i, area in enumerate(areas, start=1):
-            locs += [(local_plan(hw, area, rng, cfg), i, n) for _ in range(j)]
-
-    def views(specs):
-        pixels = render(images, [p for p, _, _ in specs], [n for _, _, n in specs])
-        return [View(i, p) for p, i, _ in specs], pixels
-
-    (globs, glob_pixels), (locs, loc_pixels) = views(globs), views(locs)
-    return ViewSet(globs, locs, glob_pixels, loc_pixels)
+            locs += [local_plan(hw, area, i, rng, cfg) for _ in range(j)]
+    owners = np.arange(len(images))
+    return ViewSet(globs, locs, render(images, globs, owners.repeat(cfg.num_globals)),
+                   render(images, locs, owners.repeat(len(areas) * j)))

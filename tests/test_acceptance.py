@@ -67,8 +67,7 @@ def toy_data():
 def pretrained(toy_data):
     bb = vit.BackboneConfig(**TOY_BACKBONE).validate()
     crops = mc.MulticropConfig(**TOY_CROPS)
-    pre = distill.PretrainConfig(temperatures=distill.Temperatures(**TOY_TAUS),
-                                 **TOY_PRETRAIN)
+    pre = distill.PretrainConfig(**TOY_TAUS, **TOY_PRETRAIN)
     trainer = distill.Pretrainer(bb, crops, pre, toy_data["train"].images, seed=0)
     t0 = time.time()
     trainer.run()
@@ -128,8 +127,7 @@ class TestCriterion1Gradients:
         crops = mc.MulticropConfig(num_areas=2, views_per_area=1, global_size=(8, 8),
                                    local_size=(8, 8), flip_p=0.0, brightness=0.0,
                                    contrast=0.0)
-        pre = distill.PretrainConfig(steps=10, batch_size=1,
-                                     temperatures=distill.Temperatures())
+        pre = distill.PretrainConfig(steps=10, batch_size=1)
         images = np.random.default_rng(0).random((2, 8, 8, 3))
         trainer = distill.Pretrainer(bb, crops, pre, images, seed=1)
         assert trainer.student.num_params() <= 10_000
@@ -268,7 +266,7 @@ class TestCriterion3Ema:
         name = "blocks.0.attn.wq"
         teacher_grad_clean = True
         for step in range(100):
-            lam = trainer.ema.value(step)
+            lam = trainer.pre_cfg.ema(step)
             trainer.pretrain_step()
             for p in trainer.teacher.tensors():
                 if p.requires_grad or p.grad is not None:
@@ -276,8 +274,8 @@ class TestCriterion3Ema:
             for k in replay:
                 replay[k] = lam * replay[k] + (1.0 - lam) * trainer.student[k].data
         drift = max(np.abs(replay[k] - trainer.teacher[k].data).max() for k in replay)
-        lam0 = trainer.ema.value(0)
-        lamT = trainer.ema.value(100)
+        lam0 = trainer.pre_cfg.ema(0)
+        lamT = trainer.pre_cfg.ema(100)
         ok = (teacher_grad_clean and drift <= 1e-12
               and abs(lam0 - 0.996) < 1e-15 and lamT == 1.0)
         report(3, ok, "teacher grads clean=%s, recurrence drift %.1e, lambda(0)=%.4f, "
@@ -307,7 +305,7 @@ class TestCriterion4CropGeometry:
         checked = 0
         for area in areas3:
             for _ in range(10_000 // 3 + 1):
-                p = mc.sample_local(img, area, 1, rng, cfg).plan
+                p = mc.local_plan(img.shape[:2], area, 1, rng, cfg)
                 checked += 1
                 if p.top < area.top_frac * H or p.top + p.height > area.bottom_frac * H:
                     failures.append("escape in area (%.2f, %.2f)" % (area.top_frac,
@@ -352,7 +350,7 @@ class TestCriterion6AntiCollapse:
         pre = distill.PretrainConfig(
             steps=steps, batch_size=4, lr=1.5e-3, ema_start=0.95, centering=centering,
             center_momentum=0.8,
-            temperatures=distill.Temperatures(tau_s=0.1, tau_t=tau_t))
+            tau_s=0.1, tau_t=tau_t)
         ds = sd.generate(sd.SyntheticSpec(num_identities=10, images_per_identity=6,
                                           cameras=2, image_h=16, image_w=8), seed=7)
         trainer = distill.Pretrainer(bb, crops, pre, ds.images, seed=5)

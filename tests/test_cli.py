@@ -89,6 +89,50 @@ class TestPretrainMode:
                 logs.append(fh.read())
         assert logs[0] == logs[1]
 
+    def test_resume_runs_the_remaining_steps(self, tmp_path):
+        first = micro_cfg(tmp_path / "a", "pretrain")
+        first.distill.steps = 2
+        pre = cli.run(first)
+        second = micro_cfg(tmp_path / "b", "pretrain", resume=pre["checkpoint"])
+        res = cli.run(second)
+        with open(res["loss_log"]) as fh:
+            assert [json.loads(l)["step"] for l in fh] == [2, 3]
+        assert load_checkpoint(res["checkpoint"]).extra["step"] == 4
+
+    def test_resume_with_no_step_left_rewrites_the_state(self, pipeline, tmp_path):
+        cfg = micro_cfg(tmp_path, "pretrain", resume=pipeline["pre"]["checkpoint"])
+        res = cli.run(cfg)
+        before = load_checkpoint(pipeline["pre"]["checkpoint"]).tensors
+        after = load_checkpoint(res["checkpoint"]).tensors
+        assert sorted(after) == sorted(before)
+        assert any(k.startswith("center.") for k in after)
+        for name, value in before.items():
+            assert np.array_equal(after[name], value), name
+
+    @pytest.mark.parametrize("fault", ["no center.cls", "3-wide center.cls", "2-D center.part1",
+                                       '"abc"', "-3", "2.5", "true", "null"])
+    def test_resume_refuses_state_that_does_not_fit(self, pipeline, tmp_path, capsys, fault):
+        # the checkpoint is at step 4 of 4: without the check, it is saved back
+        ckpt = load_checkpoint(pipeline["pre"]["checkpoint"])
+        tensors, extra = dict(ckpt.tensors), dict(ckpt.extra)
+        if fault == "no center.cls":
+            del tensors["center.cls"]
+        elif fault == "3-wide center.cls":
+            tensors["center.cls"] = np.zeros(3)
+        elif fault == "2-D center.part1":
+            tensors["center.part1"] = tensors["center.part1"][None]
+        else:
+            extra["step"] = json.loads(fault)
+        path = str(tmp_path / "bad.bin")
+        save_checkpoint(path, tensors, config=ckpt.config, extra=extra)
+        cfg = micro_cfg(tmp_path, "pretrain")
+        cfg_path = cfgmod.save_config(cfg, str(tmp_path / "pre.cfg"))
+        assert cli.main(["pretrain", "--config", cfg_path, "--resume", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: checkpoint"), err
+        assert ("center" if "center" in fault else "extra.step") in err, err
+        assert not os.path.exists(os.path.join(cfg.out_dir, "checkpoint.bin"))
+
 
 class TestFinetuneMode:
     def test_artifacts_and_metrics(self, pipeline):
@@ -244,6 +288,20 @@ class TestEvalMode:
         err = capsys.readouterr().err
         assert err.startswith("config error") and "%s line 8" % dump in err, err
 
+    def test_dump_without_a_positive_exits_1(self, tmp_path, capsys):
+        from partssl.finetune import dump_embeddings
+        dump = str(tmp_path / "emb.jsonl")
+        dump_embeddings(dump, np.random.default_rng(5).normal(size=(5, 4)), np.arange(5),
+                        np.arange(5) % 2)  # five identities, one image each
+        cfg_file = tmp_path / "eval.cfg"
+        cfg_file.write_text("eval.embeddings = %s\n" % dump)
+        out = tmp_path / "out"
+        assert cli.main(["eval", "--config", str(cfg_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s: no query has a valid gallery positive"
+                              % dump), err
+        assert not (out / "metrics.txt").exists()
+
     def test_missing_embeddings_config_error(self, tmp_path):
         cfg = micro_cfg(tmp_path, "eval")
         with pytest.raises(cfgmod.ConfigError, match="embeddings"):
@@ -350,6 +408,18 @@ class TestDatasetSplit:
                               "split; data.test_images_per_identity = 0 leaves 16 train and "
                               "0 test images"), err
         assert not os.path.exists(os.path.join(cfg.out_dir, "loss_log.jsonl"))
+
+    @pytest.mark.parametrize("mode", ["finetune", "ablate"])
+    def test_one_train_identity_exits_1_before_training(self, tmp_path, capsys, mode):
+        # the identity loss and the triplet batches need two identities
+        cfg = micro_cfg(tmp_path, mode)
+        cfg.data.num_identities = 1
+        path = cfgmod.save_config(cfg, str(tmp_path / "one.cfg"))
+        assert cli.main([mode, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mode %s fine-tunes on at least 2 train identities,"
+                              " got 1 (data.num_identities = 1)" % mode), err
+        assert os.listdir(cfg.out_dir) == ["resolved.cfg"]
 
     @pytest.mark.parametrize("mode", ["pretrain", "finetune"])
     def test_directory_without_train_images_exits_1(self, tmp_path, capsys, mode):

@@ -24,13 +24,13 @@ class TestRoundTrip:
         cfg.backbone.num_parts = 2
         cfg.crops.num_areas = 2
         cfg.crops.global_scale = (0.5, 0.9)
-        cfg.distill.temperatures.tau_t = 0.05
+        cfg.distill.tau_t = 0.05
         cfg.distill.centering = False
         cfg.finetune.fusion = "mean_all"
         cfg.validate()
         back = cfgmod.parse_text(cfgmod.to_text(cfg))
         assert back == cfg
-        assert back.distill.temperatures.tau_t == 0.05
+        assert back.distill.tau_t == 0.05
         assert back.crops.global_scale == (0.5, 0.9)
 
     def test_every_emitted_key_parses(self):
@@ -131,7 +131,9 @@ class TestValidation:
                                       "data.test_images_per_identity = -1",
                                       "backbone.image_h = 0", "backbone.embed_dim = 0",
                                       "crops.local_size = 0, 0", "crops.global_size = -4, 8",
-                                      "backbone.depth = -1"])
+                                      "backbone.depth = -1",
+                                      "distill.tau_t = 0.5", "distill.tau_t = 0",
+                                      "distill.tau_s = -0.1"])
     def test_unusable_value_rejected_at_load(self, line, tmp_path, capsys):
         key = line.splitlines()[-1].split(" = ")[0]
         with pytest.raises(ConfigError, match="^" + re.escape(key)):  # the error names it first

@@ -115,25 +115,25 @@ class TestSharpen:
 
 class TestCenter:
     def test_momentum_zero_equals_batch_mean(self):
-        c = distill.CenterState(4, ["cls"], momentum=0.0)
-        batch = np.arange(12.0).reshape(3, 4)
-        c.update("cls", batch)
-        np.testing.assert_allclose(c.get("cls"), batch.mean(axis=0))
+        c = distill.CenterState(0, 4, momentum=0.0)
+        batch = np.arange(12.0).reshape(3, 1, 4)
+        c.update(batch)
+        np.testing.assert_allclose(c.centers, batch.mean(axis=0))
 
     def test_momentum_one_keeps_center(self):
-        c = distill.CenterState(4, ["cls"], momentum=1.0)
-        c.update("cls", np.ones((2, 4)))
-        np.testing.assert_array_equal(c.get("cls"), np.zeros(4))
+        c = distill.CenterState(0, 4, momentum=1.0)
+        c.update(np.ones((2, 1, 4)))
+        np.testing.assert_array_equal(c.centers, np.zeros((1, 4)))
 
     def test_momentum_arithmetic(self):
-        c = distill.CenterState(1, ["cls"], momentum=0.9)
-        c.update("cls", np.ones((5, 1)))
-        np.testing.assert_allclose(c.get("cls"), [0.1])
+        c = distill.CenterState(0, 1, momentum=0.9)
+        c.update(np.ones((5, 1, 1)))
+        np.testing.assert_allclose(c.centers, [[0.1]])
 
     def test_empty_batch_rejected(self):
-        c = distill.CenterState(4, ["cls"])
+        c = distill.CenterState(0, 4)
         with pytest.raises(distill.DistillError):
-            c.update("cls", np.zeros((0, 4)))
+            c.update(np.zeros((0, 1, 4)))
 
 
 class TestLossStructure:
@@ -306,25 +306,24 @@ class TestEma:
 
 class TestSchedules:
     def test_ema_schedule_endpoints_and_monotonicity(self):
-        sched = distill.EmaSchedule(0.996, 1.0, 400)
-        assert sched.value(0) == pytest.approx(0.996, abs=1e-15)
-        assert sched.value(400) == 1.0
-        vals = [sched.value(s) for s in range(401)]
+        pre = distill.PretrainConfig(steps=400, ema_start=0.996, ema_end=1.0)
+        assert pre.ema(0) == pytest.approx(0.996, abs=1e-15)
+        assert pre.ema(400) == 1.0
+        vals = [pre.ema(s) for s in range(401)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_temperature_invariants(self):
-        with pytest.raises(distill.DistillError):
-            distill.Temperatures(tau_s=0.1, tau_t=0.2)
-        with pytest.raises(distill.DistillError):
-            distill.Temperatures(tau_s=-0.1)
-        # a linear warmup from 0.04 over the first 10% of steps
-        temps = distill.Temperatures(tau_s=0.1, tau_t=0.06)
-        assert temps.teacher_at(0, 100) == 0.04
-        assert temps.teacher_at(5, 100) == pytest.approx(0.05)
-        assert temps.teacher_at(9, 100) == pytest.approx(0.058)
-        assert temps.teacher_at(10, 100) == 0.06
-        assert temps.teacher_at(60, 100) == 0.06
-        assert temps.teacher_at(0, 9) == 0.06  # fewer than 10 steps: no warmup
+        # the tau_s / tau_t invariants are RunConfig.validate's, tested in
+        # tests/test_config.py; a linear warmup from 0.04 over the first 10%
+        # of steps
+        pre = distill.PretrainConfig(steps=100, tau_s=0.1, tau_t=0.06)
+        assert pre.teacher_tau(0) == 0.04
+        assert pre.teacher_tau(5) == pytest.approx(0.05)
+        assert pre.teacher_tau(9) == pytest.approx(0.058)
+        assert pre.teacher_tau(10) == 0.06
+        assert pre.teacher_tau(60) == 0.06
+        pre.steps = 9
+        assert pre.teacher_tau(0) == 0.06  # fewer than 10 steps: no warmup
 
 
 def tiny_trainer(steps=30, seed=0, centering=True, **pre_kw):
@@ -356,7 +355,7 @@ class TestPretrainer:
         tr = tiny_trainer(steps=5)
         t_before = tr.teacher.state()
         tr.pretrain_step()
-        lam = tr.ema.value(0)
+        lam = tr.pre_cfg.ema(0)
         for name in tr.teacher.names():
             expected = lam * t_before[name] + (1 - lam) * tr.student[name].data
             np.testing.assert_allclose(tr.teacher[name].data, expected, atol=1e-15)
@@ -408,15 +407,15 @@ class TestPretrainer:
         batch = tr.build_batch(indices)
         sets = [mc.build_view_set([tr.images[i]], tr.crop_cfg, [tr._view_seed(i)])
                 for i in indices]
-        loc_views = [v for vs in sets for v in vs.locals]
+        loc_views = [p for vs in sets for p in vs.locals]
         assert (len(batch.globals), len(batch.locals)) == (3 * 2, 3 * 2 * 1)  # B*M, B*L*J
         np.testing.assert_array_equal(batch.global_pixels,
                                       np.concatenate([vs.global_pixels for vs in sets]))
         np.testing.assert_array_equal(batch.local_pixels,
                                       np.concatenate([vs.local_pixels for vs in sets]))
-        assert [v.area_index for v in batch.locals] == [1, 2] * 3
-        assert [v.plan for v in batch.locals] == [v.plan for v in loc_views]
-        assert [v.plan for v in batch.globals] == [v.plan for vs in sets for v in vs.globals]
+        assert [p.area for p in batch.locals] == [1, 2] * 3
+        assert batch.locals == loc_views
+        assert batch.globals == [p for vs in sets for p in vs.globals]
 
     def test_student_matches_teacher_better_over_time(self):
         # raw loss tracks the drifting target entropy early on; the excess

@@ -71,9 +71,9 @@ class TestGlobalSampler:
         img = sample_image()
         cfg = self.cfg(global_scale=(1.0, 1.0), flip_p=0.0, brightness=0.0, contrast=0.0)
         vs = mc.build_view_set([img], cfg, [0])
-        view = vs.globals[0]
-        assert (view.plan.top, view.plan.left) == (0, 0)
-        assert (view.plan.height, view.plan.width) == img.shape[:2]
+        plan = vs.globals[0]
+        assert (plan.top, plan.left) == (0, 0)
+        assert (plan.height, plan.width) == img.shape[:2]
         np.testing.assert_allclose(vs.global_pixels[0], img, atol=1e-12)
 
     def test_crop_rects_stay_in_bounds(self):
@@ -104,8 +104,7 @@ class TestLocalSampler:
         H = img.shape[0]
         for area in mc.define_areas(3):
             for _ in range(1000):
-                v = mc.sample_local(img, area, 2, rng, cfg)
-                p = v.plan
+                p = mc.local_plan(img.shape[:2], area, 2, rng, cfg)
                 assert p.top >= area.top_frac * H
                 assert p.top + p.height <= area.bottom_frac * H
 
@@ -116,7 +115,7 @@ class TestLocalSampler:
         cap = 0.40 * 64 * 32
         for area in mc.define_areas(3):
             for _ in range(500):
-                p = mc.sample_local(img, area, 1, rng, cfg).plan
+                p = mc.local_plan(img.shape[:2], area, 1, rng, cfg)
                 assert p.height * p.width <= cap
 
     def test_max_fraction_middle_area_geometry(self):
@@ -129,7 +128,7 @@ class TestLocalSampler:
         rng = np.random.default_rng(8)
         H, W = img.shape[:2]
         for _ in range(200):
-            p = mc.sample_local(img, area, 2, rng, cfg).plan
+            p = mc.local_plan(img.shape[:2], area, 2, rng, cfg)
             assert p.width == W
             assert p.height == int(0.40 * H * W // W)
             assert p.height < 0.5 * H
@@ -140,7 +139,8 @@ class TestLocalSampler:
     def test_area_too_small_raises(self):
         img = sample_image(9, h=16, w=8)
         with pytest.raises(mc.AreaError):
-            mc.sample_local(img, mc.AreaSpec(0.5, 0.55), 1, np.random.default_rng(0), self.cfg())
+            mc.local_plan(img.shape[:2], mc.AreaSpec(0.5, 0.55), 1, np.random.default_rng(0),
+                          self.cfg())
 
     def test_local_view_resized_to_local_size(self):
         img = sample_image(10, h=64, w=32)
@@ -170,14 +170,14 @@ class TestViewSet:
     def test_local_layouts_carry_their_area_index(self):
         cfg = mc.MulticropConfig(global_size=(32, 16), local_size=(16, 8))
         vs = mc.build_view_set([sample_image(13)], cfg, [1])
-        assert [v.area_index for v in vs.locals] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
-        assert [v.area_index for v in vs.globals] == [0, 0]
+        assert [p.area for p in vs.locals] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+        assert [p.area for p in vs.globals] == [0, 0]
 
     def test_same_seed_bit_identical(self):
         cfg = mc.MulticropConfig(global_size=(32, 16), local_size=(16, 8))
         a = mc.build_view_set([sample_image(14)], cfg, [42])
         b = mc.build_view_set([sample_image(14)], cfg, [42])
-        assert [v.plan for v in a.globals + a.locals] == [v.plan for v in b.globals + b.locals]
+        assert a.globals + a.locals == b.globals + b.locals
         np.testing.assert_array_equal(a.global_pixels, b.global_pixels)
         np.testing.assert_array_equal(a.local_pixels, b.local_pixels)
 
@@ -185,7 +185,7 @@ class TestViewSet:
         cfg = mc.MulticropConfig(global_size=(32, 16), local_size=(16, 8))
         a = mc.build_view_set([sample_image(14)], cfg, [42])
         b = mc.build_view_set([sample_image(14)], cfg, [43])
-        assert [v.plan for v in a.globals + a.locals] != [v.plan for v in b.globals + b.locals]
+        assert a.globals + a.locals != b.globals + b.locals
 
 
 class TestResize:
@@ -299,9 +299,9 @@ class TestRenderer:
             image = ds.images[i]
             for _ in range(crop.num_globals):
                 want_g.append(ref_render_view(image, mc.global_plan(image.shape[:2], rng, crop)))
-            for area in mc.define_areas(3):
+            for a, area in enumerate(mc.define_areas(3), start=1):
                 for _ in range(j):
-                    want_l.append(ref_render_view(image, mc.local_plan(image.shape[:2], area,
+                    want_l.append(ref_render_view(image, mc.local_plan(image.shape[:2], area, a,
                                                                       rng, crop)))
         assert (len(globs), len(locs)) == (12, 54)
         assert np.array_equal(globs, np.stack(want_g))
