@@ -2,13 +2,16 @@
 
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header,
 raw float64 payload. The header records a format version, arbitrary config
-and extra-state dicts, and per-tensor name/shape/offset. Round trips are
-bit-exact because payloads are raw ``float64`` bytes.
+and extra-state dicts, per-tensor name/shape/offset and the SHA-256 of the
+payload. Round trips are bit-exact because payloads are raw ``float64``
+bytes; the checksum makes a flipped payload byte a refusal, not a wrong
+number.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAGIC = b"PSSLCKPT"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -38,14 +41,17 @@ def save_checkpoint(path, tensors, config=None, extra=None):
     arrays = {k: np.ascontiguousarray(v, dtype=np.float64) for k, v in tensors.items()}
     entries = []
     offset = 0
+    digest = hashlib.sha256()
     for name, arr in arrays.items():
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.nbytes
+        digest.update(arr)
     header = json.dumps({
         "version": VERSION,
         "config": config or {},
         "extra": extra or {},
         "tensors": entries,
+        "sha256": digest.hexdigest(),
     }).encode("utf-8")
     # a crash or a full disk mid-write leaves the previous file whole: write a
     # sibling, then rename it over the target (atomic within one directory)
@@ -100,6 +106,8 @@ def load_checkpoint(path):
                               "name, a shape of ints >= 0 and an offset >= 0" % path)
     if not all(isinstance(header.get(k, {}), dict) for k in ("config", "extra")):
         raise CheckpointError("%s: the header's config and extra are not JSON objects" % path)
+    if not isinstance(header.get("sha256"), str):
+        raise CheckpointError("%s: the header has no sha256 of the payload" % path)
     tensors = {}
     for ent in entries:
         shape = tuple(ent["shape"])
@@ -111,6 +119,8 @@ def load_checkpoint(path):
         arr = np.frombuffer(blob, dtype=np.float64, count=count, offset=offset)
         # a copy: frombuffer is read-only, and parameters are updated in place
         tensors[ent["name"]] = arr.reshape(shape).copy()
+    if hashlib.sha256(memoryview(blob)[start:]).hexdigest() != header["sha256"]:
+        raise CheckpointError("%s: payload checksum mismatch (a changed or damaged file)" % path)
     return Checkpoint(
         version=header["version"],
         config=header.get("config", {}),

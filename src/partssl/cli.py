@@ -142,9 +142,12 @@ def _open_checkpoint(cfg, path, stage=None):
 # modes
 
 
+_LOG_NAME = "loss_log.jsonl"  # a training run's step log, in its out dir
+
+
 def _fresh_log(out):
     """The run's step log, emptied: a rerun into one directory starts over."""
-    path = os.path.join(out, "loss_log.jsonl")
+    path = os.path.join(out, _LOG_NAME)
     if os.path.exists(path):
         os.remove(path)
     return path
@@ -152,9 +155,8 @@ def _fresh_log(out):
 
 def run_pretrain(cfg, out):
     train, _ = _splits(cfg, test_needed=False)
-    log_path = _fresh_log(out)
     trainer = Pretrainer(cfg.backbone, cfg.crops, cfg.distill, train.images,
-                         seed=cfg.seed, log_path=log_path)
+                         seed=cfg.seed, log_path=os.path.join(out, _LOG_NAME))
     if cfg.resume:
         ckpt = _open_checkpoint(cfg, cfg.resume, "pretrain")
         for prefix in ("student", "teacher", "center"):
@@ -164,6 +166,7 @@ def run_pretrain(cfg, out):
             raise CheckpointError("checkpoint extra.step must be an integer >= 0, got %s"
                                   % json.dumps(step))
         trainer.step_count = step
+    _fresh_log(out)  # only now: a refused resume keeps the run's log
     trainer.run()
     tensors = _state_tensors(student=trainer.student, teacher=trainer.teacher,
                              center=trainer.center)
@@ -173,7 +176,7 @@ def run_pretrain(cfg, out):
                             "crops": dataclasses.asdict(cfg.crops)},
                     extra={"stage": "pretrain", "step": trainer.step_count,
                            "seed": cfg.seed})
-    return {"checkpoint": path, "loss_log": log_path,
+    return {"checkpoint": path, "loss_log": trainer.log_path,
             "final_loss": trainer.log[-1]["loss"] if trainer.log else None}
 
 
@@ -194,7 +197,7 @@ def run_finetune(cfg, out):
                               seed=cfg.seed, log_path=log_path)
     trainer.run()
     emb = extract_embeddings(params, trainer.head, test.images, cfg.finetune.fusion)
-    dump_path = os.path.join(out, "embeddings.jsonl")
+    dump_path = os.path.join(out, "embeddings.bin")
     dump_embeddings(dump_path, emb, test.ids, test.cams)
     result = ev.evaluate(query_gallery_index(emb, test), max_rank=cfg.eval.max_rank)
     tensors = _state_tensors(network=params)

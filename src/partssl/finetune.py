@@ -17,6 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from . import vit
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .multicrop import resize_batch
 from .optim import AdamW, warmup_cosine_lr
 from .tensor import Tensor
@@ -271,68 +272,56 @@ def extract_embeddings(params, head, images, fusion):
 
 
 # ---------------------------------------------------------------------------
-# embedding dump interchange format (JSON lines)
+# embedding dump: a checkpoint container of one (N, D) ``vector`` tensor whose
+# row n is image n, with the labels as JSON integers in the header
 
 
 def dump_embeddings(path, embeddings, ids, cams):
-    with open(path, "w") as fh:
-        for n, vec in enumerate(np.asarray(embeddings, dtype=np.float64)):
-            fh.write(json.dumps({
-                "image_id": n,
-                "identity": int(ids[n]),
-                "camera": int(cams[n]),
-                "vector": [float(x) for x in vec],
-            }) + "\n")
-    return path
-
-
-def _is_float(x):
-    """Whether a JSON value converts to a float (an integer may be too large)."""
-    if not isinstance(x, (int, float)):
-        return False
-    try:
-        float(x)
-    except OverflowError:
-        return False
-    return True
+    """Write the dump atomically; ``ids`` and ``cams`` give one label per row."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    if embeddings.ndim != 2 or not len(ids) == len(cams) == len(embeddings):
+        raise ValueError("dump_embeddings needs (N, D) embeddings and N identities and "
+                         "cameras, got shape %s, %d and %d"
+                         % (embeddings.shape, len(ids), len(cams)))
+    return save_checkpoint(path, {"vector": embeddings}, extra={
+        "stage": "embeddings",
+        "identity": [int(x) for x in ids],
+        "camera": [int(x) for x in cams]})
 
 
 def load_embeddings(path):
-    vecs, ids, cams = [], [], []
-    with open(path) as fh:
-        try:
-            for line in fh:
-                rec = json.loads(line)
-                vecs.append(rec["vector"])
-                ids.append(rec["identity"])
-                cams.append(rec["camera"])
-        except (ValueError, KeyError, TypeError) as exc:  # cams grows last on each line
-            raise vit.ConfigError("%s line %d: not an embedding record (%s: %s)"
-                                  % (path, len(cams) + 1, type(exc).__name__, exc)) from None
-    if not vecs:
-        raise vit.ConfigError("%s: no embedding records" % path)
+    """The dump's (N, D) float64 embeddings and int64 identities and cameras.
+
+    Refuses, with a ``ConfigError`` that names the path, a file that is not a
+    dump of this build or holds a non-finite vector or a label that is not
+    an int64."""
     try:
-        matrix = np.asarray(vecs, dtype=np.float64)
-    except (ValueError, TypeError, OverflowError):  # ragged, not numbers, or too large
-        matrix = None
-    if matrix is None or matrix.ndim != 2:  # blame the first vector unlike line 1's
-        sizes = [len(v) if isinstance(v, list) and all(_is_float(x) for x in v) else -1
-                 for v in vecs]
-        bad = next(n for n, k in enumerate(sizes) if k < 0 or k != sizes[0])
-        raise vit.ConfigError("%s line %d: vector is not a list of floats as long as line 1's"
-                              % (path, bad + 1)) from None
-    # JSON reads NaN and Infinity, and evaluate would rank them without a word
+        ckpt = load_checkpoint(path)
+    except CheckpointError as exc:  # e.g. a JSON-lines dump of an older build
+        raise vit.ConfigError("%s; not an embedding dump of this build" % exc) from None
+    stage = ckpt.extra.get("stage", "?")
+    if stage != "embeddings":
+        raise vit.ConfigError("%s: not an embedding dump, got stage %r" % (path, stage))
+    matrix = ckpt.tensors.get("vector")
+    if matrix is None or matrix.ndim != 2 or not len(matrix):
+        raise vit.ConfigError("%s: vector is not an (N, D) tensor with N >= 1, got %s"
+                              % (path, "none" if matrix is None else matrix.shape))
+    # the container holds NaN and inf, and evaluate would rank them without a word
     bad = np.nonzero(~np.isfinite(matrix))[0]
     if len(bad):
-        raise vit.ConfigError("%s line %d: embedding vector is not finite" % (path, bad[0] + 1))
-    return matrix, _labels(path, "identity", ids), _labels(path, "camera", cams)
+        raise vit.ConfigError("%s row %d: embedding vector is not finite" % (path, bad[0]))
+    return (matrix, _labels(path, "identity", ckpt.extra.get("identity"), len(matrix)),
+            _labels(path, "camera", ckpt.extra.get("camera"), len(matrix)))
 
 
-def _labels(path, name, values):
-    """The labels as int64, if each is a JSON integer in int64's range.
+def _labels(path, name, values, count):
+    """The labels as int64, if they are a list of ``count`` JSON integers in
+    int64's range.
 
     numpy would truncate 1.5 and read true as 1, and a string, null, list or
     larger integer would fail inside evaluate."""
+    if not isinstance(values, list) or len(values) != count:
+        raise vit.ConfigError("%s: %s is not a list of %d labels" % (path, name, count))
     try:
         if all(type(x) is int for x in values):  # bool is a subclass of int
             return np.asarray(values, dtype=np.int64)
@@ -340,5 +329,5 @@ def _labels(path, name, values):
         pass
     bad = next(n for n, x in enumerate(values)
                if type(x) is not int or not -2 ** 63 <= x < 2 ** 63)
-    raise vit.ConfigError("%s line %d: %s %s is not an integer label"
-                          % (path, bad + 1, name, json.dumps(values[bad])))
+    raise vit.ConfigError("%s row %d: %s %s is not an integer label"
+                          % (path, bad, name, json.dumps(values[bad])))

@@ -45,6 +45,25 @@ def micro_cfg(tmp_path, mode="pretrain", **overrides):
     return cfg.validate()
 
 
+def run_eval_cli(tmp_path, capsys, dump):
+    """``partssl eval`` on ``dump``, which must exit 1 and write no metrics;
+    returns its stderr."""
+    cfg_file = tmp_path / "eval.cfg"
+    cfg_file.write_text("eval.embeddings = %s\n" % dump)
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert not (out / "metrics.txt").exists()
+    return capsys.readouterr().err
+
+
+def flip_payload_byte(blob):
+    """The container ``blob`` with one bit of its first payload float flipped."""
+    hlen = int.from_bytes(blob[8:16], "little")
+    blob = bytearray(blob)
+    blob[16 + hlen] ^= 0x01  # the lowest mantissa byte: still a finite float
+    return bytes(blob)
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One pretrain -> finetune chain shared by the read-only CLI tests."""
@@ -133,6 +152,21 @@ class TestPretrainMode:
         assert ("center" if "center" in fault else "extra.step") in err, err
         assert not os.path.exists(os.path.join(cfg.out_dir, "checkpoint.bin"))
 
+    def test_refused_resume_keeps_the_run_log(self, tmp_path, capsys):
+        cfg = micro_cfg(tmp_path, "pretrain")
+        cfg.distill.steps = 2
+        pre = cli.run(cfg)
+        with open(pre["loss_log"], "rb") as fh:
+            log = fh.read()
+        ckpt = load_checkpoint(pre["checkpoint"])
+        bad = str(tmp_path / "bad.bin")
+        save_checkpoint(bad, ckpt.tensors, config=ckpt.config, extra=dict(ckpt.extra, step="abc"))
+        cfg_path = cfgmod.save_config(cfg, str(tmp_path / "pre.cfg"))
+        assert cli.main(["pretrain", "--config", cfg_path, "--resume", bad]) == 1
+        assert "extra.step" in capsys.readouterr().err
+        with open(pre["loss_log"], "rb") as fh:
+            assert fh.read() == log
+
 
 class TestFinetuneMode:
     def test_artifacts_and_metrics(self, pipeline):
@@ -184,6 +218,22 @@ class TestFinetuneMode:
             err = capsys.readouterr().err
             assert err.startswith("config error") and str(path) in err, (name, err)
 
+    def test_flipped_payload_byte_exits_1(self, pipeline, tmp_path, capsys):
+        path = tmp_path / "flipped.bin"
+        with open(pipeline["pre"]["checkpoint"], "rb") as fh:
+            path.write_bytes(flip_payload_byte(fh.read()))
+        cfg_path = cfgmod.save_config(micro_cfg(tmp_path, "finetune"), str(tmp_path / "ft.cfg"))
+        assert cli.main(["finetune", "--config", cfg_path, "--init", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s" % path) and "checksum" in err, err
+
+    def test_embedding_dump_in_place_of_a_checkpoint_exits_1(self, pipeline, tmp_path, capsys):
+        cfg_path = cfgmod.save_config(micro_cfg(tmp_path, "finetune"), str(tmp_path / "ft.cfg"))
+        dump = pipeline["ft"]["embeddings"]
+        assert cli.main(["finetune", "--config", cfg_path, "--init", dump]) == 1
+        err = capsys.readouterr().err
+        assert "needs a pretrain checkpoint, got stage 'embeddings'" in err, err
+
     def test_wrong_stage_refused(self, pipeline, tmp_path):
         cfg = micro_cfg(tmp_path, "usl", init_checkpoint=pipeline["ft"]["checkpoint"])
         with pytest.raises(cfgmod.ConfigError, match="stage"):
@@ -220,7 +270,7 @@ class TestEvalMode:
     def test_gallery_smaller_than_max_rank(self, tmp_path, capsys):
         from partssl.finetune import dump_embeddings
         rng = np.random.default_rng(0)
-        dump = str(tmp_path / "emb.jsonl")
+        dump = str(tmp_path / "emb.bin")
         dump_embeddings(dump, rng.normal(size=(8, 4)), [0, 0, 1, 1, 2, 2, 3, 3], [0, 1] * 4)
         cfg_file = tmp_path / "eval.cfg"
         cfg_file.write_text("eval.embeddings = %s\n" % dump)  # eval.max_rank = 10
@@ -236,71 +286,72 @@ class TestEvalMode:
         rng = np.random.default_rng(1)
         emb = rng.normal(size=(40, 4))
         emb[17, 2] = bad
-        dump = str(tmp_path / "emb.jsonl")
+        dump = str(tmp_path / "emb.bin")
         dump_embeddings(dump, emb, np.arange(40) // 4, np.arange(40) % 2)
-        cfg_file = tmp_path / "eval.cfg"
-        cfg_file.write_text("eval.embeddings = %s\n" % dump)
-        assert cli.main(["eval", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and dump + " line 18" in err, err
+        err = run_eval_cli(tmp_path, capsys, dump)
+        assert err.startswith("config error") and dump + " row 17" in err, err
 
-    def test_integer_beyond_float_range_exits_1(self, tmp_path, capsys):
-        from partssl.finetune import dump_embeddings
-        dump = tmp_path / "emb.jsonl"
-        dump_embeddings(str(dump), np.random.default_rng(3).normal(size=(8, 4)),
-                        np.arange(8) // 2, np.arange(8) % 2)
-        lines = dump.read_text().splitlines()
-        lines[5] = lines[5].replace('"vector": [', '"vector": [1%s, ' % ("0" * 400))
-        lines[5] = lines[5][:lines[5].rindex(",")] + "]}"  # still four numbers
-        dump.write_text("\n".join(lines) + "\n")
-        cfg_file = tmp_path / "eval.cfg"
-        cfg_file.write_text("eval.embeddings = %s\n" % dump)
-        assert cli.main(["eval", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and "%s line 6" % dump in err, err
+    def test_one_dimensional_vector_exits_1(self, tmp_path, capsys):
+        dump = str(tmp_path / "emb.bin")
+        save_checkpoint(dump, {"vector": np.ones(8)},
+                        extra={"stage": "embeddings", "identity": [0] * 8, "camera": [0] * 8})
+        err = run_eval_cli(tmp_path, capsys, dump)
+        assert err.startswith("config error: %s: vector is not an (N, D) tensor" % dump), err
 
     @pytest.mark.parametrize("label", ['"x"', "null", "[1]", str(10 ** 30), "1.5"])
     def test_label_that_is_not_an_integer_exits_1(self, tmp_path, capsys, label):
         from partssl.finetune import dump_embeddings
-        dump = tmp_path / "emb.jsonl"
-        dump_embeddings(str(dump), np.random.default_rng(4).normal(size=(8, 4)),
+        dump = str(tmp_path / "emb.bin")
+        dump_embeddings(dump, np.random.default_rng(4).normal(size=(8, 4)),
                         np.arange(8) // 2, np.arange(8) % 2)
-        lines = dump.read_text().splitlines()
-        lines[4] = lines[4].replace('"identity": 2', '"identity": %s' % label)
-        dump.write_text("\n".join(lines) + "\n")
-        cfg_file = tmp_path / "eval.cfg"
-        cfg_file.write_text("eval.embeddings = %s\n" % dump)
-        out = tmp_path / "out"
-        assert cli.main(["eval", "--config", str(cfg_file), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and "%s line 5: identity" % dump in err, err
-        assert not (out / "metrics.txt").exists()
+        ckpt = load_checkpoint(dump)
+        ckpt.extra["identity"][4] = json.loads(label)
+        save_checkpoint(dump, ckpt.tensors, extra=ckpt.extra)
+        err = run_eval_cli(tmp_path, capsys, dump)
+        assert err.startswith("config error") and "%s row 4: identity" % dump in err, err
 
     def test_truncated_dump_exits_1(self, tmp_path, capsys):
         from partssl.finetune import dump_embeddings
-        dump = tmp_path / "emb.jsonl"
+        dump = tmp_path / "emb.bin"
         dump_embeddings(str(dump), np.random.default_rng(2).normal(size=(8, 4)),
                         np.arange(8) // 2, np.arange(8) % 2)
-        dump.write_text(dump.read_text()[:-40])  # a cut-off last line
-        cfg_file = tmp_path / "eval.cfg"
-        cfg_file.write_text("eval.embeddings = %s\n" % dump)
-        assert cli.main(["eval", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and "%s line 8" % dump in err, err
+        dump.write_bytes(dump.read_bytes()[:-40])  # a cut-off last vector
+        err = run_eval_cli(tmp_path, capsys, str(dump))
+        assert err.startswith("config error: %s" % dump), err
+        assert "not an embedding dump of this build" in err, err
+
+    def test_flipped_payload_byte_exits_1(self, tmp_path, capsys):
+        from partssl.finetune import dump_embeddings
+        dump = tmp_path / "emb.bin"
+        dump_embeddings(str(dump), np.random.default_rng(6).normal(size=(8, 4)),
+                        np.arange(8) // 2, np.arange(8) % 2)
+        dump.write_bytes(flip_payload_byte(dump.read_bytes()))
+        err = run_eval_cli(tmp_path, capsys, str(dump))
+        assert err.startswith("config error: %s" % dump) and "checksum" in err, err
+
+    def test_json_lines_dump_exits_1(self, tmp_path, capsys):
+        dump = tmp_path / "emb.jsonl"  # the layout of earlier builds
+        dump.write_text("".join('{"image_id": %d, "identity": %d, "camera": %d, '
+                                '"vector": [0.5, 1.5]}\n' % (n, n // 2, n % 2)
+                                for n in range(4)))
+        err = run_eval_cli(tmp_path, capsys, str(dump))
+        assert err.startswith("config error: %s" % dump), err
+        assert "not an embedding dump" in err, err
+
+    def test_finetune_checkpoint_in_place_of_a_dump_exits_1(self, pipeline, tmp_path, capsys):
+        ckpt_path = pipeline["ft"]["checkpoint"]
+        err = run_eval_cli(tmp_path, capsys, ckpt_path)
+        assert err.startswith("config error: %s: not an embedding dump, got stage 'finetune'"
+                              % ckpt_path), err
 
     def test_dump_without_a_positive_exits_1(self, tmp_path, capsys):
         from partssl.finetune import dump_embeddings
-        dump = str(tmp_path / "emb.jsonl")
+        dump = str(tmp_path / "emb.bin")
         dump_embeddings(dump, np.random.default_rng(5).normal(size=(5, 4)), np.arange(5),
                         np.arange(5) % 2)  # five identities, one image each
-        cfg_file = tmp_path / "eval.cfg"
-        cfg_file.write_text("eval.embeddings = %s\n" % dump)
-        out = tmp_path / "out"
-        assert cli.main(["eval", "--config", str(cfg_file), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
+        err = run_eval_cli(tmp_path, capsys, dump)
         assert err.startswith("config error: %s: no query has a valid gallery positive"
                               % dump), err
-        assert not (out / "metrics.txt").exists()
 
     def test_missing_embeddings_config_error(self, tmp_path):
         cfg = micro_cfg(tmp_path, "eval")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from partssl import multicrop as mc
 from partssl import synthetic as sd
 from partssl import tensor as T
 from partssl import vit
+from partssl.checkpoint import load_checkpoint, save_checkpoint
 
 
 def small_cfg(**kw):
@@ -314,64 +316,95 @@ class TestFinetuneTrainer:
         assert ft.FinetuneConfig(lr=1e-3).resolve_lr() == 1e-3
 
 
+def rewrite_dump(path, tensors=None, **extra):
+    """Save the dump at ``path`` again with its tensors and header fields
+    replaced by those given: a well-formed container with a bad dump inside."""
+    old = load_checkpoint(path)
+    save_checkpoint(path, old.tensors if tensors is None else tensors,
+                    extra=dict(old.extra, **extra))
+
+
 class TestEmbeddingDump:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(11)
         emb = rng.normal(size=(7, 5))
         ids = rng.integers(0, 4, 7)
         cams = rng.integers(0, 3, 7)
-        path = tmp_path / "emb.jsonl"
+        path = tmp_path / "emb.bin"
         ft.dump_embeddings(path, emb, ids, cams)
         emb2, ids2, cams2 = ft.load_embeddings(path)
-        np.testing.assert_array_equal(emb, emb2)  # json floats round-trip exactly
+        np.testing.assert_array_equal(emb, emb2)  # raw float64 bytes round-trip exactly
         np.testing.assert_array_equal(ids, ids2)
         np.testing.assert_array_equal(cams, cams2)
+
+    @pytest.mark.parametrize("emb, ids, cams", [
+        ([[0.25]], [3], [1]),
+        ([[-0.0, 0.0], [5e-324, -5e-324]], [0, 0], [0, 1]),
+        ([[1.7e308, -1.7e308]], [0], [0]),
+        ([[1.0], [2.0]], [-2 ** 63, 2 ** 63 - 1], [2 ** 63 - 1, -2 ** 63]),
+    ], ids=["one-by-one", "signed-zero-and-subnormal", "near-float-max", "int64-bounds"])
+    def test_round_trip_is_bit_exact(self, tmp_path, emb, ids, cams):
+        path = tmp_path / "emb.bin"
+        ft.dump_embeddings(path, emb, ids, cams)
+        emb2, ids2, cams2 = ft.load_embeddings(path)
+        assert emb2.dtype == np.float64 and emb2.tobytes() == np.asarray(emb).tobytes()
+        assert ids2.tolist() == ids and cams2.tolist() == cams
+
+    @pytest.mark.parametrize("emb, ids", [(np.zeros(3), [0, 1, 2]), (np.zeros((3, 2)), [0, 1])],
+                             ids=["1-D", "two-labels-for-three-rows"])
+    def test_dump_refuses_what_it_cannot_write(self, tmp_path, emb, ids):
+        with pytest.raises(ValueError, match="dump_embeddings needs"):
+            ft.dump_embeddings(tmp_path / "emb.bin", emb, ids, [0, 0, 0])
+        assert not (tmp_path / "emb.bin").exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vector_is_config_error(self, tmp_path, bad):
         emb = np.random.default_rng(12).normal(size=(7, 5))
         emb[4, 2] = emb[6, 0] = bad
-        path = str(tmp_path / "emb.jsonl")
+        path = str(tmp_path / "emb.bin")
         ft.dump_embeddings(path, emb, np.arange(7), np.zeros(7))
-        with pytest.raises(vit.ConfigError, match="emb.jsonl line 5: .*not finite"):
+        with pytest.raises(vit.ConfigError, match="emb.bin row 4: .*not finite"):
             ft.load_embeddings(path)
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda rec: rec[:len(rec) // 2], "line 4: not an embedding record"),  # truncated
-        (lambda rec: rec.replace('"camera"', '"cam"'), "line 4: .*KeyError: 'camera'"),
-        (lambda rec: rec.replace('"vector": [', '"vector": [1.0, '), "line 4: vector is not"),
-        (lambda rec: rec.replace('"vector": [', '"vector": ["a", '), "line 4: vector is not"),
-        (lambda rec: "[1, 2]", "line 4: not an embedding record"),
+        (lambda path: path.write_bytes(path.read_bytes()[:-20]),
+         ": tensor 'vector' runs past the end.*; not an embedding dump of this build"),
+        (lambda path: rewrite_dump(path, camera=None), ": camera is not a list of 6 labels"),
+        (lambda path: rewrite_dump(path, {"vector": np.ones((7, 5))}),
+         ": identity is not a list of 7 labels"),
+        (lambda path: rewrite_dump(path, {"vectors": np.ones((6, 5))}),
+         ": vector is not an \\(N, D\\) tensor with N >= 1, got none"),
+        (lambda path: rewrite_dump(path, stage="pretrain"),
+         ": not an embedding dump, got stage 'pretrain'"),
     ], ids=["truncated", "missing-camera", "longer-vector", "string-element", "not-an-object"])
     def test_malformed_record_is_config_error(self, tmp_path, damage, message):
-        path = tmp_path / "emb.jsonl"
+        # the container cannot hold a string element or a record that is not an
+        # object: those cases dump no vector tensor, or another stage
+        path = tmp_path / "emb.bin"
         ft.dump_embeddings(path, np.random.default_rng(13).normal(size=(6, 5)),
                            np.arange(6), np.zeros(6))
-        lines = path.read_text().splitlines()
-        lines[3] = damage(lines[3])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(vit.ConfigError, match="emb.jsonl " + message):
+        damage(path)
+        with pytest.raises(vit.ConfigError, match="emb.bin" + message):
             ft.load_embeddings(str(path))
 
-    def test_integer_beyond_float_range_is_config_error(self, tmp_path):
-        # JSON has no bound on integer literals; no float holds 10**400
-        path = tmp_path / "emb.jsonl"
-        path.write_text("".join('{"identity": %d, "camera": 0, "vector": [%s, 1.0]}\n'
-                                % (n, 10 ** 400 if n == 2 else 0.5) for n in range(4)))
-        with pytest.raises(vit.ConfigError, match="emb.jsonl line 3: vector is not"):
+    def test_one_dimensional_vector_is_config_error(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        ft.dump_embeddings(path, np.ones((4, 2)), np.arange(4), np.zeros(4))
+        rewrite_dump(path, {"vector": np.ones(4)})
+        with pytest.raises(vit.ConfigError, match=r"emb.bin: vector is not .* got \(4,\)"):
             ft.load_embeddings(str(path))
 
     def test_numbers_in_place_of_vectors_are_config_error(self, tmp_path):
-        path = tmp_path / "emb.jsonl"
-        path.write_text("".join('{"identity": %d, "camera": 0, "vector": 1.5}\n' % n
-                                for n in range(3)))
-        with pytest.raises(vit.ConfigError, match="line 1: vector is not"):
+        path = tmp_path / "emb.bin"
+        ft.dump_embeddings(path, np.ones((1, 1)), [0], [0])
+        rewrite_dump(path, {"vector": np.float64(1.5)})  # the container stores it as (1,)
+        with pytest.raises(vit.ConfigError, match=r"vector is not .* got \(1,\)"):
             ft.load_embeddings(str(path))
 
     def test_empty_dump_is_config_error(self, tmp_path):
-        path = tmp_path / "emb.jsonl"
-        path.write_text("")
-        with pytest.raises(vit.ConfigError, match="no embedding records"):
+        path = tmp_path / "emb.bin"
+        ft.dump_embeddings(path, np.zeros((0, 5)), [], [])
+        with pytest.raises(vit.ConfigError, match=r"N >= 1, got \(0, 5\)"):
             ft.load_embeddings(str(path))
 
     @pytest.mark.parametrize("field", ["identity", "camera"])
@@ -379,19 +412,18 @@ class TestEmbeddingDump:
                                       str(2 ** 63)])
     def test_label_that_is_not_an_int64_is_config_error(self, tmp_path, field, label):
         # numpy read 1.5 as 1 and true as 1; the others failed in evaluate
-        path = tmp_path / "emb.jsonl"
+        path = tmp_path / "emb.bin"
         ft.dump_embeddings(path, np.random.default_rng(14).normal(size=(6, 5)),
                            np.arange(6), np.zeros(6))
-        lines = path.read_text().splitlines()
-        before = {"identity": '"identity": 2', "camera": '"camera": 0'}[field]
-        lines[2] = lines[2].replace(before, '"%s": %s' % (field, label))
-        path.write_text("\n".join(lines) + "\n")
+        values = load_checkpoint(path).extra[field]
+        values[2] = json.loads(label)
+        rewrite_dump(path, **{field: values})
         with pytest.raises(vit.ConfigError,
-                           match=r"emb.jsonl line 3: %s .* is not an integer label" % field):
+                           match=r"emb.bin row 2: %s .* is not an integer label" % field):
             ft.load_embeddings(str(path))
 
     def test_labels_at_the_int64_bounds_load(self, tmp_path):
-        path = tmp_path / "emb.jsonl"
+        path = tmp_path / "emb.bin"
         ft.dump_embeddings(path, np.zeros((2, 3)), [-2 ** 63, 2 ** 63 - 1], [0, -1])
         _, ids, cams = ft.load_embeddings(str(path))
         assert ids.dtype == cams.dtype == np.int64

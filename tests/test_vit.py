@@ -601,16 +601,27 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("header", [
         [1, 2],
-        {"version": 1},
-        {"version": 1, "tensors": [{"name": "w", "shape": "ab", "offset": 0}]},
-        {"version": 1, "tensors": [{"name": "w", "shape": [1], "offset": -8}]},
-        {"version": 1, "tensors": [], "extra": ["stage"]},
-    ], ids=["not-an-object", "no-tensors", "string-shape", "negative-offset", "list-extra"])
+        {"version": ckpt.VERSION},
+        {"version": ckpt.VERSION, "tensors": [{"name": "w", "shape": "ab", "offset": 0}]},
+        {"version": ckpt.VERSION, "tensors": [{"name": "w", "shape": [1], "offset": -8}]},
+        {"version": ckpt.VERSION, "tensors": [], "extra": ["stage"]},
+        {"version": ckpt.VERSION, "tensors": [{"name": "w", "shape": [2], "offset": 0}]},
+    ], ids=["not-an-object", "no-tensors", "string-shape", "negative-offset", "list-extra",
+            "no-sha256"])
     def test_malformed_header_raises(self, tmp_path, header):
         path = tmp_path / "model.ckpt"
         text = json.dumps(header).encode("utf-8")
         path.write_bytes(ckpt.MAGIC + struct.pack("<Q", len(text)) + text + np.ones(2).tobytes())
         with pytest.raises(ckpt.CheckpointError, match="header"):
+            ckpt.load_checkpoint(path)
+
+    def test_flipped_payload_byte_raises(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        ckpt.save_checkpoint(path, {"w": np.ones(3)})
+        blob = bytearray(path.read_bytes())
+        blob[-5] ^= 0x01  # still a finite float64: only the checksum can tell
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ckpt.CheckpointError, match="checksum"):
             ckpt.load_checkpoint(path)
 
     def test_bad_magic_raises(self, tmp_path):
