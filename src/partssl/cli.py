@@ -138,6 +138,24 @@ def _open_checkpoint(cfg, path, stage=None):
     return ckpt
 
 
+def _init_network(cfg, stage=None):
+    """The network that ``cfg.init_checkpoint`` hands on: a pretrain
+    checkpoint's momentum-averaged teacher, any other stage's network."""
+    if not cfg.init_checkpoint:
+        raise ConfigError("mode %s requires init_checkpoint" % cfg.mode)
+    ckpt = _open_checkpoint(cfg, cfg.init_checkpoint, stage)
+    prefix = "teacher" if ckpt.extra.get("stage") == "pretrain" else "network"
+    return _load_state(cfg, ckpt, prefix)
+
+
+def _save_stage(cfg, out, stage, tensors, config, **extra):
+    """``out/checkpoint.bin``, its header led by this backbone and ``stage``."""
+    path = os.path.join(out, "checkpoint.bin")
+    save_checkpoint(path, tensors, config={"backbone": dataclasses.asdict(cfg.backbone), **config},
+                    extra={"stage": stage, **extra, "seed": cfg.seed})
+    return path
+
+
 # ---------------------------------------------------------------------------
 # modes
 
@@ -145,9 +163,9 @@ def _open_checkpoint(cfg, path, stage=None):
 _LOG_NAME = "loss_log.jsonl"  # a training run's step log, in its out dir
 
 
-def _fresh_log(out):
-    """The run's step log, emptied: a rerun into one directory starts over."""
-    path = os.path.join(out, _LOG_NAME)
+def _fresh_log(out, name=_LOG_NAME):
+    """The run's log, emptied: a rerun into one directory starts over."""
+    path = os.path.join(out, name)
     if os.path.exists(path):
         os.remove(path)
     return path
@@ -170,45 +188,31 @@ def run_pretrain(cfg, out):
     trainer.run()
     tensors = _state_tensors(student=trainer.student, teacher=trainer.teacher,
                              center=trainer.center)
-    path = os.path.join(out, "checkpoint.bin")
-    save_checkpoint(path, tensors,
-                    config={"backbone": dataclasses.asdict(cfg.backbone),
-                            "crops": dataclasses.asdict(cfg.crops)},
-                    extra={"stage": "pretrain", "step": trainer.step_count,
-                           "seed": cfg.seed})
+    path = _save_stage(cfg, out, "pretrain", tensors, {"crops": dataclasses.asdict(cfg.crops)},
+                       step=trainer.step_count)
     return {"checkpoint": path, "loss_log": trainer.log_path,
             "final_loss": trainer.log[-1]["loss"] if trainer.log else None}
 
 
-def _finetune_network(cfg):
-    if cfg.init_checkpoint:
-        ckpt = _open_checkpoint(cfg, cfg.init_checkpoint, "pretrain")
-        # the momentum-averaged network is the one carried downstream
-        return _load_state(cfg, ckpt, "teacher")
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x1717]))
-    return vit.NetworkParams.init(cfg.backbone, rng, requires_grad=True)
-
-
 def run_finetune(cfg, out):
     train, test = _splits(cfg, test_needed=True)
-    params = _finetune_network(cfg)
-    log_path = _fresh_log(out)
+    if cfg.init_checkpoint:
+        params = _init_network(cfg, "pretrain")
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x1717]))
+        params = vit.NetworkParams.init(cfg.backbone, rng, requires_grad=True)
     trainer = FinetuneTrainer(params, cfg.finetune, train.images, train.ids,
-                              seed=cfg.seed, log_path=log_path)
+                              seed=cfg.seed, log_path=_fresh_log(out))
     trainer.run()
     emb = extract_embeddings(params, trainer.head, test.images, cfg.finetune.fusion)
     dump_path = os.path.join(out, "embeddings.bin")
     dump_embeddings(dump_path, emb, test.ids, test.cams)
     result = ev.evaluate(query_gallery_index(emb, test), max_rank=cfg.eval.max_rank)
-    tensors = _state_tensors(network=params)
-    tensors.update({k: v for k, v in trainer.head.state().items()})
-    ckpt_path = os.path.join(out, "checkpoint.bin")
-    save_checkpoint(ckpt_path, tensors,
-                    config={"backbone": dataclasses.asdict(cfg.backbone),
-                            "crops": dataclasses.asdict(cfg.crops),
-                            "fusion": cfg.finetune.fusion},
-                    extra={"stage": "finetune", "num_ids": len(trainer.classes),
-                           "seed": cfg.seed})
+    ckpt_path = _save_stage(cfg, out, "finetune",
+                            {**_state_tensors(network=params), **trainer.head.state()},
+                            {"crops": dataclasses.asdict(cfg.crops),
+                             "fusion": cfg.finetune.fusion},
+                            num_ids=len(trainer.classes))
     _write_metrics(os.path.join(out, "metrics.txt"), result)
     return {"checkpoint": ckpt_path, "embeddings": dump_path,
             "mAP": result.mean_ap, "rank1": result.rank(1)}
@@ -217,18 +221,13 @@ def run_finetune(cfg, out):
 def run_adapt(cfg, out):
     """Cluster-prototype adaptation; uda starts from a fine-tuned network,
     usl from a pre-trained one."""
-    if not cfg.init_checkpoint:
-        raise ConfigError("mode %s requires init_checkpoint" % cfg.mode)
-    stage, prefix = ("finetune", "network") if cfg.mode == "uda" else ("pretrain", "teacher")
-    params = _load_state(cfg, _open_checkpoint(cfg, cfg.init_checkpoint, stage), prefix)
+    params = _init_network(cfg, "finetune" if cfg.mode == "uda" else "pretrain")
     train, _ = _splits(cfg, test_needed=False)
+    _fresh_log(out, "adapt_log.jsonl")
     trainer = AdaptTrainer(params, cfg.cluster, train.images, seed=cfg.seed, out_dir=out)
     history = trainer.run()
-    ckpt_path = os.path.join(out, "checkpoint.bin")
-    save_checkpoint(ckpt_path, _state_tensors(network=params),
-                    config={"backbone": dataclasses.asdict(cfg.backbone),
-                            "fusion": cfg.cluster.fusion},
-                    extra={"stage": "adapt", "mode": cfg.mode, "seed": cfg.seed})
+    ckpt_path = _save_stage(cfg, out, "adapt", _state_tensors(network=params),
+                            {"fusion": cfg.cluster.fusion}, mode=cfg.mode)
     purity = cluster_purity(history[-1].labeling, train.ids)  # external measurement
     return {"checkpoint": ckpt_path, "epochs": len(history),
             "final_purity": purity, "snapshots": out}
@@ -274,11 +273,7 @@ _PART_COLORS = [(230, 70, 70), (70, 200, 70), (80, 110, 240), (230, 200, 60), (2
 
 
 def run_visualize(cfg, out):
-    if not cfg.init_checkpoint:
-        raise ConfigError("mode visualize requires init_checkpoint")
-    ckpt = _open_checkpoint(cfg, cfg.init_checkpoint)
-    prefix = "teacher" if any(k.startswith("teacher.") for k in ckpt.tensors) else "network"
-    params = _load_state(cfg, ckpt, prefix)
+    params = _init_network(cfg)
     _, test = build_datasets(cfg)
     idx = cfg.visualize.image_index
     if not 0 <= idx < len(test):
@@ -318,31 +313,22 @@ def run_ablate(cfg, out):
         header = ("L", "J", "mAP", "rank1")
         for L in (2, 3, 4, 5):
             sub = cfgmod.parse_text(cfgmod.to_text(cfg))  # deep copy via round trip
-            sub.backbone.num_parts = L
-            sub.crops.num_areas = L
-            sub.mode = "pretrain"
-            sub.out_dir = os.path.join(out, "L%d" % L)
-            pre_out = _prepare_out(sub)
-            pre = run_pretrain(sub, pre_out)
-            sub.mode = "finetune"
-            sub.init_checkpoint = pre["checkpoint"]
-            sub.out_dir = os.path.join(out, "L%d_finetune" % L)
-            ft_out = _prepare_out(sub)
-            res = run_finetune(sub, ft_out)
+            sub.backbone.num_parts = sub.crops.num_areas = L
+            sub.mode, sub.out_dir = "pretrain", os.path.join(out, "L%d" % L)
+            sub.init_checkpoint = run(sub)["checkpoint"]
+            sub.mode, sub.out_dir = "finetune", os.path.join(out, "L%d_finetune" % L)
+            res = run(sub)
             rows.append((L, sub.crops.resolve_j(), res["mAP"], res["rank1"]))
     else:  # fusion
         header = ("fusion", "dim", "mAP", "rank1")
         sub = cfgmod.parse_text(cfgmod.to_text(cfg))
-        sub.mode = "pretrain"
-        sub.out_dir = os.path.join(out, "pretrain")
-        pre = run_pretrain(sub, _prepare_out(sub))
+        sub.mode, sub.out_dir = "pretrain", os.path.join(out, "pretrain")
+        sub.init_checkpoint = run(sub)["checkpoint"]
+        sub.mode = "finetune"
         for strategy in FUSION_STRATEGIES:
-            sub2 = cfgmod.parse_text(cfgmod.to_text(cfg))
-            sub2.mode = "finetune"
-            sub2.finetune.fusion = strategy
-            sub2.init_checkpoint = pre["checkpoint"]
-            sub2.out_dir = os.path.join(out, "fusion_%s" % strategy)
-            res = run_finetune(sub2, _prepare_out(sub2))
+            sub.finetune.fusion = strategy
+            sub.out_dir = os.path.join(out, "fusion_%s" % strategy)
+            res = run(sub)
             dim = fused_dim(strategy, cfg.backbone.num_parts, cfg.backbone.embed_dim)
             rows.append((strategy, dim, res["mAP"], res["rank1"]))
     table = _format_table(header, rows)
@@ -364,13 +350,6 @@ def _format_table(header, rows):
     return "\n".join(lines)
 
 
-def _prepare_out(cfg):
-    out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    cfgmod.save_config(cfg, os.path.join(out, "resolved.cfg"))
-    return out
-
-
 _RUNNERS = {
     "pretrain": run_pretrain,
     "finetune": run_finetune,
@@ -388,10 +367,11 @@ def run(cfg):
     extract_workers()  # fail on a bad PARTSSL_WORKERS before any output
     if cfg.data.kind == "dir" and cfg.mode != "eval":
         sd.manifest_path(cfg.data.path)  # fail before any output is written
-    out = _prepare_out(cfg)
+    out = cfg.out_dir
+    os.makedirs(out, exist_ok=True)
+    cfgmod.save_config(cfg, os.path.join(out, "resolved.cfg"))
     result = _RUNNERS[cfg.mode](cfg, out)
-    summary_path = os.path.join(out, "summary.json")
-    with open(summary_path, "w") as fh:
+    with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump({"mode": cfg.mode, **{k: v for k, v in result.items()
                                         if isinstance(v, (int, float, str, list))}}, fh, indent=2)
     return result

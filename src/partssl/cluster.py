@@ -289,8 +289,6 @@ class AdaptTrainer:
         return stats
 
     def run(self):
-        if self.log_path and os.path.exists(self.log_path):
-            os.remove(self.log_path)  # a rerun into one directory starts its log over
         for e in range(self.cl.epochs):
             self.run_epoch(e)
         return self.history
