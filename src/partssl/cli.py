@@ -50,8 +50,9 @@ def build_datasets(cfg):
 
 def _splits(cfg, test_needed):
     """``build_datasets``, with a split that the mode cannot use refused
-    before anything is trained: every training mode needs train images, and
-    finetune (so also ablate) test images and two train identities too."""
+    before anything is trained: every training mode needs train images,
+    finetune (so also ablate) test images and two train identities too, and
+    uda/usl enough train images for one DBSCAN core point."""
     train, test = build_datasets(cfg)
     if len(train) == 0 or (test_needed and len(test) == 0):
         raise ConfigError("mode %s needs a non-empty train%s split; data.test_images_per_identity"
@@ -63,6 +64,12 @@ def _splits(cfg, test_needed):
         raise ConfigError("mode %s fine-tunes on at least 2 train identities, got %d "
                           "(data.num_identities = %d)"
                           % (cfg.mode, n_ids, cfg.data.num_identities))
+    need = max(2, cfg.cluster.min_points)
+    if cfg.mode in ("uda", "usl") and len(train) < need:
+        raise ConfigError("mode %s clusters at least max(2, cluster.min_points = %d) = %d train "
+                          "images, got %d (data.train_images_per_identity = %d)"
+                          % (cfg.mode, cfg.cluster.min_points, need, len(train),
+                             cfg.data.train_images_per_identity))
     return train, test
 
 
@@ -120,21 +127,25 @@ def _load_state(cfg, ckpt, prefix, holder=None):
 
 
 def _open_checkpoint(cfg, path, stage=None):
-    """The checkpoint at ``path``, refused unless it was built with this
-    backbone and, when ``stage`` is given, written by that stage."""
+    """The checkpoint at ``path``, refused unless, when ``stage`` is given,
+    it was written by that stage, and it was built with this backbone."""
     ckpt = load_checkpoint(path)
-    want = dataclasses.asdict(cfg.backbone)
-    have = ckpt.config.get("backbone", {})
-    mismatched = [k for k, v in want.items() if k in have and have[k] != v]
-    if mismatched:
-        raise ConfigError(
-            "checkpoint backbone config differs on: %s (checkpoint was built with %s)"
-            % (", ".join(mismatched), {k: have[k] for k in mismatched}))
     got = ckpt.extra.get("stage", "?")
     if stage is not None and got != stage:
         # pretrain opens a checkpoint only to resume from it
         mode = "pretrain resume" if cfg.mode == "pretrain" else cfg.mode
         raise ConfigError("mode %s needs a %s checkpoint, got stage %r" % (mode, stage, got))
+    want = dataclasses.asdict(cfg.backbone)
+    have = ckpt.config.get("backbone")
+    missing = [k for k in want if not isinstance(have, dict) or k not in have]
+    if missing:
+        raise CheckpointError("%s: config.backbone is not an object holding every backbone "
+                              "key; missing: %s" % (path, ", ".join(missing)))
+    mismatched = [k for k, v in want.items() if have[k] != v]
+    if mismatched:
+        raise ConfigError(
+            "checkpoint backbone config differs on: %s (checkpoint was built with %s)"
+            % (", ".join(mismatched), {k: have[k] for k in mismatched}))
     return ckpt
 
 
@@ -364,6 +375,12 @@ _RUNNERS = {
 def run(cfg):
     """Dispatch one validated RunConfig; returns a result summary dict."""
     cfg.validate()
+    # a mode refuses an input it would never read, before any output
+    if cfg.resume and cfg.mode != "pretrain":
+        raise ConfigError("resume is read only by mode pretrain, not by mode %s" % cfg.mode)
+    if cfg.init_checkpoint and cfg.mode in ("pretrain", "eval", "ablate"):
+        raise ConfigError("init_checkpoint is read only by modes finetune/uda/usl/visualize, "
+                          "not by mode %s" % cfg.mode)
     extract_workers()  # fail on a bad PARTSSL_WORKERS before any output
     if cfg.data.kind == "dir" and cfg.mode != "eval":
         sd.manifest_path(cfg.data.path)  # fail before any output is written

@@ -7,6 +7,7 @@ import pytest
 from partssl import cli
 from partssl import config as cfgmod
 from partssl import synthetic as sd
+from partssl import vit
 from partssl.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 
@@ -62,6 +63,15 @@ def flip_payload_byte(blob):
     blob = bytearray(blob)
     blob[16 + hlen] ^= 0x01  # the lowest mantissa byte: still a finite float
     return bytes(blob)
+
+
+def rewrite_checkpoint(src, dst, **config):
+    """The checkpoint ``src`` saved as ``dst`` with ``config`` keys replaced
+    (a value of ``None`` drops the key)."""
+    ckpt = load_checkpoint(src)
+    merged = {k: v for k, v in dict(ckpt.config, **config).items() if v is not None}
+    save_checkpoint(str(dst), ckpt.tensors, config=merged, extra=ckpt.extra)
+    return str(dst)
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +244,24 @@ class TestFinetuneMode:
         err = capsys.readouterr().err
         assert "needs a pretrain checkpoint, got stage 'embeddings'" in err, err
 
+    @pytest.mark.parametrize("fault", ["int", "list", "absent", "no heads"])
+    def test_checkpoint_without_a_whole_backbone_exits_1(self, pipeline, tmp_path, capsys,
+                                                         fault):
+        # heads does not show in any tensor shape: only the header can tell
+        backbone = dict(load_checkpoint(pipeline["pre"]["checkpoint"]).config["backbone"])
+        del backbone["heads"]
+        value = {"int": 5, "list": [1, 2], "absent": None, "no heads": backbone}[fault]
+        path = rewrite_checkpoint(pipeline["pre"]["checkpoint"], tmp_path / "bad.bin",
+                                  backbone=value)
+        cfg = micro_cfg(tmp_path, "finetune")
+        cfg_path = cfgmod.save_config(cfg, str(tmp_path / "ft.cfg"))
+        assert cli.main(["finetune", "--config", cfg_path, "--init", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s: config.backbone" % path), err
+        missing = "heads" if fault == "no heads" else "image_h, image_w, patch_size"
+        assert "missing: " + missing in err, err
+        assert not os.path.exists(os.path.join(cfg.out_dir, "loss_log.jsonl"))
+
     def test_wrong_stage_refused(self, pipeline, tmp_path):
         cfg = micro_cfg(tmp_path, "usl", init_checkpoint=pipeline["ft"]["checkpoint"])
         with pytest.raises(cfgmod.ConfigError, match="stage"):
@@ -400,6 +428,34 @@ class TestAdaptModes:
         err = capsys.readouterr().err
         assert "config error" in err and "cluster.eps" in err
 
+    @pytest.mark.parametrize("mode,ids,min_points", [("usl", 1, 1), ("usl", 3, 4),
+                                                    ("uda", 1, 4)])
+    def test_train_split_too_small_to_cluster_exits_1(self, pipeline, tmp_path, capsys,
+                                                      mode, ids, min_points):
+        # one image per identity: 1 image has no neighbour, and with 3 images
+        # no point reaches min_points = 4 at any eps
+        cfg = micro_cfg(tmp_path, mode)
+        cfg.data.num_identities = ids
+        cfg.data.train_images_per_identity = 1
+        cfg.cluster.min_points = min_points
+        cfg.cluster.eps = 100.0
+        path = cfgmod.save_config(cfg, str(tmp_path / "adapt.cfg"))
+        init = pipeline["ft" if mode == "uda" else "pre"]["checkpoint"]
+        assert cli.main([mode, "--config", path, "--init", init]) == 1
+        err = capsys.readouterr().err
+        need = max(2, min_points)
+        assert err.startswith("config error: mode %s clusters at least max(2, cluster.min_points"
+                              " = %d) = %d train images, got %d (data.train_images_per_identity"
+                              " = 1)" % (mode, min_points, need, ids)), err
+        assert os.listdir(cfg.out_dir) == ["resolved.cfg"]
+
+    def test_rerun_into_same_directory_starts_a_fresh_log(self, pipeline, tmp_path):
+        for _ in range(2):
+            cfg = micro_cfg(tmp_path, "usl", init_checkpoint=pipeline["pre"]["checkpoint"])
+            cli.run(cfg)
+        with open(os.path.join(cfg.out_dir, "adapt_log.jsonl")) as fh:
+            assert [json.loads(line)["epoch"] for line in fh] == [0]
+
     def test_usl_without_checkpoint_is_config_error(self, tmp_path):
         cfg = micro_cfg(tmp_path, "usl")
         with pytest.raises(cfgmod.ConfigError, match="init_checkpoint"):
@@ -415,6 +471,40 @@ class TestVisualizeMode:
                          "part_argmax.ppm"}
         for p in res["maps"]:
             assert os.path.getsize(p) > 0
+
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune", "uda"])
+    def test_maps_come_from_the_network_the_checkpoint_hands_on(self, pipeline, tmp_path,
+                                                                monkeypatch, stage):
+        # a pretrain checkpoint hands on its teacher, every other stage its network
+        if stage == "uda":
+            uda = micro_cfg(tmp_path, "uda", init_checkpoint=pipeline["ft"]["checkpoint"])
+            path = cli.run(uda)["checkpoint"]
+        else:
+            path = pipeline["pre" if stage == "pretrain" else "ft"]["checkpoint"]
+        cfg = micro_cfg(tmp_path, "visualize", init_checkpoint=path)
+        drawn = []
+        real = vit.attention_map
+        monkeypatch.setattr(vit, "attention_map",
+                            lambda *args: drawn.append(real(*args).patch_weights) or real(*args))
+        cli.run(cfg)
+        prefix = "teacher." if stage == "pretrain" else "network."
+        params = vit.NetworkParams.init(cfg.backbone, np.random.default_rng(0))
+        params.load_state({k[len(prefix):]: v for k, v in load_checkpoint(path).tensors.items()
+                           if k.startswith(prefix)})
+        image = cli.build_datasets(cfg)[1].images[cfg.visualize.image_index]
+        want = [real(image, token, cfg.backbone.depth - 1, params).patch_weights
+                for token in ("cls", 1, 2)]
+        assert len(drawn) == len(want)
+        for got, ref in zip(drawn, want):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_embedding_dump_exits_1(self, pipeline, tmp_path, capsys):
+        cfg = micro_cfg(tmp_path, "visualize")
+        cfg_path = cfgmod.save_config(cfg, str(tmp_path / "vis.cfg"))
+        assert cli.main(["visualize", "--config", cfg_path,
+                         "--init", pipeline["ft"]["embeddings"]]) == 1
+        assert capsys.readouterr().err.startswith("config error"), "exit 1 is a config error"
+        assert os.listdir(cfg.out_dir) == ["resolved.cfg"]
 
     def test_bad_image_index(self, pipeline, tmp_path):
         cfg = micro_cfg(tmp_path, "visualize", init_checkpoint=pipeline["pre"]["checkpoint"])
@@ -502,6 +592,20 @@ class TestDatasetSplit:
         assert err.startswith("config error: %s line 3: Expecting" % manifest), err
 
 
+class TestCheckpointHeaders:
+    def test_each_stage_writes_its_header_keys_in_order(self, pipeline, tmp_path):
+        usl = micro_cfg(tmp_path, "usl", init_checkpoint=pipeline["pre"]["checkpoint"])
+        paths = {"pretrain": pipeline["pre"]["checkpoint"],
+                 "finetune": pipeline["ft"]["checkpoint"], "adapt": cli.run(usl)["checkpoint"]}
+        want = {"pretrain": (["backbone", "crops"], ["stage", "step", "seed"]),
+                "finetune": (["backbone", "crops", "fusion"], ["stage", "num_ids", "seed"]),
+                "adapt": (["backbone", "fusion"], ["stage", "mode", "seed"])}
+        for stage, path in paths.items():
+            ckpt = load_checkpoint(path)
+            assert (list(ckpt.config), list(ckpt.extra)) == want[stage], stage
+            assert ckpt.extra["stage"] == stage
+
+
 class TestDirectoryIsolation:
     def test_runs_only_write_their_own_directories(self, pipeline, tmp_path):
         pre_out = pipeline["pre_cfg"].out_dir
@@ -551,6 +655,30 @@ class TestMainEntry:
                               "got %r" % workers), err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("mode,flag,key", [
+        ("finetune", "--resume", "resume"), ("uda", "--resume", "resume"),
+        ("eval", "--resume", "resume"), ("pretrain", "--init", "init_checkpoint"),
+        ("eval", "--init", "init_checkpoint"), ("ablate", "--init", "init_checkpoint")])
+    def test_input_the_mode_never_reads_exits_1_before_writing(self, tmp_path, capsys,
+                                                               mode, flag, key):
+        cfg_path = cfgmod.save_config(micro_cfg(tmp_path, mode), str(tmp_path / "run.cfg"))
+        out = tmp_path / "out"
+        assert cli.main([mode, "--config", cfg_path, "--out", str(out),
+                         flag, str(tmp_path / "missing.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s is read only by mode" % key), err
+        assert err.rstrip().endswith("not by mode %s" % mode), err
+        assert not out.exists()
+
+    def test_init_checkpoint_in_a_config_without_a_mode_line(self, pipeline, tmp_path):
+        # the config is validated before the command line sets its mode, so
+        # the unread-input check belongs to the run, not to the config
+        cfg = micro_cfg(tmp_path, "finetune", init_checkpoint=pipeline["pre"]["checkpoint"])
+        text = cfgmod.to_text(cfg).replace("mode = finetune\n", "")
+        assert not any(line.startswith("mode ") for line in text.splitlines())
+        (tmp_path / "ft.cfg").write_text(text)
+        assert cli.main(["finetune", "--config", str(tmp_path / "ft.cfg")]) == 0
+
     def test_cli_overrides(self, tmp_path, capsys):
         assert cli.main(["pretrain", "--seed", "7", "--out", str(tmp_path / "o"),
                          "--print-config"]) == 0
@@ -574,6 +702,18 @@ class TestAblation:
         with open(res["table"]) as fh:
             table = fh.read()
         assert "fusion" in table and "mean_all" in table
+
+    def test_every_row_directory_is_a_run_directory(self, tmp_path):
+        cfg = micro_cfg(tmp_path, "ablate")
+        cfg.ablation.axis = "fusion"
+        cli.run(cfg)
+        for row, mode in (("pretrain", "pretrain"), ("fusion_concat_all", "finetune"),
+                          ("fusion_mean_all", "finetune"),
+                          ("fusion_concat_cls_meanpart", "finetune")):
+            row_dir = os.path.join(cfg.out_dir, row)
+            with open(os.path.join(row_dir, "summary.json")) as fh:
+                assert json.load(fh)["mode"] == mode, row
+            assert cfgmod.load_config(os.path.join(row_dir, "resolved.cfg")).mode == mode
 
     def test_unknown_axis_exits_1_before_writing(self, tmp_path, capsys):
         cfg_file = tmp_path / "ablate.cfg"
