@@ -484,8 +484,13 @@ class TestVisualizeMode:
         cfg = micro_cfg(tmp_path, "visualize", init_checkpoint=path)
         drawn = []
         real = vit.attention_map
-        monkeypatch.setattr(vit, "attention_map",
-                            lambda *args: drawn.append(real(*args).patch_weights) or real(*args))
+
+        def record(*args):
+            amap = real(*args)
+            drawn.append(amap.patch_weights)
+            return amap
+
+        monkeypatch.setattr(vit, "attention_map", record)
         cli.run(cfg)
         prefix = "teacher." if stage == "pretrain" else "network."
         params = vit.NetworkParams.init(cfg.backbone, np.random.default_rng(0))
@@ -503,7 +508,8 @@ class TestVisualizeMode:
         cfg_path = cfgmod.save_config(cfg, str(tmp_path / "vis.cfg"))
         assert cli.main(["visualize", "--config", cfg_path,
                          "--init", pipeline["ft"]["embeddings"]]) == 1
-        assert capsys.readouterr().err.startswith("config error"), "exit 1 is a config error"
+        err = capsys.readouterr().err
+        assert err.startswith("config error"), err
         assert os.listdir(cfg.out_dir) == ["resolved.cfg"]
 
     def test_bad_image_index(self, pipeline, tmp_path):
