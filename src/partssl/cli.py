@@ -174,9 +174,9 @@ def _save_stage(cfg, out, stage, tensors, config, **extra):
 _LOG_NAME = "loss_log.jsonl"  # a training run's step log, in its out dir
 
 
-def _fresh_log(out, name=_LOG_NAME):
+def _fresh_log(out):
     """The run's log, emptied: a rerun into one directory starts over."""
-    path = os.path.join(out, name)
+    path = os.path.join(out, _LOG_NAME)
     if os.path.exists(path):
         os.remove(path)
     return path
@@ -234,14 +234,13 @@ def run_adapt(cfg, out):
     usl from a pre-trained one."""
     params = _init_network(cfg, "finetune" if cfg.mode == "uda" else "pretrain")
     train, _ = _splits(cfg, test_needed=False)
-    _fresh_log(out, "adapt_log.jsonl")
-    trainer = AdaptTrainer(params, cfg.cluster, train.images, seed=cfg.seed, out_dir=out)
-    history = trainer.run()
+    trainer = AdaptTrainer(params, cfg.cluster, train.images, seed=cfg.seed,
+                           log_path=_fresh_log(out))
+    log = trainer.run()
     ckpt_path = _save_stage(cfg, out, "adapt", _state_tensors(network=params),
                             {"fusion": cfg.cluster.fusion}, mode=cfg.mode)
-    purity = cluster_purity(history[-1].labeling, train.ids)  # external measurement
-    return {"checkpoint": ckpt_path, "epochs": len(history),
-            "final_purity": purity, "snapshots": out}
+    purity = cluster_purity(trainer.labeling, train.ids)  # external measurement
+    return {"checkpoint": ckpt_path, "epochs": len(log), "final_purity": purity}
 
 
 def run_eval(cfg, out):

@@ -6,9 +6,7 @@ ground truth is strictly an external measurement.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -17,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .evaluate import block_bounds, sq_dist
 from .finetune import extract_embeddings, forward_embeddings, id_loss, pk_batch
-from .optim import AdamW
+from .optim import AdamW, keep_record
 from .tensor import Tensor
 from .vit import ConfigError
 
@@ -220,29 +218,20 @@ class ClusterConfig:
     lr: float = 3.5e-4
 
 
-@dataclass
-class EpochStats:
-    epoch: int
-    labeling: PseudoLabeling
-    mean_loss: float
-    grad_norm_mean: float  # pre-clip gradient norms of the epoch's steps
-    grad_norm_max: float
-
-
 class AdaptTrainer:
-    """Cluster-prototype adaptation; consumes images only, never labels."""
+    """Cluster-prototype adaptation; consumes images only, never labels. Each
+    epoch's record is appended to ``log_path`` as the epoch ends, so a run
+    that stops keeps the records written before it."""
 
-    def __init__(self, params, cl_cfg, images, seed, out_dir=None):
+    def __init__(self, params, cl_cfg, images, seed, log_path=None):
         self.params = params
         self.cl = cl_cfg
         self.images = np.asarray(images, dtype=np.float64)
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC105]))
         self.optimizer = AdamW(params.items(), lr=cl_cfg.lr)
-        self.out_dir = out_dir
-        # one record per epoch, appended as the epoch ends: a run that stops
-        # in a later epoch keeps the finished epochs' records
-        self.log_path = os.path.join(out_dir, "adapt_log.jsonl") if out_dir else None
-        self.history = []
+        self.log_path = log_path
+        self.log = []
+        self.labeling = None  # the last epoch's PseudoLabeling
 
     def run_epoch(self, epoch):
         cl = self.cl
@@ -252,12 +241,6 @@ class AdaptTrainer:
         except ClusterError as exc:  # no pseudo-labels at this radius: a config fix
             raise ConfigError("cluster.eps = %g: %s" % (cl.eps, exc)) from None
         bank = build_prototypes(feats, labeling)
-        if self.out_dir:
-            snap = os.path.join(self.out_dir, "pseudo_labels_epoch%d.jsonl" % epoch)
-            with open(snap, "w") as fh:
-                for n, c in enumerate(labeling.assignments):
-                    fh.write(json.dumps({"image_id": n, "cluster": int(c)}) + "\n")
-
         clustered = np.where(labeling.assignments >= 0)[0]
         pools = [clustered[labeling.assignments[clustered] == c]
                  for c in range(labeling.num_clusters)]
@@ -275,23 +258,17 @@ class AdaptTrainer:
                 fresh = forward_embeddings(self.params, self.images[rows], cl.fusion).data
             for r, lab in zip(range(len(rows)), labs):
                 bank.update(int(lab), fresh[r])
-        stats = EpochStats(epoch=epoch, labeling=labeling, mean_loss=float(np.mean(losses)),
-                           grad_norm_mean=float(np.mean(norms)),
-                           grad_norm_max=float(np.max(norms)))
-        self.history.append(stats)
-        if self.log_path:
-            with open(self.log_path, "a") as fh:
-                fh.write(json.dumps({"epoch": epoch, "mean_loss": stats.mean_loss,
-                                     "grad_norm_mean": stats.grad_norm_mean,
-                                     "grad_norm_max": stats.grad_norm_max,
-                                     "clusters": labeling.num_clusters,
-                                     "outliers": labeling.num_outliers}) + "\n")
-        return stats
+        self.labeling = labeling
+        return keep_record(self.log, self.log_path, {
+            "epoch": epoch, "mean_loss": float(np.mean(losses)),
+            "grad_norm_mean": float(np.mean(norms)), "grad_norm_max": float(np.max(norms)),
+            "clusters": labeling.num_clusters, "outliers": labeling.num_outliers,
+            "assignments": labeling.assignments.tolist()})
 
     def run(self):
         for e in range(self.cl.epochs):
             self.run_epoch(e)
-        return self.history
+        return self.log
 
 
 def cluster_purity(labeling, true_ids):

@@ -11,7 +11,6 @@ is the audit trail for that claim.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from . import vit
 from .multicrop import build_view_set
-from .optim import AdamW, cosine_ramp, warmup_cosine_lr
+from .optim import AdamW, cosine_ramp, keep_record, warmup_cosine_lr
 from .tensor import Tensor
 
 
@@ -380,10 +379,7 @@ class Pretrainer:
             "teacher_views": len(vs.globals),
             "student_views": len(vs.globals) + len(vs.locals),
         }
-        self.log.append(record)
-        if self.log_path:
-            with open(self.log_path, "a") as fh:
-                fh.write(json.dumps(record) + "\n")
+        keep_record(self.log, self.log_path, record)
         self.step_count += 1
         return record
 

@@ -19,7 +19,7 @@ from . import tensor as T
 from . import vit
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .multicrop import resize_batch
-from .optim import AdamW, warmup_cosine_lr
+from .optim import AdamW, keep_record, warmup_cosine_lr
 from .tensor import Tensor
 
 FUSION_STRATEGIES = ("concat_all", "mean_all", "concat_cls_meanpart")
@@ -227,12 +227,9 @@ class FinetuneTrainer:
         self.optimizer.lr = warmup_cosine_lr(
             self.step_count, self.ft.steps, self.ft.resolve_lr(), int(0.1 * self.ft.steps))
         grad_norm = self.optimizer.minimize(loss, 5.0, "fine-tune step %d" % self.step_count)
-        rec = {"step": self.step_count, "loss": loss.item(), "id_loss": ce.item(),
-               "triplet_loss": tri.item(), "lr": self.optimizer.lr, "grad_norm": grad_norm}
-        self.log.append(rec)
-        if self.log_path:
-            with open(self.log_path, "a") as fh:
-                fh.write(json.dumps(rec) + "\n")
+        rec = keep_record(self.log, self.log_path, {
+            "step": self.step_count, "loss": loss.item(), "id_loss": ce.item(),
+            "triplet_loss": tri.item(), "lr": self.optimizer.lr, "grad_norm": grad_norm})
         self.step_count += 1
         return rec
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -98,6 +99,16 @@ def clip_grad_norm(params, max_norm):
             if p.grad is not None:
                 p.grad *= scale
     return norm
+
+
+def keep_record(log, path, record):
+    """Append ``record`` to ``log`` and, when ``path`` is set, to that file as
+    one JSON line; returns it. Every stage's step or epoch record goes here."""
+    log.append(record)
+    if path:
+        with open(path, "a") as fh:
+            fh.write(json.dumps(record) + "\n")
+    return record
 
 
 def cosine_ramp(step, total_steps, start, end):

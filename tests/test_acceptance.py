@@ -479,7 +479,7 @@ class TestCriterion10UslLoop:
                                lr=5e-4, ids_per_batch=4, samples_per_id=4)
         trainer = cl.AdaptTrainer(params, cfg, train.images, seed=9)
         history = trainer.run()
-        purity = cl.cluster_purity(history[-1].labeling, train.ids)
+        purity = cl.cluster_purity(trainer.labeling, train.ids)
         map_after = test_map()
         ok = purity >= 0.9 and map_after > map_before
         report(10, ok, "purity %.3f (need >= 0.9), toy-mAP %.4f -> %.4f over %d epochs"

@@ -392,7 +392,9 @@ class TestAdaptModes:
         cfg = micro_cfg(tmp_path, "usl", init_checkpoint=pipeline["pre"]["checkpoint"])
         res = cli.run(cfg)
         assert os.path.exists(res["checkpoint"])
-        assert os.path.exists(os.path.join(cfg.out_dir, "pseudo_labels_epoch0.jsonl"))
+        with open(os.path.join(cfg.out_dir, "loss_log.jsonl")) as fh:
+            (epoch,) = [json.loads(line) for line in fh]
+        assert len(epoch["assignments"]) == 16  # one cluster id per train image
         assert 0.0 <= res["final_purity"] <= 1.0
 
     def test_uda_requires_finetuned_checkpoint(self, pipeline, tmp_path):
@@ -413,7 +415,7 @@ class TestAdaptModes:
         path = cfgmod.save_config(cfg, str(tmp_path / "usl.cfg"))
         assert cli.main(["usl", "--config", path,
                          "--init", pipeline["pre"]["checkpoint"]]) == 0
-        with open(os.path.join(cfg.out_dir, "adapt_log.jsonl")) as fh:
+        with open(os.path.join(cfg.out_dir, "loss_log.jsonl")) as fh:
             (epoch,) = [json.loads(line) for line in fh]
         assert epoch["clusters"] >= 2
         assert epoch["mean_loss"] > 0.0
@@ -453,7 +455,7 @@ class TestAdaptModes:
         for _ in range(2):
             cfg = micro_cfg(tmp_path, "usl", init_checkpoint=pipeline["pre"]["checkpoint"])
             cli.run(cfg)
-        with open(os.path.join(cfg.out_dir, "adapt_log.jsonl")) as fh:
+        with open(os.path.join(cfg.out_dir, "loss_log.jsonl")) as fh:
             assert [json.loads(line)["epoch"] for line in fh] == [0]
 
     def test_usl_without_checkpoint_is_config_error(self, tmp_path):

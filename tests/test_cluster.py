@@ -321,16 +321,20 @@ class TestAdaptTrainer:
         # eps 2 spans the unit sphere: one cluster, whatever the features
         cl_cfg = cl.ClusterConfig(epochs=epochs, eps=eps, ids_per_batch=3,
                                   samples_per_id=2, lr=1e-3, steps_per_epoch=4)
-        out = str(tmp_path) if tmp_path else None
-        return cl.AdaptTrainer(params, cl_cfg, ds.images, seed=0, out_dir=out), ds
+        log = str(tmp_path / "loss_log.jsonl") if tmp_path else None
+        return cl.AdaptTrainer(params, cl_cfg, ds.images, seed=0, log_path=log), ds
 
     def test_epochs_recluster_freshly(self, tmp_path):
-        trainer, _ = self.setup_trainer(tmp_path, epochs=2)
-        hist = trainer.run()
-        assert len(hist) == 2
-        assert hist[0].labeling is not hist[1].labeling
+        trainer, ds = self.setup_trainer(tmp_path, epochs=2)
+        labelings = []
         for e in range(2):
-            assert (tmp_path / ("pseudo_labels_epoch%d.jsonl" % e)).exists()
+            trainer.run_epoch(e)
+            labelings.append(trainer.labeling)
+        assert len(trainer.log) == 2
+        assert labelings[0] is not labelings[1]
+        for rec, labeling in zip(trainer.log, labelings):
+            assert rec["assignments"] == labeling.assignments.tolist()
+            assert len(rec["assignments"]) == len(ds.images)
 
     def test_log_keeps_the_epochs_before_a_failure(self, tmp_path, monkeypatch):
         # each epoch appends its record as it ends, so a run that stops in
@@ -348,21 +352,18 @@ class TestAdaptTrainer:
         monkeypatch.setattr(cl, "cluster", fail_second)
         with pytest.raises(vit.ConfigError, match="cluster.eps"):
             trainer.run()
-        lines = (tmp_path / "adapt_log.jsonl").read_text().splitlines()
+        lines = (tmp_path / "loss_log.jsonl").read_text().splitlines()
         assert len(lines) == 1
         rec = json.loads(lines[0])
-        stats = trainer.history[0]
-        assert rec == {"epoch": 0, "mean_loss": stats.mean_loss,
-                       "grad_norm_mean": stats.grad_norm_mean,
-                       "grad_norm_max": stats.grad_norm_max,
-                       "clusters": stats.labeling.num_clusters,
-                       "outliers": stats.labeling.num_outliers}
+        assert rec == trainer.log[0]
+        assert list(rec) == ["epoch", "mean_loss", "grad_norm_mean", "grad_norm_max",
+                             "clusters", "outliers", "assignments"]
 
     def test_losses_finite(self):
         trainer, _ = self.setup_trainer(epochs=2)
         hist = trainer.run()
         for stats in hist:
-            assert math.isfinite(stats.mean_loss)
+            assert math.isfinite(stats["mean_loss"])
 
     def test_learns_from_several_pseudo_labels(self):
         # eps 0.2 splits the same features into several clusters, so the
@@ -371,9 +372,9 @@ class TestAdaptTrainer:
         before = trainer.params["blocks.0.attn.wq"].data.copy()
         hist = trainer.run()
         for stats in hist:
-            assert stats.labeling.num_clusters >= 2
-            assert stats.mean_loss > 0.0
-            assert 0.0 < stats.grad_norm_mean <= stats.grad_norm_max
+            assert stats["clusters"] >= 2
+            assert stats["mean_loss"] > 0.0
+            assert 0.0 < stats["grad_norm_mean"] <= stats["grad_norm_max"]
         assert np.abs(trainer.params["blocks.0.attn.wq"].data - before).max() > 1e-4
 
     def test_diverged_step_clears_the_tape(self, monkeypatch):
@@ -394,8 +395,8 @@ class TestAdaptTrainer:
 
     def test_purity_measured_externally(self):
         trainer, ds = self.setup_trainer(epochs=1)
-        hist = trainer.run()
-        purity = cl.cluster_purity(hist[0].labeling, ds.ids)
+        trainer.run()
+        purity = cl.cluster_purity(trainer.labeling, ds.ids)
         assert 0.0 <= purity <= 1.0
 
 
