@@ -30,7 +30,6 @@ class CheckpointError(RuntimeError):
 
 @dataclass
 class Checkpoint:
-    version: int
     config: dict
     extra: dict
     tensors: dict  # name -> np.ndarray (float64)
@@ -122,7 +121,6 @@ def load_checkpoint(path):
     if hashlib.sha256(memoryview(blob)[start:]).hexdigest() != header["sha256"]:
         raise CheckpointError("%s: payload checksum mismatch (a changed or damaged file)" % path)
     return Checkpoint(
-        version=header["version"],
         config=header.get("config", {}),
         extra=header.get("extra", {}),
         tensors=tensors,

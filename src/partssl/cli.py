@@ -380,6 +380,9 @@ def run(cfg):
     if cfg.init_checkpoint and cfg.mode in ("pretrain", "eval", "ablate"):
         raise ConfigError("init_checkpoint is read only by modes finetune/uda/usl/visualize, "
                           "not by mode %s" % cfg.mode)
+    if cfg.mode == "visualize" and cfg.backbone.depth == 0:
+        raise ConfigError("mode visualize draws attention maps; backbone.depth = 0 has no "
+                          "attention layer")
     extract_workers()  # fail on a bad PARTSSL_WORKERS before any output
     if cfg.data.kind == "dir" and cfg.mode != "eval":
         sd.manifest_path(cfg.data.path)  # fail before any output is written
@@ -416,7 +419,10 @@ def main(argv=None):
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = cfgmod.load_config(args.config) if args.config else RunConfig()
+        try:
+            cfg = cfgmod.load_config(args.config) if args.config else RunConfig()
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError("%s: %s" % (args.config, exc.strerror or exc)) from None
         mode = args.mode_flag or args.mode
         if mode:
             cfg.mode = mode

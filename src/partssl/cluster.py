@@ -156,9 +156,6 @@ class PrototypeBank:
     def __init__(self, prototypes):
         self.prototypes = np.asarray(prototypes, dtype=np.float64)
 
-    def __len__(self):
-        return len(self.prototypes)
-
     def update(self, label, feature):
         """p <- normalize(m * p + (1 - m) * f) for the feature's own cluster."""
         m = self.momentum

@@ -58,8 +58,9 @@ class RetrievalIndex:
         if self.query.shape[1] != self.gallery.shape[1]:
             raise EvalError("query dim %d != gallery dim %d"
                             % (self.query.shape[1], self.gallery.shape[1]))
-        if len(self.q_ids) != len(self.query) or len(self.g_ids) != len(self.gallery):
-            raise EvalError("label arrays do not match embedding counts")
+        if not (len(self.q_ids) == len(self.q_cams) == len(self.query)
+                and len(self.g_ids) == len(self.g_cams) == len(self.gallery)):
+            raise EvalError("id and camera arrays do not match embedding counts")
         for nm in ("query", "gallery"):
             bad = np.flatnonzero(~np.isfinite(getattr(self, nm)).all(axis=1))
             if len(bad):

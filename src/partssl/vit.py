@@ -346,7 +346,6 @@ class AttentionMap:
     layer: int
     weights: np.ndarray      # (S,) over all key positions, sums to 1
     patch_weights: np.ndarray  # (gh, gw) slice of `weights` over patches
-    grid: tuple
 
 
 def attention_map(image, token, layer, params):
@@ -374,5 +373,4 @@ def attention_map(image, token, layer, params):
         layer=layer,
         weights=weights,
         patch_weights=weights[n_special:].reshape(gh, gw),
-        grid=(gh, gw),
     )

@@ -9,6 +9,7 @@ from partssl import config as cfgmod
 from partssl import synthetic as sd
 from partssl import vit
 from partssl.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from partssl.cluster import PseudoLabeling, cluster_purity
 
 
 def micro_cfg(tmp_path, mode="pretrain", **overrides):
@@ -458,6 +459,19 @@ class TestAdaptModes:
         with open(os.path.join(cfg.out_dir, "loss_log.jsonl")) as fh:
             assert [json.loads(line)["epoch"] for line in fh] == [0]
 
+    def test_final_purity_scores_the_last_records_assignments(self, pipeline, tmp_path):
+        cfg = micro_cfg(tmp_path, "usl", init_checkpoint=pipeline["pre"]["checkpoint"])
+        cfg.cluster.eps, cfg.cluster.epochs = 0.2, 2  # 2 clusters: purity is not trivial
+        cli.run(cfg)
+        with open(os.path.join(cfg.out_dir, "loss_log.jsonl")) as fh:
+            last = [json.loads(line) for line in fh][-1]
+        with open(os.path.join(cfg.out_dir, "summary.json")) as fh:
+            summary = json.load(fh)
+        labeling = PseudoLabeling(np.array(last["assignments"]), last["clusters"])
+        assert last["epoch"] == 1
+        assert summary["final_purity"] == cluster_purity(labeling,
+                                                         cli.build_datasets(cfg)[0].ids)
+
     def test_usl_without_checkpoint_is_config_error(self, tmp_path):
         cfg = micro_cfg(tmp_path, "usl")
         with pytest.raises(cfgmod.ConfigError, match="init_checkpoint"):
@@ -513,6 +527,18 @@ class TestVisualizeMode:
         err = capsys.readouterr().err
         assert err.startswith("config error"), err
         assert os.listdir(cfg.out_dir) == ["resolved.cfg"]
+
+    def test_depth_0_backbone_exits_1_before_writing(self, tmp_path, capsys):
+        # a depth-0 pretrain succeeds, but its network has no attention to draw
+        pre = micro_cfg(tmp_path, "pretrain")
+        pre.backbone.depth = 0
+        cfg = micro_cfg(tmp_path, "visualize", init_checkpoint=cli.run(pre)["checkpoint"])
+        cfg.backbone.depth = 0
+        cfg_path = cfgmod.save_config(cfg, str(tmp_path / "vis.cfg"))
+        assert cli.main(["visualize", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mode visualize") and "backbone.depth = 0" in err, err
+        assert not os.path.exists(cfg.out_dir)
 
     def test_bad_image_index(self, pipeline, tmp_path):
         cfg = micro_cfg(tmp_path, "visualize", init_checkpoint=pipeline["pre"]["checkpoint"])
@@ -636,6 +662,17 @@ class TestMainEntry:
         bad.write_text("mode = nonsense\n")
         assert cli.main(["--config", str(bad)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_exits_1_before_writing(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        out = tmp_path / "out"
+        assert cli.main(["pretrain", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s: " % path), err
+        assert not out.exists()
 
     def test_exit_code_runtime_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

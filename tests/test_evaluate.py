@@ -416,6 +416,17 @@ class TestEvaluate:
                                % name):
                 ev.RetrievalIndex(rows["query"], ids, [0] * 6, rows["gallery"], ids, [1] * 6)
 
+    @pytest.mark.parametrize("side", ["query", "gallery"])
+    @pytest.mark.parametrize("n_cams", [4, 8])
+    def test_camera_array_of_another_length_refused(self, side, n_cams):
+        # with 6 vectors, 4 cameras ended in an IndexError inside evaluate
+        # and 8 were taken silently
+        emb, ids = np.random.default_rng(8).normal(size=(6, 3)), [0, 0, 1, 1, 2, 2]
+        cams = {"query": [0] * 6, "gallery": [1] * 6}
+        cams[side] = [0, 1] * (n_cams // 2)
+        with pytest.raises(ev.EvalError, match="camera arrays do not match embedding counts"):
+            ev.RetrievalIndex(emb, ids, cams["query"], emb, ids, cams["gallery"])
+
     def test_peak_memory_holds_no_full_matrix(self):
         # one n x n matrix and the per-query CMC rows that kept their
         # whole cumsum alive peaked at 96 MB here

@@ -1,9 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from partssl import cluster as cl
+from partssl import distill
+from partssl import finetune as ft
+from partssl import multicrop as mc
 from partssl import optim
+from partssl import synthetic as sd
 from partssl import tensor as T
 from partssl import vit
 from partssl.tensor import Tensor
@@ -166,3 +172,33 @@ def test_warmup_cosine_lr_decays_on_cosine_ramp(final):
             for step in range(warmup, total + 2):
                 assert optim.warmup_cosine_lr(step, total, base, warmup, final) == \
                     optim.cosine_ramp(step - warmup, max(total - warmup, 1), base, final)
+
+
+def tiny_stage_trainer(stage, log_path):
+    """A ``stage`` trainer on 16 images of 16x8 that logs to ``log_path``."""
+    bb = vit.BackboneConfig(image_h=16, image_w=8, patch_size=4, embed_dim=8, depth=1,
+                            heads=2, num_parts=2, proj_dim=8).validate()
+    ds = sd.generate(sd.SyntheticSpec(num_identities=4, images_per_identity=4, cameras=2,
+                                      image_h=16, image_w=8), seed=1)
+    if stage == "pretrain":
+        crop = mc.MulticropConfig(num_areas=2, views_per_area=1, global_size=(16, 8),
+                                  local_size=(8, 4))
+        return distill.Pretrainer(bb, crop, distill.PretrainConfig(steps=3, batch_size=2),
+                                  ds.images, seed=0, log_path=log_path)
+    params = vit.NetworkParams.init(bb, np.random.default_rng(0))
+    if stage == "finetune":
+        ft_cfg = ft.FinetuneConfig(steps=3, ids_per_batch=2, samples_per_id=2)
+        return ft.FinetuneTrainer(params, ft_cfg, ds.images, ds.ids, seed=0, log_path=log_path)
+    # eps 0.2 splits the 16 features into several clusters
+    cl_cfg = cl.ClusterConfig(epochs=2, eps=0.2, min_points=2, ids_per_batch=2,
+                              samples_per_id=2, steps_per_epoch=2)
+    return cl.AdaptTrainer(params, cl_cfg, ds.images, seed=0, log_path=log_path)
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "finetune", "adapt"])
+def test_every_stage_writes_its_log_records_as_json_lines(tmp_path, stage):
+    path = tmp_path / "loss_log.jsonl"
+    trainer = tiny_stage_trainer(stage, str(path))
+    log = trainer.run()
+    assert log is trainer.log and len(log) in (2, 3)
+    assert path.read_text().splitlines() == [json.dumps(rec) for rec in trainer.log]
