@@ -75,9 +75,8 @@ def _splits(cfg, test_needed):
 
 def _take(ds, rows):
     rows = np.asarray(rows, dtype=int)
-    return sd.SyntheticDataset(images=ds.images[rows], ids=ds.ids[rows],
-                               cams=ds.cams[rows], masks=ds.masks[rows],
-                               spec=ds.spec, seed=ds.seed)
+    return sd.SyntheticDataset(images=ds.images[rows], ids=ds.ids[rows], cams=ds.cams[rows],
+                               spec=ds.spec)
 
 
 def _split_by_identity(ds, n_test):

@@ -131,17 +131,17 @@ def batch_hard_triplet(embeddings, labels, margin=0.3):
     labels = np.asarray(labels)
     n = len(labels)
     same = labels[:, None] == labels[None, :]
-    pos_mask = same & ~np.eye(n, dtype=bool)
+    positive = same & ~np.eye(n, dtype=bool)
     n_ids = len(np.unique(labels))
     if n_ids < 2:  # with two, every anchor has a negative
         raise BatchCompositionError("batch needs at least 2 identities, got %d" % n_ids)
-    if not pos_mask.any(axis=1).all():
-        bad = int(np.argmin(pos_mask.any(axis=1)))
+    if not positive.any(axis=1).all():
+        bad = int(np.argmin(positive.any(axis=1)))
         raise BatchCompositionError(
             "anchor %d (identity %s) has no positive in the batch" % (bad, labels[bad]))
     d = _pairwise_dist_t(embeddings)
     rows = np.arange(n)
-    d_pos = d[rows, np.where(pos_mask, d.data, -np.inf).argmax(axis=1)]
+    d_pos = d[rows, np.where(positive, d.data, -np.inf).argmax(axis=1)]
     d_neg = d[rows, np.where(same, np.inf, d.data).argmin(axis=1)]
     return T.mean(T.relu(d_pos - d_neg + margin))
 

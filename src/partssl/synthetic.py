@@ -2,8 +2,9 @@
 
 Each identity gets three band colors (head / torso / legs) plus a stripe
 texture; cameras apply fixed photometric shifts; every image adds seeded
-noise. Band boundaries sit at fixed height fractions so ground-truth part
-regions are known, which makes part-localization claims checkable.
+noise. Band boundaries sit at fixed height fractions (``band_bounds``,
+``band_intervals``) so ground-truth part regions are known, which makes
+part-localization claims checkable.
 """
 
 from __future__ import annotations
@@ -63,9 +64,7 @@ class SyntheticDataset:
     images: np.ndarray   # (N, H, W, 3) float64 in [0, 1]
     ids: np.ndarray      # (N,) int
     cams: np.ndarray     # (N,) int
-    masks: np.ndarray    # (N, H, W) int8 band index 0/1/2
     spec: SyntheticSpec
-    seed: int
 
     def __len__(self):
         return len(self.images)
@@ -120,28 +119,26 @@ def _base_image(spec, palette, texture):
     H, W = spec.image_h, spec.image_w
     b = band_bounds(spec)
     img = np.empty((H, W, 3))
-    mask = np.empty((H, W), dtype=np.int8)
     rows = np.arange(H)
     for band in range(3):
         sl = slice(b[band], b[band + 1])
         img[sl] = palette[band]
-        mask[sl] = band
         freq, phase = texture[band]
         stripes = 0.08 * np.sin(2 * np.pi * freq * rows[sl] / H + phase)
         img[sl] += stripes[:, None, None]
-    return img, mask
+    return img
 
 
 def generate(spec, seed):
-    """Pure function of (spec, seed) -> labeled image set with band masks."""
+    """Pure function of (spec, seed) -> labeled image set."""
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     palettes, textures = _sample_palettes(spec, rng)
 
-    images, ids, cams, masks = [], [], [], []
+    images, ids, cams = [], [], []
     bounds = band_bounds(spec)
     for ident in range(spec.num_identities):
-        base, mask = _base_image(spec, palettes[ident], textures[ident])
+        base = _base_image(spec, palettes[ident], textures[ident])
         for k in range(spec.images_per_identity):
             cam = k % spec.cameras
             gain = _CAMERA_GAINS[cam % len(_CAMERA_GAINS)]
@@ -157,14 +154,11 @@ def generate(spec, seed):
             images.append(np.clip(img, 0.0, 1.0))
             ids.append(ident)
             cams.append(cam)
-            masks.append(mask)
     return SyntheticDataset(
         images=np.array(images),
         ids=np.array(ids, dtype=np.int64),
         cams=np.array(cams, dtype=np.int64),
-        masks=np.array(masks),
         spec=spec,
-        seed=seed,
     )
 
 
@@ -221,14 +215,9 @@ def save_dataset(ds, out_dir):
     records = []
     for n in range(len(ds)):
         img_path = "img_%04d.ppm" % n
-        mask_path = "mask_%04d.pgm" % n
         write_pnm(os.path.join(out_dir, img_path),
                   np.clip(ds.images[n] * 65535.0 + 0.5, 0, 65535).astype(np.uint16), 65535)
-        write_pnm(os.path.join(out_dir, mask_path), ds.masks[n], 255)
-        records.append({
-            "id": int(ds.ids[n]), "camera": int(ds.cams[n]),
-            "path": img_path, "mask_path": mask_path,
-        })
+        records.append({"id": int(ds.ids[n]), "camera": int(ds.cams[n]), "path": img_path})
     with open(os.path.join(out_dir, "manifest.jsonl"), "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
@@ -243,15 +232,15 @@ def manifest_path(in_dir):
     return path
 
 
-_MANIFEST_TYPES = {"id": int, "camera": int, "path": str, "mask_path": str}
+_MANIFEST_TYPES = {"id": int, "camera": int, "path": str}
 
 
 def load_dataset(in_dir):
     """The dataset of a directory written by ``save_dataset``. A manifest line
     that is not such a record, or names an image that is unreadable or of
     another size than the first, is a config error naming the line; a
-    missing file is an OSError."""
-    images, ids, cams, masks = [], [], [], []
+    missing file is an OSError. Other record keys are ignored."""
+    images, ids, cams = [], [], []
     path = manifest_path(in_dir)
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -259,20 +248,16 @@ def load_dataset(in_dir):
                 rec = json.loads(line)
                 if not (isinstance(rec, dict)
                         and all(type(rec.get(k)) is t for k, t in _MANIFEST_TYPES.items())):
-                    raise ValueError("not a record of an int id and camera, and a path and "
-                                     "mask_path")
+                    raise ValueError("not a record of an int id and camera, and a path")
                 img, maxval = read_pnm(os.path.join(in_dir, rec["path"]))
-                mask = read_pnm(os.path.join(in_dir, rec["mask_path"]))[0]
-                if img.ndim != 3 or mask.shape != img.shape[:2]:
-                    raise ValueError("%s is not an RGB image with a mask of its size"
-                                     % rec["path"])
+                if img.ndim != 3:
+                    raise ValueError("%s is not an RGB image" % rec["path"])
                 if images and img.shape != images[0].shape:
                     raise ValueError("image %s is %dx%d, the first is %dx%d"
                                      % (rec["path"], *img.shape[:2], *images[0].shape[:2]))
             except ValueError as exc:  # also JSON and PNM errors
                 raise ConfigError("%s line %d: %s" % (path, lineno, exc)) from None
             images.append(img.astype(np.float64) / maxval)
-            masks.append(mask.astype(np.int8))
             ids.append(rec["id"])
             cams.append(rec["camera"])
     if not images:
@@ -281,5 +266,4 @@ def load_dataset(in_dir):
     h, w = images.shape[1:3]
     spec = SyntheticSpec(num_identities=len(set(ids)), cameras=len(set(cams)),
                          image_h=h, image_w=w)
-    return SyntheticDataset(images=images, ids=np.array(ids), cams=np.array(cams),
-                            masks=np.array(masks), spec=spec, seed=-1)
+    return SyntheticDataset(images=images, ids=np.array(ids), cams=np.array(cams), spec=spec)

@@ -51,8 +51,7 @@ def split_synthetic(ds, train_per_id):
 
     def take(sel):
         return sd.SyntheticDataset(images=ds.images[sel], ids=ds.ids[sel],
-                                   cams=ds.cams[sel], masks=ds.masks[sel],
-                                   spec=ds.spec, seed=ds.seed)
+                                   cams=ds.cams[sel], spec=ds.spec)
     return take(train), take(test)
 
 

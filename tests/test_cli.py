@@ -565,7 +565,6 @@ class TestDatasetSplit:
         for want, got in ((train, dir_train), (test, dir_test)):
             np.testing.assert_array_equal(got.ids, want.ids)
             np.testing.assert_array_equal(got.cams, want.cams)
-            np.testing.assert_array_equal(got.masks, want.masks)
             np.testing.assert_allclose(got.images, want.images, atol=1e-5)  # 16-bit files
         assert list(test.ids) == [i for i in range(4) for _ in range(2)]
         dir_cfg.data.test_images_per_identity = 0

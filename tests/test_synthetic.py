@@ -28,7 +28,6 @@ class TestGenerate:
     def test_shapes_and_labels(self):
         ds = sd.generate(small_spec(), seed=0)
         assert ds.images.shape == (24, 32, 16, 3)
-        assert ds.masks.shape == (24, 32, 16)
         assert set(ds.ids) == set(range(6))
         assert set(ds.cams) == {0, 1}
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
@@ -65,12 +64,13 @@ class TestGenerate:
         assert np.mean(same_id) < np.mean(diff_id)
 
     def test_band_masks_align_with_three_area_geometry(self):
-        ds = sd.generate(small_spec(), seed=4)
+        spec = small_spec()
         areas = mc.define_areas(3)
-        H = ds.spec.image_h
-        for band, (lo, hi) in enumerate(sd.band_intervals(ds.spec)):
+        H = spec.image_h
+        b = sd.band_bounds(spec)
+        for band in range(3):
             area = areas[band]
-            rows = np.where(ds.masks[0] == band)[0]
+            rows = np.arange(b[band], b[band + 1])
             # the dominant part of each band lies inside its matching area
             inside = [(r + 0.5) / H for r in rows]
             frac_inside = np.mean([area.top_frac <= f <= area.bottom_frac for f in inside])
@@ -110,8 +110,26 @@ class TestRasterIO:
         assert len(back) == len(ds)
         np.testing.assert_array_equal(back.ids, ds.ids)
         np.testing.assert_array_equal(back.cams, ds.cams)
-        np.testing.assert_array_equal(back.masks, ds.masks)
         assert np.abs(back.images - ds.images).max() < 1.0 / 65000
+        assert [json.loads(line) for line in (tmp_path / "data" / "manifest.jsonl").open()][0] \
+            == {"id": 0, "camera": 0, "path": "img_0000.ppm"}
+
+    def test_other_record_keys_ignored(self, tmp_path):
+        # e.g. the band-mask files of older dataset directories
+        ds = sd.generate(small_spec(num_identities=2, images_per_identity=2), seed=9)
+        root = tmp_path / "data"
+        sd.save_dataset(ds, root)
+        want = sd.load_dataset(root)
+        manifest = root / "manifest.jsonl"
+        recs = [json.loads(line) for line in manifest.read_text().splitlines()]
+        for n, rec in enumerate(recs):
+            rec["mask_path"] = "mask_%04d.pgm" % n
+            sd.write_pnm(root / rec["mask_path"], np.zeros((32, 16), dtype=np.uint8), 255)
+        manifest.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+        got = sd.load_dataset(root)
+        np.testing.assert_array_equal(got.images, want.images)
+        np.testing.assert_array_equal(got.ids, want.ids)
+        np.testing.assert_array_equal(got.cams, want.cams)
 
     @pytest.mark.parametrize("shape,maxval,magic", [((3, 5), 255, b"P5"), ((3, 5, 3), 255, b"P6"),
                                                     ((3, 5), 65535, b"P5"),
@@ -128,8 +146,8 @@ class TestRasterIO:
         assert back_max == maxval
         np.testing.assert_array_equal(back, ints)
 
-    @pytest.mark.parametrize("fault", ["not-json", "no-id", "no-camera", "no-path", "no-mask_path",
-                                       "string-id", "not-pnm", "other-size", "no-lines"])
+    @pytest.mark.parametrize("fault", ["not-json", "no-id", "no-camera", "no-path", "string-id",
+                                       "not-pnm", "other-size", "no-lines"])
     def test_corrupt_directory_is_config_error(self, tmp_path, fault):
         ds = sd.generate(small_spec(num_identities=2, images_per_identity=2), seed=9)
         root = tmp_path / "data"
@@ -148,7 +166,6 @@ class TestRasterIO:
             (root / "img_0001.ppm").write_bytes(b"GIF89a\n")
         elif fault == "other-size":
             sd.write_pnm(root / "img_0001.ppm", np.zeros((8, 8, 3), dtype=np.uint16), 65535)
-            sd.write_pnm(root / "mask_0001.pgm", np.zeros((8, 8), dtype=np.uint8), 255)
         else:
             lines = []
         manifest.write_text("".join(line + "\n" for line in lines))
