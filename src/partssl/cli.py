@@ -420,8 +420,9 @@ def main(argv=None):
     try:
         try:
             cfg = cfgmod.load_config(args.config) if args.config else RunConfig()
-        except OSError as exc:  # missing, a directory, unreadable
-            raise ConfigError("%s: %s" % (args.config, exc.strerror or exc)) from None
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not text
+            raise ConfigError("%s: %s" % (args.config, getattr(exc, "strerror", None) or exc)) \
+                from None
         mode = args.mode_flag or args.mode
         if mode:
             cfg.mode = mode

@@ -78,9 +78,10 @@ class RunConfig:
                 raise ConfigError("%s: %r cannot be written to a config file ('#', a line "
                                   "break or edge whitespace)" % (key, value))
         for key, low, high in _BOUNDS:
-            if not low <= values[key] <= high:
+            value = values[key]
+            if not all(low <= v <= high for v in (value if isinstance(value, tuple) else [value])):
                 span = ">= %s" % low if high == math.inf else "in %s .. %s" % (low, high)
-                raise ConfigError("%s must be %s, got %s" % (key, span, values[key]))
+                raise ConfigError("%s must be %s, got %s" % (key, span, _format_value(value)))
         if self.crops.num_areas != self.backbone.num_parts:
             raise ConfigError("crops.num_areas (%d) must equal backbone.num_parts (%d)"
                               % (self.crops.num_areas, self.backbone.num_parts))
@@ -91,6 +92,10 @@ class RunConfig:
             if value not in choices:
                 raise ConfigError("%s: expected one of %s, got %r"
                                   % (key, " | ".join(choices), value))
+        for key in ("global_scale", "local_scale"):
+            low, high = getattr(self.crops, key)
+            if low > high:
+                raise ConfigError("crops.%s: low end %s is above high end %s" % (key, low, high))
         p = self.backbone.patch_size
         for key in ("global_size", "local_size"):
             h, w = getattr(self.crops, key)
@@ -117,6 +122,7 @@ class RunConfig:
 
 # (key, lowest, highest) of the counts and ranges that a run can use
 _BOUNDS = (
+    ("seed", 0, math.inf), ("data.seed", 0, math.inf),  # numpy seeds are non-negative
     ("data.num_identities", 1, math.inf), ("data.train_images_per_identity", 1, math.inf),
     ("data.test_images_per_identity", 0, math.inf),
     ("data.cameras", 1, math.inf), ("backbone.embed_dim", 1, math.inf),
@@ -124,7 +130,9 @@ _BOUNDS = (
     ("crops.num_areas", 1, 5), ("crops.views_per_area", 0, math.inf),
     # probabilities and jitter strengths (a factor 1 +- 1 reaches zero)
     ("crops.flip_p", 0.0, 1.0), ("crops.brightness", 0.0, 1.0),
-    ("crops.contrast", 0.0, 1.0),
+    ("crops.contrast", 0.0, 1.0), ("data.band_jitter", 0.0, 1.0),
+    # a tuple key's bounds hold for each end; the fractions of the image a crop covers
+    ("crops.global_scale", 0.0, 1.0), ("crops.local_scale", 0.0, 1.0),
     ("distill.steps", 0, math.inf), ("distill.batch_size", 1, math.inf),
     ("distill.lr", 0.0, math.inf), ("distill.clip_grad", 0.0, math.inf),  # 0 = no clipping
     ("distill.center_momentum", 0.0, 1.0),

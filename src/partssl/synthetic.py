@@ -206,6 +206,8 @@ def read_pnm(path):
             raise ValueError("%s: not a binary PGM/PPM" % path)
         w, h = map(int, fh.readline().split())
         maxval = int(fh.readline())
+        if not 1 <= maxval <= 65535:
+            raise ValueError("%s: maxval %d is not in 1 .. 65535" % (path, maxval))
         ints = np.frombuffer(fh.read(), dtype=">u2" if maxval > 255 else np.uint8)
     return ints.reshape((h, w) if magic == b"P5" else (h, w, 3)), maxval
 

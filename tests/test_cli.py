@@ -662,15 +662,25 @@ class TestMainEntry:
         assert cli.main(["--config", str(bad)]) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_config_exits_1_before_writing(self, tmp_path, capsys, kind):
         path = tmp_path / "run.cfg"
         if kind == "directory":
             path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"seed = 1\n# caf\xff\n")
         out = tmp_path / "out"
         assert cli.main(["pretrain", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: %s: " % path), err
+        if kind == "not-utf8":
+            assert "can't decode byte 0xff" in err, err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_1_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["pretrain", "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: seed must be >= 0, got -1")
         assert not out.exists()
 
     def test_exit_code_runtime_error(self, tmp_path, capsys):

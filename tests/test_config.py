@@ -133,7 +133,15 @@ class TestValidation:
                                       "crops.local_size = 0, 0", "crops.global_size = -4, 8",
                                       "backbone.depth = -1",
                                       "distill.tau_t = 0.5", "distill.tau_t = 0",
-                                      "distill.tau_s = -0.1"])
+                                      "distill.tau_s = -0.1",
+                                      "seed = -3", "data.seed = -1",
+                                      "data.band_jitter = nan", "data.band_jitter = inf",
+                                      "data.band_jitter = -0.1",
+                                      "crops.global_scale = -0.1, 1.0",
+                                      "crops.global_scale = nan, 1.0",
+                                      "crops.global_scale = 0.9, 0.5",
+                                      "crops.local_scale = 2.0, 3.0",
+                                      "crops.local_scale = 0.3, 0.1"])
     def test_unusable_value_rejected_at_load(self, line, tmp_path, capsys):
         key = line.splitlines()[-1].split(" = ")[0]
         with pytest.raises(ConfigError, match="^" + re.escape(key)):  # the error names it first

@@ -147,7 +147,7 @@ class TestRasterIO:
         np.testing.assert_array_equal(back, ints)
 
     @pytest.mark.parametrize("fault", ["not-json", "no-id", "no-camera", "no-path", "string-id",
-                                       "not-pnm", "other-size", "no-lines"])
+                                       "not-pnm", "maxval-0", "other-size", "no-lines"])
     def test_corrupt_directory_is_config_error(self, tmp_path, fault):
         ds = sd.generate(small_spec(num_identities=2, images_per_identity=2), seed=9)
         root = tmp_path / "data"
@@ -164,6 +164,8 @@ class TestRasterIO:
             lines[1] = lines[1].replace('"id": 0', '"id": "0"')
         elif fault == "not-pnm":
             (root / "img_0001.ppm").write_bytes(b"GIF89a\n")
+        elif fault == "maxval-0":  # would divide every sample by zero
+            sd.write_pnm(root / "img_0001.ppm", np.zeros((32, 16, 3), dtype=np.uint8), 0)
         elif fault == "other-size":
             sd.write_pnm(root / "img_0001.ppm", np.zeros((8, 8, 3), dtype=np.uint16), 65535)
         else:
@@ -171,6 +173,7 @@ class TestRasterIO:
         manifest.write_text("".join(line + "\n" for line in lines))
         message = {"not-json": " line 2: Expecting property name",
                    "not-pnm": " line 2: .*img_0001.ppm: not a binary PGM/PPM",
+                   "maxval-0": " line 2: .*img_0001.ppm: maxval 0 is not in 1 .. 65535",
                    "other-size": " line 2: image img_0001.ppm is 8x8, the first is 32x16",
                    "no-lines": ": lists no images"}.get(fault, " line 2: not a record of an int id")
         with pytest.raises(sd.ConfigError, match=re.escape(str(manifest)) + message):
