@@ -147,7 +147,8 @@ class TestRasterIO:
         np.testing.assert_array_equal(back, ints)
 
     @pytest.mark.parametrize("fault", ["not-json", "no-id", "no-camera", "no-path", "string-id",
-                                       "not-pnm", "maxval-0", "other-size", "no-lines"])
+                                       "not-pnm", "maxval-0", "grey", "other-size",
+                                       "no-lines"])
     def test_corrupt_directory_is_config_error(self, tmp_path, fault):
         ds = sd.generate(small_spec(num_identities=2, images_per_identity=2), seed=9)
         root = tmp_path / "data"
@@ -164,6 +165,8 @@ class TestRasterIO:
             lines[1] = lines[1].replace('"id": 0', '"id": "0"')
         elif fault == "not-pnm":
             (root / "img_0001.ppm").write_bytes(b"GIF89a\n")
+        elif fault == "grey":
+            sd.write_pnm(root / "img_0001.ppm", np.zeros((32, 16), dtype=np.uint16), 65535)
         elif fault == "maxval-0":  # would divide every sample by zero
             sd.write_pnm(root / "img_0001.ppm", np.zeros((32, 16, 3), dtype=np.uint8), 0)
         elif fault == "other-size":
@@ -174,6 +177,7 @@ class TestRasterIO:
         message = {"not-json": " line 2: Expecting property name",
                    "not-pnm": " line 2: .*img_0001.ppm: not a binary PGM/PPM",
                    "maxval-0": " line 2: .*img_0001.ppm: maxval 0 is not in 1 .. 65535",
+                   "grey": " line 2: img_0001.ppm is not an RGB image",
                    "other-size": " line 2: image img_0001.ppm is 8x8, the first is 32x16",
                    "no-lines": ": lists no images"}.get(fault, " line 2: not a record of an int id")
         with pytest.raises(sd.ConfigError, match=re.escape(str(manifest)) + message):
