@@ -225,7 +225,7 @@ class AdaptTrainer:
         self.cl = cl_cfg
         self.images = np.asarray(images, dtype=np.float64)
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC105]))
-        self.optimizer = AdamW(params.items(), lr=cl_cfg.lr)
+        self.optimizer = AdamW(params.backbone_items(), lr=cl_cfg.lr)
         self.log_path = log_path
         self.log = []
         self.labeling = None  # the last epoch's PseudoLabeling

@@ -178,11 +178,12 @@ def pk_batch(rng, pools, ids_per_batch, samples_per_id):
 
 
 def forward_embeddings(params, images, fusion, flip_mask=None):
-    """Backbone forward with [CLS] and every part token, then feature fusion."""
+    """Backbone forward with [CLS] and every part token, then feature fusion,
+    in the images' dtype (float32 stays float32, anything else is float64)."""
     cfg = params.cfg
-    images = np.asarray(images, dtype=np.float64)
+    images = T.asarray(images)
     if images.shape[1:3] != (cfg.image_h, cfg.image_w):
-        images = resize_batch(images, cfg.image_h, cfg.image_w)
+        images = resize_batch(images, cfg.image_h, cfg.image_w).astype(images.dtype, copy=False)
     if flip_mask is not None:
         images = images.copy()
         images[flip_mask] = images[flip_mask, :, ::-1]
@@ -207,7 +208,7 @@ class FinetuneTrainer:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF17E]))
         dim = fused_dim(ft_cfg.fusion, self.cfg.num_parts, self.cfg.embed_dim)
         self.head = ReidHead(dim, len(self.classes), rng)
-        named = list(params.items()) + self.head.named_params()
+        named = params.backbone_items() + self.head.named_params()
         self.optimizer = AdamW(named, lr=ft_cfg.resolve_lr(), weight_decay=0.01)
         self.rng = rng
         self.step_count = 0
@@ -249,14 +250,18 @@ def extract_workers():
 
 def extract_embeddings(params, head, images, fusion):
     """Eval-mode post-batchnorm embeddings, or the raw fused features when
-    ``head`` is None; never touches the classifier. Chunks of
-    ``EXTRACT_BATCH`` images run on ``extract_workers()`` threads."""
-    images = np.asarray(images, dtype=np.float64)
+    ``head`` is None, as float64; never touches the classifier. The backbone
+    runs in float32 on one float32 copy of the parameters and the images (the
+    head, if any, in float64). Chunks of ``EXTRACT_BATCH`` images run on
+    ``extract_workers()`` threads."""
+    params = params.clone(dtype=np.float32)
+    images = np.asarray(images, dtype=np.float32)
     chunks = [images[i:i + EXTRACT_BATCH] for i in range(0, len(images), EXTRACT_BATCH)]
 
     def one(chunk):
         with T.no_grad():
             feats = forward_embeddings(params, chunk, fusion)
+            feats = Tensor(feats.data.astype(np.float64))
             return (feats if head is None else head.embed(feats, training=False)).data
 
     workers = extract_workers()

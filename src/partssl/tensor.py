@@ -1,5 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
+Training and every gradient check run in float64. A float32 array stays
+float32, so a float32 copy of a network runs its no-grad forward in float32
+(feature extraction); anything else becomes float64. A Python number takes
+the dtype of the tensor it meets, as in numpy (NEP 50), so constants are
+Python floats: an ``np.float64`` would upcast float32 data.
+
 Every operation whose inputs require gradients appends one node to the
 active tape (one tape per thread). Ops execute after their inputs exist, so
 the recording order is a topological order of the graph and a single reverse
@@ -36,7 +42,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=DTYPE)
+        self.data = asarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -164,8 +170,19 @@ def _fail(op, msg):
     raise ShapeError("%s: %s" % (op, msg))
 
 
-def _coerce(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=DTYPE))
+def asarray(x):
+    """``x`` as an array: float32 stays float32, anything else is float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(DTYPE, copy=False)
+
+
+def _coerce(x, like=None):
+    """``x`` as a Tensor; a Python number takes the dtype of the Tensor ``like``."""
+    if isinstance(x, Tensor):
+        return x
+    if isinstance(like, Tensor) and type(x) in (int, float, bool):  # not np.float64
+        return Tensor(np.array(x, dtype=like.data.dtype))
+    return Tensor(x)
 
 
 def _tracked(*parents):
@@ -254,7 +271,7 @@ def backward(loss, params=None):
 
 
 def add(a, b):
-    a, b = _coerce(a), _coerce(b)
+    a, b = _coerce(a, b), _coerce(b, a)
     try:
         out = Tensor(a.data + b.data)
     except ValueError:
@@ -264,7 +281,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _coerce(a), _coerce(b)
+    a, b = _coerce(a, b), _coerce(b, a)
     try:
         out = Tensor(a.data - b.data)
     except ValueError:
@@ -274,7 +291,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _coerce(a), _coerce(b)
+    a, b = _coerce(a, b), _coerce(b, a)
     try:
         out = Tensor(a.data * b.data)
     except ValueError:
@@ -288,7 +305,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = _coerce(a), _coerce(b)
+    a, b = _coerce(a, b), _coerce(b, a)
     try:
         out = Tensor(a.data / b.data)
     except ValueError:
@@ -365,14 +382,15 @@ def attention(q, k, v, heads, probs_out=None, rows=None):
     R = S if rows is None else rows
     if not 1 <= R <= S:
         _fail("attention", "rows %d outside 1..%d" % (R, S))
-    scale = 1.0 / np.sqrt(C // heads)
+    scale = 1.0 / math.sqrt(C // heads)
+    dt = np.result_type(q.data, k.data, v.data)
 
     def split(a):  # (B, n, C) -> (B, heads, n, dh) view
         return a.reshape(B, a.shape[1], heads, -1).transpose(0, 2, 1, 3)
 
     qh, kh, vh = split(q.data)[:, :, :R], split(k.data), split(v.data)
-    n, blocks = _blocks(B, 8 * heads * R * S, probs_out is not None or _tracked(q, k, v))
-    p, y = np.empty((n, heads, R, S)), np.empty((B, R, C))
+    n, blocks = _blocks(B, dt.itemsize * heads * R * S, probs_out is not None or _tracked(q, k, v))
+    p, y = np.empty((n, heads, R, S), dt), np.empty((B, R, C), dt)
     for s, ps in blocks:
         pb = p[ps]  # scores, then probabilities in place
         np.matmul(qh[s], kh[s].transpose(0, 1, 3, 2), out=pb)
@@ -387,7 +405,7 @@ def attention(q, k, v, heads, probs_out=None, rows=None):
 
     def bfn(g):
         gh = split(g)
-        grads = [np.empty((B, S, C)) if t.requires_grad else None for t in (q, k, v)]
+        grads = [np.empty((B, S, C), dt) if t.requires_grad else None for t in (q, k, v)]
         if grads[0] is not None:
             grads[0][:, R:] = 0.0  # query rows that were not read
         for s, _ in blocks:
@@ -515,8 +533,8 @@ def gelu(a):
     the tanh is kept for backward only."""
     a = _coerce(a)
     x = a.data.reshape(-1)
-    size, blocks = _blocks(x.size, 8, _tracked(a))
-    y, t = np.empty_like(x), np.empty(size)
+    size, blocks = _blocks(x.size, x.itemsize, _tracked(a))
+    y, t = np.empty_like(x), np.empty(size, x.dtype)
     for s, ts in blocks:
         xb, tb = x[s], t[ts]
         np.tanh((xb * xb * xb * 0.044715 + xb) * _GELU_C, out=tb)
@@ -572,8 +590,9 @@ def layer_norm(a, gamma, beta, eps=1e-6):
         _fail("layer_norm", "affine params %s/%s do not match last dim of %s" % (gamma.shape, beta.shape, a.shape))
     C = a.shape[-1]
     x = a.data.reshape(-1, C)
-    rows, blocks = _blocks(len(x), 8 * C, _tracked(a, gamma, beta))
-    y, xhat, inv = np.empty_like(x), np.empty((rows, C)), np.empty((rows, 1))
+    dt = np.result_type(x, gamma.data, beta.data)
+    rows, blocks = _blocks(len(x), dt.itemsize * C, _tracked(a, gamma, beta))
+    y, xhat, inv = np.empty(x.shape, dt), np.empty((rows, C), dt), np.empty((rows, 1), dt)
     for s, ks in blocks:
         xc = x[s] - x[s].mean(axis=-1, keepdims=True)
         var = (xc * xc).mean(axis=-1, keepdims=True)
@@ -584,7 +603,7 @@ def layer_norm(a, gamma, beta, eps=1e-6):
     out = Tensor(y.reshape(a.shape))
 
     def bfn(g):
-        ga = np.empty_like(x) if a.requires_grad else None
+        ga = np.empty(x.shape, dt) if a.requires_grad else None
         for s, _ in blocks if a.requires_grad else ():
             gg = g.reshape(-1, C)[s] * gamma.data
             m1 = gg.mean(axis=-1, keepdims=True)
@@ -623,11 +642,16 @@ def finite_diff_check(f, params, eps=1e-5):
 
     ``f`` maps the live ``params`` list to a scalar Tensor and must be
     deterministic. Parameters are perturbed in place and restored. The error
-    for each coordinate is |analytic - numeric| / max(1, |numeric|).
+    for each coordinate is |analytic - numeric| / max(1, |numeric|). Every
+    parameter must be float64.
     """
     if eps <= 0:
         raise ValueError("finite_diff_check: eps must be positive")
     params = list(params)
+    for i, p in enumerate(params):
+        if p.data.dtype != DTYPE:  # at eps ~ 1e-5 a float32 check measures rounding
+            raise ValueError("finite_diff_check: parameter %d is %s; gradients are "
+                             "checked in float64 only" % (i, p.data.dtype))
     with scoped_tape():
         for p in params:
             p.grad = None

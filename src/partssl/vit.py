@@ -163,11 +163,18 @@ class NetworkParams:
     def tensors(self):
         return list(self._p.values())
 
-    def clone(self, requires_grad=False):
-        """Deep copy; used to spawn the momentum-tracked twin network."""
+    def backbone_items(self):
+        """(name, tensor) pairs the encoder reads: all but the projection heads."""
+        return [(k, v) for k, v in self._p.items()
+                if not k.startswith(("head_cls.", "head_part."))]
+
+    def clone(self, requires_grad=False, dtype=None):
+        """Deep copy, cast to ``dtype`` if given; spawns the momentum-tracked
+        twin network and the extractor's float32 copy."""
         return NetworkParams(
             self.cfg,
-            {k: Tensor(v.data.copy(), requires_grad=requires_grad) for k, v in self._p.items()},
+            {k: Tensor(v.data.astype(dtype or v.data.dtype), requires_grad=requires_grad)
+             for k, v in self._p.items()},
         )
 
     def state(self):
@@ -199,7 +206,7 @@ def patch_grid(h, w, patch_size):
 
 def extract_patches(images, patch_size):
     """(B,H,W,3) pixels -> (B, P, patch_size^2*3) row-major patch vectors."""
-    images = np.asarray(images, dtype=T.DTYPE)
+    images = T.asarray(images)
     if images.ndim == 3:
         images = images[None]
     B, H, W, Ch = images.shape
@@ -250,7 +257,7 @@ def patchify(images, cfg, params, plans=None):
     Without them, views are treated as whole images (stretch interpolation),
     which is exact (identity) at the canonical resolution.
     """
-    images = np.asarray(images, dtype=T.DTYPE)
+    images = T.asarray(images)
     if images.ndim == 3:
         images = images[None]
     vg = patch_grid(images.shape[1], images.shape[2], cfg.patch_size)

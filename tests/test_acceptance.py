@@ -1,8 +1,9 @@
 """End-to-end acceptance suite.
 
 Each test prints one PASS/FAIL line. The long pre-training run is shared by
-the part-separation, fine-tuning-benefit and pseudo-label criteria through a
-session fixture. Run with ``pytest tests/test_acceptance.py -v -s``.
+the part-separation, fine-tuning-benefit, fusion and pseudo-label criteria
+through a session fixture; their tests are marked ``slow``. Run with
+``pytest tests/test_acceptance.py -v -s``.
 """
 
 import math
@@ -319,6 +320,7 @@ class TestCriterion4CropGeometry:
 # criterion 5: part separation on the toy band dataset
 
 
+@pytest.mark.slow
 class TestCriterion5PartSeparation:
     def test_attention_concentrates_per_band(self, pretrained, toy_data):
         masses = attention_band_masses(pretrained["teacher"], toy_data["test"])
@@ -381,6 +383,7 @@ def finetune_and_map(params, toy_data, seed, steps=300):
     return ev.evaluate(index, max_rank=10).mean_ap
 
 
+@pytest.mark.slow
 class TestCriterion7FinetuneBenefit:
     def test_pretrained_beats_random_init(self, pretrained, toy_data):
         bb = vit.BackboneConfig(**TOY_BACKBONE).validate()
@@ -404,6 +407,7 @@ class TestCriterion7FinetuneBenefit:
 # criterion 8: fusion dimensions
 
 
+@pytest.mark.slow
 class TestCriterion8FusionDims:
     def test_all_strategies_evaluate(self, pretrained, toy_data):
         C, L = TOY_BACKBONE["embed_dim"], TOY_BACKBONE["num_parts"]
@@ -463,6 +467,7 @@ class TestCriterion9RetrievalOracle:
 # criterion 10: pseudo-label adaptation loop
 
 
+@pytest.mark.slow
 class TestCriterion10UslLoop:
     def test_purity_and_map_improvement(self, pretrained, toy_data):
         params = pretrained["teacher"].clone(requires_grad=True)

@@ -377,6 +377,15 @@ class TestAdaptTrainer:
             assert 0.0 < stats["grad_norm_mean"] <= stats["grad_norm_max"]
         assert np.abs(trainer.params["blocks.0.attn.wq"].data - before).max() > 1e-4
 
+    def test_optimizer_leaves_the_projection_heads_alone(self):
+        trainer, _ = self.setup_trainer(epochs=1, eps=0.2)
+        assert ([n for n, _ in trainer.optimizer.params]
+                == [n for n, _ in trainer.params.backbone_items()])
+        heads = {n: t.data.copy() for n, t in trainer.params.items() if n.startswith("head_")}
+        assert len(heads) == 16
+        trainer.run()
+        assert all(np.array_equal(trainer.params[n].data, a) for n, a in heads.items())
+
     def test_diverged_step_clears_the_tape(self, monkeypatch):
         trainer, _ = self.setup_trainer(epochs=1)
         loss_fn = cl.prototype_contrastive_loss

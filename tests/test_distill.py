@@ -446,18 +446,20 @@ class TestPretrainer:
         # 334. The node outputs hold 19.3 MB; a last block over every token
         # held 23.9 MB.
         tr = acceptance_toy_trainer()
-        sizes = []
+        sizes, dtypes = [], set()
         backward = T.backward
 
         def counting_backward(loss, params=None):
             nodes = T.tape().nodes
             sizes.append((len(nodes), sum(out.data.nbytes for out, _, _ in nodes) / 1e6))
+            dtypes.update(t.data.dtype for out, parents, _ in nodes for t in (out,) + parents)
             backward(loss, params=params)
 
         monkeypatch.setattr(T, "backward", counting_backward)
         with T.scoped_tape():  # nodes other tests left on this thread's tape do not count
             tr.pretrain_step()
         assert len(sizes) == 1 and sizes[0][0] <= 149 and sizes[0][1] <= 20.0, sizes
+        assert dtypes == {np.dtype(np.float64)}  # training stays float64
 
     def test_backward_skips_parents_that_need_no_gradient(self, monkeypatch):
         # the patch pixels, the position interpolation matrices and the

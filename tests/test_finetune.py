@@ -265,18 +265,20 @@ class TestFinetuneTrainer:
         params = vit.NetworkParams.init(vit.BackboneConfig().validate(),
                                         np.random.default_rng(0))
         trainer = ft.FinetuneTrainer(params, ft.FinetuneConfig(steps=1), ds.images, ds.ids, 0)
-        sizes = []
+        sizes, dtypes = [], set()
         backward = T.backward
 
         def counting_backward(loss, params=None):
             nodes = T.tape().nodes
             sizes.append((len(nodes), sum(out.data.nbytes for out, _, _ in nodes) / 1e6))
+            dtypes.update(t.data.dtype for out, parents, _ in nodes for t in (out,) + parents)
             backward(loss, params=params)
 
         monkeypatch.setattr(T, "backward", counting_backward)
         with T.scoped_tape():  # nodes other tests left on this thread's tape do not count
             trainer.finetune_step()
         assert len(sizes) == 1 and sizes[0][0] <= 96 and sizes[0][1] <= 70.0, sizes
+        assert dtypes == {np.dtype(np.float64)}  # training stays float64
 
     def test_eval_embeddings_ignore_classifier(self):
         trainer, ds = toy_training_setup(steps=3)
@@ -288,10 +290,10 @@ class TestFinetuneTrainer:
         assert emb.shape == (6, ft.fused_dim(trainer.ft.fusion, 2, 16))
 
     def test_threaded_extraction_bit_identical_at_default_backbone(self, monkeypatch):
-        # 4-image chunks of 132 tokens: attention, gelu and layer_norm each
-        # run several blocks per call, so shared scratch would show here
+        # 4-image chunks of 132 float32 tokens: attention, gelu and layer_norm
+        # each run several blocks per call, so shared scratch would show here
         cfg = vit.BackboneConfig().validate()
-        assert 4 * 132 * cfg.embed_dim * 8 > T.BLOCK_BYTES
+        assert 4 * 132 * cfg.embed_dim * 4 > T.BLOCK_BYTES
         params = vit.NetworkParams.init(cfg, np.random.default_rng(5))
         images = sd.generate(sd.SyntheticSpec(num_identities=6, images_per_identity=4),
                              seed=5).images
@@ -302,6 +304,34 @@ class TestFinetuneTrainer:
         threaded = ft.extract_embeddings(params, None, images, "concat_all")
         assert serial.shape == (24, 4 * cfg.embed_dim)
         assert np.array_equal(serial, threaded)
+
+    def test_extraction_is_float32_within_bound_of_float64_forward(self):
+        # the backbone runs on a float32 copy; the embeddings come back as
+        # float64 within 1e-5 of the largest entry of the float64 forward
+        trainer, ds = toy_training_setup(steps=3)
+        trainer.run()
+        for head in (None, trainer.head):
+            got = ft.extract_embeddings(trainer.params, head, ds.images, trainer.ft.fusion)
+            with T.no_grad():
+                feats = ft.forward_embeddings(trainer.params, ds.images, trainer.ft.fusion)
+                want = (feats if head is None else head.embed(feats, training=False)).data
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+            assert not np.array_equal(got, want)
+        assert {t.data.dtype for t in trainer.params.tensors()} == {np.dtype(np.float64)}
+
+    def test_optimizer_leaves_the_projection_heads_alone(self):
+        # the loss never reads head_cls or head_part: they are not optimised,
+        # so weight decay does not shrink them either
+        trainer, _ = toy_training_setup(steps=3)
+        names = [n for n, _ in trainer.optimizer.params]
+        assert names == [n for n, _ in trainer.params.backbone_items()] + [
+            n for n, _ in trainer.head.named_params()]
+        assert not any(n.startswith(("head_cls.", "head_part.")) for n in names)
+        heads = {n: t.data.copy() for n, t in trainer.params.items() if n.startswith("head_")}
+        assert len(heads) == 16
+        trainer.run()
+        assert all(np.array_equal(trainer.params[n].data, a) for n, a in heads.items())
 
     def test_needs_two_identities(self):
         cfg = small_cfg()

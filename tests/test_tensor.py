@@ -147,6 +147,14 @@ class TestBackward:
         with pytest.raises(T.AutogradError):
             T.finite_diff_check(f, [w])
 
+    def test_finite_diff_refuses_float32(self):
+        # at eps 1e-5 a float32 difference quotient is rounding, not a gradient
+        w = T.Tensor([1.0], requires_grad=True)
+        x = T.Tensor(np.array([0.5, 2.0], dtype=np.float32), requires_grad=True)
+        with pytest.raises(ValueError, match="parameter 1 is float32"):
+            T.finite_diff_check(lambda p: T.sum_(p[0] * p[1]), [w, x])
+        assert x.grad is None
+
     def test_getitem_repeated_rows_accumulate(self):
         x = T.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         with T.scoped_tape():
@@ -175,6 +183,13 @@ class TestBackward:
 
 
 W55 = T.Tensor(np.arange(25.0).reshape(5, 5) / 10.0)
+
+
+def recording_ops():
+    """Names of the tensor functions that record a tape node."""
+    return {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+            if fn.__module__ == T.__name__ and name != "_record"
+            and "_record(" in inspect.getsource(fn)}
 
 
 class TestOpGradients:
@@ -208,9 +223,7 @@ class TestOpGradients:
                  "attention": "test_attention_grad"}
 
     def test_every_recording_op_is_checked(self):
-        ops = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
-               if fn.__module__ == T.__name__ and name != "_record"
-               and "_record(" in inspect.getsource(fn)}
+        ops = recording_ops()
         assert "add" in ops and "getitem" in ops
         assert ops - set(self.CASES) - set(self.DEDICATED) == set()
         assert all(hasattr(self, test) for test in self.DEDICATED.values())
@@ -454,3 +467,87 @@ class TestFusedOps:
             T.attention(x, x, x, 4)
         with pytest.raises(T.ShapeError, match="rows 3 outside 1..2"):
             T.attention(x, x, x, 3, rows=3)
+
+
+class TestFloat32:
+    """A float32 input stays float32 through every op, forward and backward,
+    with Python-number constants; float64 stays float64."""
+
+    # leaves x, y (2, 3, 4), w (4, 4), b (4,); every constant a Python number
+    OPS = {
+        "add": lambda x, y, w, b: x + y + 1.0 + (2 + x),
+        "sub": lambda x, y, w, b: (x - y) - 1.0 + (1.0 - x),
+        "mul": lambda x, y, w, b: x * y * 0.5 * (2.0 * x),
+        "div": lambda x, y, w, b: x / (y * y + 1.0) / 2.0 + 1.0 / (x * x + 1.0),
+        "neg": lambda x, y, w, b: -x,
+        "matmul": lambda x, y, w, b: x @ w,
+        "linear": lambda x, y, w, b: T.linear(x, w, b),
+        "attention": lambda x, y, w, b: T.attention(x, y, x, 2) + T.attention(x, y, y, 2, rows=3),
+        "transpose": lambda x, y, w, b: T.transpose(x, (2, 0, 1)),
+        "reshape": lambda x, y, w, b: T.reshape(x, (6, 4)),
+        "broadcast_to": lambda x, y, w, b: T.broadcast_to(b, (3, 4)),
+        "concatenate": lambda x, y, w, b: T.concatenate([x, y], axis=1),
+        "getitem": lambda x, y, w, b: x[:, 1:] * x[[1, 1]][:, 1:],
+        "sum_": lambda x, y, w, b: T.sum_(x, axis=1) * T.sum_(y),
+        "mean": lambda x, y, w, b: T.mean(x, axis=0) + T.mean(y),
+        "sqrt": lambda x, y, w, b: T.sqrt(x * x + 1.0),
+        "relu": lambda x, y, w, b: T.relu(x),
+        "gelu": lambda x, y, w, b: T.gelu(x),
+        "softmax": lambda x, y, w, b: T.softmax(x),
+        "log_softmax": lambda x, y, w, b: T.log_softmax(x),
+        "layer_norm": lambda x, y, w, b: T.layer_norm(x, b, -b),
+        "l2_normalize": lambda x, y, w, b: T.l2_normalize(x),
+    }
+
+    def test_every_recording_op_is_covered(self):
+        assert recording_ops() - set(self.OPS) == set()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_dtype_is_kept(self, name, dtype):
+        g = rng(sorted(self.OPS).index(name))
+        arrays = [g.normal(size=s).astype(dtype) for s in ((2, 3, 4), (2, 3, 4), (4, 4), (4,))]
+        leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+        with T.scoped_tape():
+            out = self.OPS[name](*leaves)
+            T.sum_(out * out).backward(params=leaves)
+        assert out.data.dtype == dtype
+        assert [t.grad.dtype for t in leaves] == [dtype] * 4
+        with T.no_grad():
+            assert self.OPS[name](*map(T.Tensor, arrays)).data.dtype == dtype
+
+    def test_only_float32_is_kept(self):
+        assert T.Tensor(np.zeros(2, np.float32)).data.dtype == np.float32
+        for x in (np.zeros(2, np.float16), np.zeros(2, np.int64), [1, 2], 3.0, True):
+            assert T.Tensor(x).data.dtype == np.float64
+        # a numpy float64 scalar is not a Python number: it upcasts, as in numpy
+        assert (T.Tensor(np.ones(2, np.float32)) * np.float64(2.0)).data.dtype == np.float64
+
+    @pytest.mark.parametrize("kernel", ["attention", "gelu", "layer_norm"])
+    def test_float32_blocks_give_the_bits_of_one_block(self, kernel, monkeypatch):
+        # blocks hold BLOCK_BYTES of float32 rows: 4096-byte blocks cut these
+        # inputs into several, with a ragged last one
+        g = rng(100)
+        x = g.normal(0, 2, (37, 9, 8)).astype(np.float32)
+        gamma, beta = g.normal(1, 0.2, 8).astype(np.float32), g.normal(0, 0.2, 8).astype(np.float32)
+        dy = rng(101).normal(size=x.shape).astype(np.float32)
+        op = {"attention": lambda t: T.attention(t, t * 0.5, t, 2),
+              "gelu": T.gelu,
+              "layer_norm": lambda t: T.layer_norm(t, T.Tensor(gamma), T.Tensor(beta))}[kernel]
+
+        def run():
+            t = T.Tensor(x, requires_grad=True)
+            with T.scoped_tape():
+                out = op(t)
+                T.sum_(out * T.Tensor(dy)).backward(params=[t])
+            with T.no_grad():
+                plain = op(T.Tensor(x)).data
+            return out.data, t.grad, plain
+
+        one = run()
+        monkeypatch.setattr(T, "BLOCK_BYTES", 4096)
+        rows, row_bytes = {"attention": (37, 4 * 2 * 9 * 9), "gelu": (x.size, 4),
+                           "layer_norm": (37 * 9, 4 * 8)}[kernel]
+        assert len(T._blocks(rows, row_bytes, False)[1]) > 2
+        for want, got in zip(one, run()):
+            assert got.dtype == np.float32 and np.array_equal(got, want)
