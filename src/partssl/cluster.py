@@ -17,7 +17,7 @@ from .evaluate import block_bounds, sq_dist
 from .finetune import extract_embeddings, forward_embeddings, id_loss, pk_batch
 from .optim import AdamW, keep_record
 from .tensor import Tensor
-from .vit import ConfigError
+from .vit import ConfigError, NetworkParams
 
 
 class ClusterError(ValueError):
@@ -182,7 +182,7 @@ def prototype_contrastive_loss(features, labels, bank, temperature=0.05):
     """Cross-entropy of cosine similarity against all prototypes.
 
     Outlier rows (label -1) are skipped; gradients reach only the features,
-    the bank is a constant memory."""
+    the bank is a constant memory, read in the features' dtype."""
     labels = np.asarray(labels, dtype=np.int64)
     keep = labels >= 0
     if not keep.any():
@@ -190,7 +190,7 @@ def prototype_contrastive_loss(features, labels, bank, temperature=0.05):
     feats = features if keep.all() else features[np.where(keep)[0]]
     labs = labels[keep]
     normed = T.l2_normalize(feats, axis=-1)
-    sims = normed @ Tensor(bank.prototypes.T)
+    sims = normed @ Tensor(bank.prototypes.T.astype(normed.data.dtype, copy=False))
     return id_loss(sims * (1.0 / temperature), labs)
 
 
@@ -246,7 +246,8 @@ class AdaptTrainer:
         losses, norms = [], []
         for step in range(steps):
             rows, labs = pk_batch(self.rng, pools, cl.ids_per_batch, cl.samples_per_id)
-            feats_t = forward_embeddings(self.params, self.images[rows], cl.fusion)
+            work = NetworkParams(self.params.cfg, self.optimizer.working())
+            feats_t = forward_embeddings(work, self.images[rows], cl.fusion)
             loss = prototype_contrastive_loss(feats_t, labs, bank)
             losses.append(loss.item())
             norms.append(self.optimizer.minimize(

@@ -77,8 +77,12 @@ class ReidHead:
         return [("head.bn.gamma", self.gamma), ("head.bn.beta", self.beta),
                 ("head.classifier", self.classifier)]
 
-    def embed(self, features, training):
-        """BN neck; batch statistics while training, running ones at eval."""
+    def embed(self, features, training, weights=None):
+        """BN neck; batch statistics while training, running ones at eval.
+        ``weights`` maps the ``named_params`` names to the tensors to use (a
+        training step's working copies); the head's own by default. The
+        running statistics stay float64."""
+        w = weights or dict(self.named_params())
         if training:
             mu = T.mean(features, axis=0)
             centered = features - mu
@@ -89,10 +93,10 @@ class ReidHead:
             self.running_var = (1 - m) * self.running_var + m * var.data
         else:
             xhat = (features - self.running_mean) / np.sqrt(self.running_var + self.eps)
-        return xhat * self.gamma + self.beta
+        return xhat * w["head.bn.gamma"] + w["head.bn.beta"]
 
-    def class_logits(self, embedded):
-        return embedded @ self.classifier
+    def class_logits(self, embedded, weights=None):
+        return embedded @ (weights or dict(self.named_params()))["head.classifier"]
 
     def state(self):
         return {"head.bn.gamma": self.gamma.data.copy(),
@@ -179,9 +183,9 @@ def pk_batch(rng, pools, ids_per_batch, samples_per_id):
 
 def forward_embeddings(params, images, fusion, flip_mask=None):
     """Backbone forward with [CLS] and every part token, then feature fusion,
-    in the images' dtype (float32 stays float32, anything else is float64)."""
+    in the network's dtype: the images are cast to it."""
     cfg = params.cfg
-    images = T.asarray(images)
+    images = np.asarray(images, dtype=params["patch_proj.w"].data.dtype)
     if images.shape[1:3] != (cfg.image_h, cfg.image_w):
         images = resize_batch(images, cfg.image_h, cfg.image_w).astype(images.dtype, copy=False)
     if flip_mask is not None:
@@ -220,10 +224,12 @@ class FinetuneTrainer:
         rows, labels = pk_batch(self.rng, self.pools, self.ft.ids_per_batch,
                                 self.ft.samples_per_id)
         flip = self.rng.random(len(rows)) < 0.5
-        feats = forward_embeddings(self.params, self.images[rows], self.ft.fusion, flip)
+        work = self.optimizer.working()
+        feats = forward_embeddings(vit.NetworkParams(self.cfg, work), self.images[rows],
+                                   self.ft.fusion, flip)
         tri = batch_hard_triplet(feats, labels)
-        neck = self.head.embed(feats, training=True)
-        ce = id_loss(self.head.class_logits(neck), labels)
+        neck = self.head.embed(feats, training=True, weights=work)
+        ce = id_loss(self.head.class_logits(neck, work), labels)
         loss = ce + tri
         self.optimizer.lr = warmup_cosine_lr(
             self.step_count, self.ft.steps, self.ft.resolve_lr(), int(0.1 * self.ft.steps))
@@ -251,11 +257,11 @@ def extract_workers():
 def extract_embeddings(params, head, images, fusion):
     """Eval-mode post-batchnorm embeddings, or the raw fused features when
     ``head`` is None, as float64; never touches the classifier. The backbone
-    runs in float32 on one float32 copy of the parameters and the images (the
-    head, if any, in float64). Chunks of ``EXTRACT_BATCH`` images run on
-    ``extract_workers()`` threads."""
+    runs in float32 on one float32 copy of the float64 parameters, each chunk
+    of images cast as it runs (training steps run in float32 as well, on the
+    optimizer's working copies); the head, if any, runs in float64. Chunks of
+    ``EXTRACT_BATCH`` images run on ``extract_workers()`` threads."""
     params = params.clone(dtype=np.float32)
-    images = np.asarray(images, dtype=np.float32)
     chunks = [images[i:i + EXTRACT_BATCH] for i in range(0, len(images), EXTRACT_BATCH)]
 
     def one(chunk):

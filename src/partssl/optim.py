@@ -8,6 +8,11 @@ import math
 import numpy as np
 
 from . import tensor as T
+from .tensor import Tensor
+
+# fine-tuning and adaptation compute in this type on working copies of the
+# float64 master weights, which keep the optimizer state and the clipping norm
+COMPUTE_DTYPE = np.float32
 
 
 class TrainingDiverged(RuntimeError):
@@ -31,6 +36,15 @@ class AdamW:
         self.t = 0
         self._m = {n: np.zeros_like(p.data) for n, p in self.params}
         self._v = {n: np.zeros_like(p.data) for n, p in self.params}
+        self._working = None
+
+    def working(self):
+        """A ``COMPUTE_DTYPE`` working copy of each held tensor, by name, for
+        one step's forward and backward; the next ``minimize`` reads their
+        gradients onto the masters."""
+        self._working = {n: Tensor(p.data.astype(COMPUTE_DTYPE), requires_grad=True)
+                         for n, p in self.params}
+        return self._working
 
     def step(self):
         self.t += 1
@@ -71,18 +85,25 @@ class AdamW:
 
     def minimize(self, loss, max_norm, context):
         """One update on ``loss``: backward, clip to ``max_norm`` (0 = off),
-        step. Returns the gradient norm before clipping; a non-finite loss
-        raises ``TrainingDiverged`` naming ``context`` and updates nothing."""
+        step. After ``working``, backward runs onto the working copies and
+        their gradients are cast onto the masters before clipping. Returns the
+        gradient norm before clipping; a non-finite loss raises
+        ``TrainingDiverged`` naming ``context`` and updates nothing."""
         try:
             if not math.isfinite(loss.item()):
                 raise TrainingDiverged("non-finite loss at %s" % context)
             tensors = [p for _, p in self.params]
-            loss.backward(params=tensors)
+            work = tensors if self._working is None else list(self._working.values())
+            loss.backward(params=work)
+            if work is not tensors:
+                for p, w in zip(tensors, work):
+                    p.grad = w.grad.astype(p.data.dtype)
             norm = clip_grad_norm(tensors, max_norm)
             self.step()
             self.zero_grad()
             return norm
         finally:
+            self._working = None
             T.clear_tape()
 
 

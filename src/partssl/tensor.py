@@ -1,10 +1,14 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 and float64 tensors with reverse-mode automatic
+differentiation.
 
-Training and every gradient check run in float64. A float32 array stays
-float32, so a float32 copy of a network runs its no-grad forward in float32
-(feature extraction); anything else becomes float64. A Python number takes
-the dtype of the tensor it meets, as in numpy (NEP 50), so constants are
-Python floats: an ``np.float64`` would upcast float32 data.
+Fine-tuning and adaptation train in float32, forward, tape and backward, on
+float32 working copies of float64 master weights (``optim.AdamW.working``);
+feature extraction runs in float32 too. Pretraining and every gradient check
+run in float64. A float32 array stays float32; anything else becomes
+float64. A Python number takes the dtype of the tensor it meets, as in
+numpy (NEP 50), so constants are Python floats: an ``np.float64`` would
+upcast float32 data, and ``backward`` refuses a gradient whose dtype is not
+its leaf's.
 
 Every operation whose inputs require gradients appends one node to the
 active tape (one tape per thread). Ops execute after their inputs exist, so
@@ -256,6 +260,9 @@ def backward(loss, params=None):
         g = grads.get(key)
         if g is None:
             g = np.zeros_like(leaf.data)
+        elif g.dtype != leaf.data.dtype:  # a constant of a wider type met the leaf's data
+            raise AutogradError("backward: a %s leaf of shape %s got a %s gradient"
+                                % (leaf.data.dtype, leaf.shape, g.dtype))
         elif not g.flags.writeable or id(g if g.base is None else g.base) in owners:
             g = g.copy()
         owners.add(id(g if g.base is None else g.base))

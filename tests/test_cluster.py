@@ -10,6 +10,7 @@ import pytest
 from partssl import cluster as cl
 from partssl import evaluate as ev
 from partssl import finetune as ft
+from partssl import optim
 from partssl import synthetic as sd
 from partssl import tensor as T
 from partssl import vit
@@ -376,6 +377,25 @@ class TestAdaptTrainer:
             assert stats["mean_loss"] > 0.0
             assert 0.0 < stats["grad_norm_mean"] <= stats["grad_norm_max"]
         assert np.abs(trainer.params["blocks.0.attn.wq"].data - before).max() > 1e-4
+
+    def test_float32_epoch_within_bound_of_float64_reference(self, monkeypatch):
+        # the one precision constant set to float64 gives the float64
+        # reference; the float32 epoch read 9.9e-7 relative on the mean loss
+        # and 6.5e-7 on the gradient norms. Masters and moments stay float64
+        def run():
+            trainer, _ = self.setup_trainer(epochs=1, eps=0.2)
+            rec = trainer.run()[0]
+            return trainer, np.array([rec[k] for k in ("mean_loss", "grad_norm_mean",
+                                                        "grad_norm_max")])
+
+        trainer, got = run()
+        monkeypatch.setattr(optim, "COMPUTE_DTYPE", np.float64)
+        _, want = run()
+        assert not np.array_equal(got, want)
+        assert (np.abs(got - want) <= 1e-5 * np.abs(want)).all(), np.abs(got / want - 1).max()
+        opt = trainer.optimizer
+        arrays = [p.data for _, p in opt.params] + [*opt._m.values(), *opt._v.values()]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
 
     def test_optimizer_leaves_the_projection_heads_alone(self):
         trainer, _ = self.setup_trainer(epochs=1, eps=0.2)

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from partssl import cli
+from partssl import config as cfgmod
 from partssl import finetune as ft
 from partssl import multicrop as mc
+from partssl import optim
 from partssl import synthetic as sd
 from partssl import tensor as T
 from partssl import vit
@@ -259,8 +262,9 @@ class TestFinetuneTrainer:
         # the last block computes, the hardest positive and negative and the
         # label log-probabilities read by index: 96 nodes. A [CLS] broadcast
         # apart from a part gather and max/min over ±1e12-masked distances
-        # recorded 99. The node outputs hold 66.7 MB; a last block over every
-        # token held 82.4 MB.
+        # recorded 99. The node outputs hold 33.3 MB in float32 (66.7 MB in
+        # float64); a float64 last block over every token held 82.4 MB. The
+        # ReID head runs on float32 working copies too, so no node casts.
         ds = sd.generate(sd.SyntheticSpec(num_identities=4, images_per_identity=4), seed=0)
         params = vit.NetworkParams.init(vit.BackboneConfig().validate(),
                                         np.random.default_rng(0))
@@ -277,8 +281,8 @@ class TestFinetuneTrainer:
         monkeypatch.setattr(T, "backward", counting_backward)
         with T.scoped_tape():  # nodes other tests left on this thread's tape do not count
             trainer.finetune_step()
-        assert len(sizes) == 1 and sizes[0][0] <= 96 and sizes[0][1] <= 70.0, sizes
-        assert dtypes == {np.dtype(np.float64)}  # training stays float64
+        assert len(sizes) == 1 and sizes[0][0] <= 96 and sizes[0][1] <= 35.0, sizes
+        assert dtypes == {np.dtype(np.float32)}  # every tape node is float32
 
     def test_eval_embeddings_ignore_classifier(self):
         trainer, ds = toy_training_setup(steps=3)
@@ -332,6 +336,57 @@ class TestFinetuneTrainer:
         assert len(heads) == 16
         trainer.run()
         assert all(np.array_equal(trainer.params[n].data, a) for n, a in heads.items())
+
+    def test_float32_steps_within_bound_of_float64_reference(self, monkeypatch):
+        # the one precision constant set to float64 gives the float64
+        # reference. Over 10 steps at seeds 0-3 the float32 run read at most
+        # 4.3e-6 relative on the loss and 4.5e-6 on grad_norm
+        def run():
+            trainer, _ = toy_training_setup(steps=10)
+            return np.array([[r["loss"], r["grad_norm"]] for r in trainer.run()])
+
+        got = run()
+        monkeypatch.setattr(optim, "COMPUTE_DTYPE", np.float64)
+        want = run()
+        assert not np.array_equal(got, want)
+        assert (np.abs(got - want) <= 1e-5 * np.abs(want)).all(), np.abs(got / want - 1).max()
+
+    def test_masters_moments_and_running_statistics_stay_float64(self):
+        trainer, _ = toy_training_setup(steps=3)
+        trainer.run()
+        opt = trainer.optimizer
+        arrays = ([p.data for _, p in opt.params] + [*opt._m.values(), *opt._v.values()]
+                  + [t.data for t in trainer.params.tensors()]
+                  + [trainer.head.running_mean, trainer.head.running_var])
+        assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
+
+    def test_checkpoint_reloads_into_a_float64_network_bit_exactly(self, tmp_path, monkeypatch):
+        trainers = []
+
+        class Recording(ft.FinetuneTrainer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                trainers.append(self)
+
+        monkeypatch.setattr(cli, "FinetuneTrainer", Recording)
+        cfg = cfgmod.parse_text(
+            "mode = finetune\nbackbone.image_h = 16\nbackbone.image_w = 8\n"
+            "backbone.embed_dim = 8\nbackbone.depth = 1\nbackbone.heads = 2\n"
+            "backbone.num_parts = 2\nbackbone.proj_dim = 8\ncrops.num_areas = 2\n"
+            "data.num_identities = 4\n"
+            "data.train_images_per_identity = 4\ndata.test_images_per_identity = 2\n"
+            "data.cameras = 2\nfinetune.steps = 3\nfinetune.ids_per_batch = 2\n"
+            "finetune.samples_per_id = 2\n")
+        cfg.out_dir = str(tmp_path)
+        saved = load_checkpoint(cli.run(cfg)["checkpoint"]).tensors
+        (trainer,) = trainers
+        net = vit.NetworkParams.init(cfg.backbone, np.random.default_rng(1)).load_state(
+            {k[len("network."):]: v for k, v in saved.items() if k.startswith("network.")})
+        want = {**trainer.params.state(), **trainer.head.state()}
+        got = {**net.state(), **{k: v for k, v in saved.items() if k.startswith("head.")}}
+        assert got.keys() == want.keys()
+        for k, v in want.items():
+            assert v.dtype == got[k].dtype == np.float64 and v.tobytes() == got[k].tobytes(), k
 
     def test_needs_two_identities(self):
         cfg = small_cfg()

@@ -523,6 +523,16 @@ class TestFloat32:
         # a numpy float64 scalar is not a Python number: it upcasts, as in numpy
         assert (T.Tensor(np.ones(2, np.float32)) * np.float64(2.0)).data.dtype == np.float64
 
+    @pytest.mark.parametrize("other", [np.ones(3), np.float64(2.0)])
+    def test_backward_refuses_a_gradient_of_another_dtype(self, other):
+        # a float64 constant would turn the backward of float32 data into float64
+        x = T.Tensor(np.ones(3, np.float32), requires_grad=True)
+        with T.scoped_tape():
+            loss = T.sum_(x * other)
+            with pytest.raises(T.AutogradError, match="float32 leaf .* float64 gradient"):
+                loss.backward()
+        assert x.grad is None
+
     @pytest.mark.parametrize("kernel", ["attention", "gelu", "layer_norm"])
     def test_float32_blocks_give_the_bits_of_one_block(self, kernel, monkeypatch):
         # blocks hold BLOCK_BYTES of float32 rows: 4096-byte blocks cut these
