@@ -8,10 +8,11 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
 
-# fine-tuning and adaptation compute in this type on working copies of the
-# float64 master weights, which keep the optimizer state and the clipping norm
+# fine-tuning and adaptation run each step's forward and backward in this
+# type, on working copies of the float64 master weights (``AdamW.working``);
+# the moments, the clipping norm and the checkpoints stay on the masters.
+# Pretraining trains its float64 masters directly
 COMPUTE_DTYPE = np.float32
 
 
@@ -42,7 +43,7 @@ class AdamW:
         """A ``COMPUTE_DTYPE`` working copy of each held tensor, by name, for
         one step's forward and backward; the next ``minimize`` reads their
         gradients onto the masters."""
-        self._working = {n: Tensor(p.data.astype(COMPUTE_DTYPE), requires_grad=True)
+        self._working = {n: T.Tensor(p.data.astype(COMPUTE_DTYPE), requires_grad=True)
                          for n, p in self.params}
         return self._working
 

@@ -373,10 +373,9 @@ class TestFinetuneTrainer:
             "mode = finetune\nbackbone.image_h = 16\nbackbone.image_w = 8\n"
             "backbone.embed_dim = 8\nbackbone.depth = 1\nbackbone.heads = 2\n"
             "backbone.num_parts = 2\nbackbone.proj_dim = 8\ncrops.num_areas = 2\n"
-            "data.num_identities = 4\n"
-            "data.train_images_per_identity = 4\ndata.test_images_per_identity = 2\n"
-            "data.cameras = 2\nfinetune.steps = 3\nfinetune.ids_per_batch = 2\n"
-            "finetune.samples_per_id = 2\n")
+            "data.num_identities = 4\ndata.train_images_per_identity = 4\n"
+            "data.test_images_per_identity = 2\ndata.cameras = 2\nfinetune.steps = 3\n"
+            "finetune.ids_per_batch = 2\nfinetune.samples_per_id = 2\n")
         cfg.out_dir = str(tmp_path)
         saved = load_checkpoint(cli.run(cfg)["checkpoint"]).tensors
         (trainer,) = trainers
